@@ -19,6 +19,7 @@ cargo test -q --workspace
 echo "==> example smoke runs"
 cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign
+cargo run --release --example thermal_headroom
 
 echo "==> sweep smoke: cold run, then warm run must hit the cache"
 rm -rf artifacts/sweep-cache

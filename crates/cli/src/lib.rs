@@ -611,7 +611,8 @@ pub fn execute(command: Command) -> Result<String, String> {
                  throughput:    {:.2} TF ({:.1}% of peak)\n\
                  package power: {:.1} W\n\
                  node power:    {:.1} W ({:.1} GF/W)\n\
-                 peak DRAM:     {:.1} (limit 85 degC)",
+                 peak DRAM:     {:.1} (limit 85 degC)\n\
+                 thermal solve: {} CG iterations, residual {:.2e} W",
                 config.gpu.total_cus(),
                 config.gpu.clock,
                 config.hbm.total_bandwidth().terabytes_per_sec(),
@@ -621,6 +622,8 @@ pub fn execute(command: Command) -> Result<String, String> {
                 eval.node_power().value(),
                 eval.efficiency(),
                 t.peak_dram(),
+                t.iterations(),
+                t.residual(),
             ))
         }
         Command::Suite { point } => {
@@ -1164,6 +1167,15 @@ mod tests {
         assert!(out.contains("CoMD"));
         assert!(out.contains("package power"));
         assert!(out.contains("peak DRAM"));
+        let solve = out
+            .lines()
+            .find(|l| l.starts_with("thermal solve: "))
+            .expect("evaluate reports the thermal solve");
+        assert!(solve.contains(" CG iterations, residual "), "{solve}");
+        assert!(solve.ends_with(" W"), "{solve}");
+        // No wall clock: the line repeats exactly.
+        let again = execute(parse_str("evaluate --app CoMD").unwrap()).unwrap();
+        assert_eq!(out, again);
     }
 
     #[test]

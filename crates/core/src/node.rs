@@ -168,7 +168,8 @@ impl NodeSimulator {
     ///
     /// # Errors
     ///
-    /// Returns [`TemperatureError`] if the thermal solve fails to converge.
+    /// Returns [`TemperatureError`] if the thermal solve fails to converge
+    /// or to balance energy.
     pub fn thermal(
         &self,
         config: &EhpConfig,

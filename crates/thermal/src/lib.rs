@@ -5,7 +5,8 @@
 //! provides a HotSpot-methodology steady-state solver and the assembled
 //! EHP chiplet stack model:
 //!
-//! - [`solver`] — the grid RC network and SOR solver
+//! - [`solver`] — the grid RC network and its Jacobi-preconditioned
+//!   conjugate-gradient solve, checked by residual and energy balance
 //!   ([`ThermalGrid`](solver::ThermalGrid)).
 //! - [`ehp`] — the GPU-chiplet + DRAM-stack model
 //!   ([`ChipletThermalModel`](ehp::ChipletThermalModel)), peak-DRAM

@@ -21,6 +21,15 @@ cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign
 cargo run --release --example thermal_headroom
 
+echo "==> validation smoke: the GPU timing simulator must reproduce its golden byte for byte"
+validation_dir=$(mktemp -d)
+cargo run --release -p ena-bench --bin figures -- validation --out "$validation_dir" >/dev/null
+if ! cmp "$validation_dir/validation.txt" artifacts/validation.txt; then
+  echo "ci.sh: figures validation diverged from artifacts/validation.txt" >&2
+  exit 1
+fi
+rm -rf "$validation_dir"
+
 echo "==> sweep smoke: cold run, then warm run must hit the cache"
 rm -rf artifacts/sweep-cache
 cargo run --release -p ena-cli --bin ena -- sweep --jobs 2 --resume >/dev/null

@@ -8,10 +8,11 @@
 //! `parallelism` and `latency_sensitivity` parameters *mechanistic* rather
 //! than assumed.
 //!
-//! - [`program`] — wavefront instruction streams.
+//! - [`program`] — wavefront instruction streams, stored run-length.
 //! - [`backend`] — memory backends: a fixed-latency pipe and the detailed
 //!   banked-HBM backend built on `ena-memory`.
-//! - [`sim`] — the CU scheduler and timing loop.
+//! - [`sim`] — the CU scheduler and timing loop, with its O(1)-per-grant
+//!   path for pipe-bound stretches.
 //! - [`synth`] — synthesizing wavefront sets from kernel profiles.
 //!
 //! # Example: latency hiding in action

@@ -1,15 +1,63 @@
 //! The wavefront-level timing simulator.
 //!
-//! Models one or more compute units, each multiplexing a set of wavefront
-//! contexts over its SIMD issue slots. Wavefronts hide memory latency by
-//! switching: while one waits on outstanding requests, others issue. This
-//! is the mechanism behind the paper's Finding that "the GPU's massive
+//! Models one compute unit multiplexing a set of wavefront contexts over
+//! its SIMD issue slots. Wavefronts hide memory latency by switching:
+//! while one waits on outstanding requests, others issue. This is the
+//! mechanism behind the paper's Finding that "the GPU's massive
 //! parallelism is effective at latency hiding" (Section V-A), and the
 //! cycle-level complement to the analytic model's `parallelism` /
 //! `latency_sensitivity` parameters.
+//!
+//! # The issue loop
+//!
+//! Each iteration of [`GpuSim::run`] is one cycle, `now`:
+//!
+//! 1. requests that completed by `now` leave their wavefront's in-flight
+//!    set;
+//! 2. starting at the round-robin pointer `rr`, each wavefront that is not
+//!    busy gets one chance to issue its current op, until `issue_width`
+//!    ops have issued. `Compute` needs a free shared pipe and occupies it
+//!    for its cycles; a load or store needs an in-flight slot; a satisfied
+//!    `Wait` retires without using an issue slot;
+//! 3. `rr` advances by one;
+//! 4. if anything issued, `now` advances by one. Otherwise it jumps to the
+//!    earliest cycle at which any wavefront could progress; if that is the
+//!    next cycle while every pipe is busy, it jumps to when the first pipe
+//!    frees instead.
+//!
+//! The makespan runs to the last completion, not the last issue.
+//!
+//! Step 1 is lazy. A wavefront's in-flight completions are kept sorted
+//! and drained only when it is examined for issue, because only their
+//! count matters there. The jump in step 4 looks from `now + 1` on, and
+//! there a completion at or before `now` changes nothing, drained or not.
+//!
+//! # The pipe-bound fast path
+//!
+//! A compute-bound kernel spends nearly all its cycles with every live
+//! wavefront's current op a `Compute` queued on one pipe. The loop above
+//! then costs two O(wavefronts) iterations per grant: one grants the
+//! pipe, one finds nothing to issue and jumps to when the pipe frees.
+//! The fast path reproduces those iterations in O(1) per grant. It
+//! applies when there is one compute pipe, it is free at `now`, the issue
+//! width is at least 1, and every live wavefront's current op is
+//! `Compute`.
+//!
+//! It is exact because a wavefront's `busy_until` is only ever set by a
+//! pipe grant, so with one pipe no wavefront is busy once the pipe is
+//! free. The scan therefore grants the pipe to the first live wavefront at
+//! or after `rr`, and no one else issues. That grant cycle advances `rr`
+//! and `now` by one. If the grant took two or more cycles, the next
+//! iteration issues nothing, advances `rr` once more and jumps exactly to
+//! the pipe's free cycle. If it took one cycle, the next iteration is
+//! itself a grant. The stretch ends once the grantee finishes or its next
+//! op is not `Compute`. A zero-cycle `Compute` frees the pipe within its
+//! own cycle, so the general loop handles it.
+
+use std::collections::VecDeque;
 
 use crate::backend::MemoryBackend;
-use crate::program::{Op, WavefrontProgram};
+use crate::program::{Cursor, Op, WavefrontProgram};
 
 /// Configuration of one simulated compute unit.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -37,61 +85,56 @@ impl Default for CuConfig {
 /// One wavefront's execution state.
 #[derive(Clone, Debug)]
 struct WavefrontState {
-    program: WavefrontProgram,
-    pc: usize,
+    cursor: Cursor,
     /// The SIMD is occupied by this wavefront's compute until this cycle.
     busy_until: u64,
-    /// Completion cycles of in-flight requests (unsorted).
-    outstanding: Vec<u64>,
-    flops: u64,
+    /// Completion cycles of in-flight requests, ascending. Entries at or
+    /// before the current cycle may linger until [`Self::drain`].
+    outstanding: VecDeque<u64>,
 }
 
 impl WavefrontState {
     fn new(program: WavefrontProgram) -> Self {
         Self {
-            program,
-            pc: 0,
+            cursor: program.into_cursor(),
             busy_until: 0,
-            outstanding: Vec::new(),
-            flops: 0,
+            outstanding: VecDeque::new(),
         }
     }
 
     fn done(&self) -> bool {
-        self.pc >= self.program.ops().len()
+        self.cursor.op().is_none()
     }
 
+    /// Drops the requests completed by `now`; O(1) unless one completed.
     fn drain(&mut self, now: u64) {
-        self.outstanding.retain(|&c| c > now);
+        while self.outstanding.front().is_some_and(|&c| c <= now) {
+            self.outstanding.pop_front();
+        }
     }
 
-    /// The earliest cycle at which this wavefront could make progress, or
-    /// `None` if it is finished.
-    fn next_event(&self, now: u64, cfg: &CuConfig) -> Option<u64> {
-        if self.done() {
-            return None;
-        }
-        let mut earliest = self.busy_until.max(now);
-        match self.program.ops()[self.pc] {
-            Op::Wait { max_outstanding } => {
-                if self.outstanding.len() > max_outstanding as usize {
-                    // Must wait for enough completions.
-                    let mut c: Vec<u64> = self.outstanding.clone();
-                    c.sort_unstable();
-                    let need = self.outstanding.len() - max_outstanding as usize;
-                    earliest = earliest.max(c[need - 1]);
-                }
+    /// Records a request completing at `complete`, keeping the order.
+    fn track(&mut self, complete: u64) {
+        let at = self.outstanding.partition_point(|&c| c <= complete);
+        self.outstanding.insert(at, complete);
+    }
+
+    /// The earliest cycle from `at` on at which this wavefront could make
+    /// progress, or `None` if it is finished.
+    fn next_event(&self, at: u64, cfg: &CuConfig) -> Option<u64> {
+        let earliest = self.busy_until.max(at);
+        let in_flight = self.outstanding.len();
+        let gate = match self.cursor.op()? {
+            // Must wait for enough completions: the (len - max)-th earliest.
+            Op::Wait { max_outstanding } => in_flight
+                .checked_sub(max_outstanding as usize + 1)
+                .and_then(|i| self.outstanding.get(i)),
+            Op::Load { .. } | Op::Store { .. } if in_flight >= cfg.max_outstanding as usize => {
+                self.outstanding.front()
             }
-            Op::Load { .. } | Op::Store { .. } => {
-                if self.outstanding.len() >= cfg.max_outstanding as usize {
-                    if let Some(&min) = self.outstanding.iter().min() {
-                        earliest = earliest.max(min);
-                    }
-                }
-            }
-            Op::Compute { .. } => {}
-        }
-        Some(earliest)
+            _ => None,
+        };
+        Some(gate.map_or(earliest, |&c| earliest.max(c)))
     }
 }
 
@@ -106,7 +149,8 @@ pub struct TimingStats {
     pub requests: u64,
     /// Issue slots actually used.
     pub issued_ops: u64,
-    /// Issue slots available (`cycles x issue_width x CUs`).
+    /// Issue slots available (`cycles x issue_width`; the simulator
+    /// models one CU).
     pub issue_slots: u64,
 }
 
@@ -130,7 +174,7 @@ impl TimingStats {
     }
 }
 
-/// The timing simulator for one CU cluster sharing a memory backend.
+/// The timing simulator for one CU sharing a memory backend.
 pub struct GpuSim<'a, B: MemoryBackend> {
     config: CuConfig,
     backend: &'a mut B,
@@ -149,101 +193,171 @@ impl<'a, B: MemoryBackend> GpuSim<'a, B> {
     /// Panics if `wavefronts` is empty.
     pub fn run(&mut self, wavefronts: Vec<WavefrontProgram>) -> TimingStats {
         assert!(!wavefronts.is_empty(), "no wavefronts to run");
-        let mut waves: Vec<WavefrontState> =
-            wavefronts.into_iter().map(WavefrontState::new).collect();
-        let mut now = 0u64;
-        let mut stats = TimingStats::default();
-        let mut rr = 0usize; // round-robin pointer
-        let mut pipe_free = vec![0u64; self.config.compute_pipes.max(1) as usize];
-
-        while waves.iter().any(|w| !w.done()) {
-            for w in waves.iter_mut() {
-                w.drain(now);
-            }
-
-            // Issue up to issue_width ops this cycle, round-robin.
-            let mut issued = 0u32;
-            let n = waves.len();
-            for k in 0..n {
-                if issued >= self.config.issue_width {
-                    break;
-                }
-                let idx = (rr + k) % n;
-                let cfg = self.config;
-                let w = &mut waves[idx];
-                if w.done() || w.busy_until > now {
-                    continue;
-                }
-                match w.program.ops()[w.pc] {
-                    Op::Compute { cycles, flops } => {
-                        // Needs a free shared compute pipe.
-                        let Some(pipe) = pipe_free.iter_mut().find(|f| **f <= now) else {
-                            continue;
-                        };
-                        *pipe = now + u64::from(cycles);
-                        w.busy_until = now + u64::from(cycles);
-                        w.flops += u64::from(flops);
-                        stats.flops += u64::from(flops);
-                        w.pc += 1;
-                        issued += 1;
-                    }
-                    Op::Load { addr } | Op::Store { addr }
-                        if w.outstanding.len() < cfg.max_outstanding as usize =>
-                    {
-                        let is_write = matches!(w.program.ops()[w.pc], Op::Store { .. });
-                        let complete = self.backend.request(addr, is_write, now);
-                        w.outstanding.push(complete);
-                        stats.requests += 1;
-                        w.pc += 1;
-                        issued += 1;
-                    }
-                    Op::Wait { max_outstanding }
-                        if w.outstanding.len() <= max_outstanding as usize =>
-                    {
-                        // Waits retire for free once satisfied.
-                        w.pc += 1;
-                    }
-                    _ => {}
-                }
-            }
-            rr = (rr + 1) % n;
-            stats.issued_ops += u64::from(issued);
-
-            // Advance time: next cycle, or jump to the next event if the
-            // machine is fully stalled.
-            if issued == 0 {
-                let next = waves
-                    .iter()
-                    .filter_map(|w| w.next_event(now + 1, &self.config))
-                    .min()
-                    .map(|e| {
-                        // A compute-ready wavefront may be gated on a pipe.
-                        let pipe = pipe_free.iter().copied().min().unwrap_or(0);
-                        if e <= now + 1 && pipe > now {
-                            e.max(pipe)
-                        } else {
-                            e
-                        }
-                    });
-                now = next.unwrap_or(now + 1).max(now + 1);
-            } else {
-                now += 1;
+        let mut m = Machine {
+            waves: wavefronts.into_iter().map(WavefrontState::new).collect(),
+            pipe_free: vec![0; self.config.compute_pipes.max(1) as usize],
+            now: 0,
+            rr: 0,
+            stats: TimingStats::default(),
+        };
+        while m.waves.iter().any(|w| !w.done()) {
+            if !m.pipe_bound_stretch(&self.config) {
+                m.step(&self.config, self.backend);
             }
         }
 
         // The makespan runs to the last completion, not the last issue:
         // in-flight compute and memory must drain.
-        let drain = waves
+        let drain = m
+            .waves
             .iter()
-            .map(|w| {
-                w.busy_until
-                    .max(w.outstanding.iter().copied().max().unwrap_or(0))
-            })
+            .map(|w| w.busy_until.max(w.outstanding.back().copied().unwrap_or(0)))
             .max()
             .unwrap_or(0);
-        stats.cycles = now.max(drain).max(1);
+        let mut stats = m.stats;
+        stats.cycles = m.now.max(drain).max(1);
         stats.issue_slots = stats.cycles * u64::from(self.config.issue_width);
         stats
+    }
+}
+
+/// The state of one [`GpuSim::run`].
+struct Machine {
+    waves: Vec<WavefrontState>,
+    /// The cycle at which each compute pipe frees up.
+    pipe_free: Vec<u64>,
+    now: u64,
+    /// Round-robin pointer: where this cycle's issue scan starts.
+    rr: usize,
+    stats: TimingStats,
+}
+
+impl Machine {
+    /// One iteration of the issue loop (module docs, steps 1–4).
+    fn step<B: MemoryBackend>(&mut self, cfg: &CuConfig, backend: &mut B) {
+        let now = self.now;
+        let n = self.waves.len();
+        let mut issued = 0u32;
+        for k in 0..n {
+            if issued >= cfg.issue_width {
+                break;
+            }
+            let w = &mut self.waves[(self.rr + k) % n];
+            let Some(op) = w.cursor.op() else { continue };
+            if w.busy_until > now {
+                continue;
+            }
+            w.drain(now);
+            let uses_slot = match op {
+                Op::Compute { cycles, flops } => {
+                    // Needs a free shared compute pipe.
+                    let Some(pipe) = self.pipe_free.iter_mut().find(|f| **f <= now) else {
+                        continue;
+                    };
+                    *pipe = now + u64::from(cycles);
+                    w.busy_until = *pipe;
+                    self.stats.flops += u64::from(flops);
+                    true
+                }
+                Op::Load { addr } | Op::Store { addr }
+                    if w.outstanding.len() < cfg.max_outstanding as usize =>
+                {
+                    let is_write = matches!(op, Op::Store { .. });
+                    w.track(backend.request(addr, is_write, now));
+                    self.stats.requests += 1;
+                    true
+                }
+                // Waits retire for free once satisfied.
+                Op::Wait { max_outstanding } if w.outstanding.len() <= max_outstanding as usize => {
+                    false
+                }
+                _ => continue,
+            };
+            w.cursor.advance();
+            issued += u32::from(uses_slot);
+        }
+        self.rr = (self.rr + 1) % n;
+        self.stats.issued_ops += u64::from(issued);
+
+        // Advance time: next cycle, or jump to the next event if the
+        // machine is fully stalled.
+        self.now = if issued == 0 {
+            let pipe = self.pipe_free.iter().copied().min().unwrap_or(0);
+            self.waves
+                .iter()
+                .filter_map(|w| w.next_event(now + 1, cfg))
+                .min()
+                .map_or(now + 1, |e| {
+                    // A compute-ready wavefront may be gated on a pipe.
+                    if e <= now + 1 && pipe > now {
+                        e.max(pipe)
+                    } else {
+                        e
+                    }
+                })
+                .max(now + 1)
+        } else {
+            now + 1
+        };
+    }
+
+    /// Runs the pipe-bound fast path (module docs) from `now` if it
+    /// applies, returning whether it granted the pipe at least once.
+    fn pipe_bound_stretch(&mut self, cfg: &CuConfig) -> bool {
+        let [pipe] = self.pipe_free.as_mut_slice() else {
+            return false;
+        };
+        if *pipe > self.now
+            || cfg.issue_width == 0
+            || !self
+                .waves
+                .iter()
+                .all(|w| matches!(w.cursor.op(), None | Some(Op::Compute { .. })))
+        {
+            return false;
+        }
+        // first_live[i]: the first live wavefront at or after i, cyclically.
+        // Only a grantee finishing changes the live set, and that ends
+        // the stretch.
+        let n = self.waves.len();
+        let mut first_live = vec![0; n];
+        let mut next = self.waves.iter().position(|w| !w.done()).unwrap_or(0);
+        for (i, w) in self.waves.iter().enumerate().rev() {
+            if !w.done() {
+                next = i;
+            }
+            first_live[i] = next;
+        }
+
+        let mut granted = false;
+        loop {
+            let w = &mut self.waves[first_live[self.rr]];
+            let Some(Op::Compute { cycles, flops }) = w.cursor.op() else {
+                break;
+            };
+            if cycles == 0 {
+                break;
+            }
+            // The grant cycle.
+            *pipe = self.now + u64::from(cycles);
+            w.busy_until = *pipe;
+            self.stats.flops += u64::from(flops);
+            self.stats.issued_ops += 1;
+            w.cursor.advance();
+            self.rr = (self.rr + 1) % n;
+            self.now += 1;
+            granted = true;
+            if !matches!(w.cursor.op(), Some(Op::Compute { .. })) {
+                break;
+            }
+            // Still pipe-bound. If the pipe is busy next cycle, that cycle
+            // issues nothing and jumps to when the pipe frees.
+            if *pipe > self.now {
+                self.rr = (self.rr + 1) % n;
+                self.now = *pipe;
+            }
+        }
+        granted
     }
 }
 

@@ -77,8 +77,9 @@ pub fn wavefronts_for(
             for _ in 0..iterations {
                 for _ in 0..mlp {
                     let addr = gen.next();
-                    if (gen.state >> 7) as f64 / (1u64 << 57) as f64 * 0.5 < profile.write_fraction
-                    {
+                    // Uniform on [0, 1) from the generator's top 57 bits.
+                    let unit = (gen.state >> 7) as f64 / (1u64 << 57) as f64;
+                    if unit < profile.write_fraction {
                         p = p.push(Op::Store { addr });
                     } else {
                         p = p.push(Op::Load { addr });
@@ -148,7 +149,7 @@ mod tests {
             let mut total = 0u32;
             let mut last = None;
             for op in wf[0].ops() {
-                if let Op::Load { addr } | Op::Store { addr } = *op {
+                if let Op::Load { addr } | Op::Store { addr } = op {
                     if let Some(prev) = last {
                         total += 1;
                         if addr == prev + 64 {
@@ -161,6 +162,27 @@ mod tests {
             f64::from(seq) / f64::from(total.max(1))
         };
         assert!(collect(0.9) < collect(0.1));
+    }
+
+    #[test]
+    fn store_share_matches_the_write_fraction() {
+        for p in ena_workloads::paper_profiles() {
+            let (stores, requests) = wavefronts_for(&p, 24, 0xABCD)
+                .iter()
+                .flat_map(WavefrontProgram::ops)
+                .fold((0u64, 0u64), |(s, r), op| match op {
+                    Op::Store { .. } => (s + 1, r + 1),
+                    Op::Load { .. } => (s, r + 1),
+                    _ => (s, r),
+                });
+            let share = stores as f64 / requests as f64;
+            assert!(
+                (share - p.write_fraction).abs() < 0.03,
+                "{}: store share {share:.3}, write fraction {}",
+                p.name,
+                p.write_fraction
+            );
+        }
     }
 
     #[test]

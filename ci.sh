@@ -21,14 +21,24 @@ cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign
 cargo run --release --example thermal_headroom
 
-echo "==> validation smoke: the GPU timing simulator must reproduce its golden byte for byte"
-validation_dir=$(mktemp -d)
-cargo run --release -p ena-bench --bin figures -- validation --out "$validation_dir" >/dev/null
-if ! cmp "$validation_dir/validation.txt" artifacts/validation.txt; then
-  echo "ci.sh: figures validation diverged from artifacts/validation.txt" >&2
+echo "==> figures smoke: every report must reproduce its golden byte for byte"
+figures_dir=$(mktemp -d)
+cargo run --release -p ena-bench --bin figures -- all --out "$figures_dir" >/dev/null
+reports=0
+for report in "$figures_dir"/*.txt; do
+  name=$(basename "$report")
+  if ! cmp "$report" "artifacts/$name"; then
+    echo "ci.sh: figures $name diverged from artifacts/$name" >&2
+    exit 1
+  fi
+  reports=$((reports + 1))
+done
+if [ "$reports" -ne 17 ]; then
+  echo "ci.sh: figures all wrote $reports reports, expected 17" >&2
   exit 1
 fi
-rm -rf "$validation_dir"
+echo "all $reports reports match artifacts/"
+rm -rf "$figures_dir"
 
 echo "==> sweep smoke: cold run, then warm run must hit the cache"
 rm -rf artifacts/sweep-cache

@@ -20,11 +20,35 @@ fn wide_graph(tasks: usize) -> TaskGraph {
     g
 }
 
+/// The substrates study's finest offload split: `pre` fans out to
+/// `kernels` GPU kernels that all fan in to `post`.
+fn fan_in_graph(kernels: u32) -> TaskGraph {
+    let mut g = TaskGraph::new();
+    let pre = g.add("pre", TaskCost::cpu(10.0), &[]).unwrap();
+    let ks: Vec<_> = (0..kernels)
+        .map(|i| {
+            g.add(
+                format!("k{i}"),
+                TaskCost::gpu(40_000.0 / f64::from(kernels)),
+                &[pre],
+            )
+            .unwrap()
+        })
+        .collect();
+    g.add("post", TaskCost::cpu(10.0), &ks).unwrap();
+    g
+}
+
 fn main() {
     let mut h = Harness::new("substrates");
     let g = wide_graph(500);
     h.bench("hsa/schedule_500_tasks", || {
         std::hint::black_box(Runtime::new(RuntimeConfig::hsa()).execute(&g))
+    });
+
+    let fan_in = fan_in_graph(4096);
+    h.bench("hsa/schedule_4096_kernel_fan_in", || {
+        std::hint::black_box(Runtime::new(RuntimeConfig::hsa()).execute(&fan_in))
     });
 
     let program = CpuProgram::synthesize(1_000_000, 10.0, 2);

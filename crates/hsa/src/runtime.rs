@@ -8,10 +8,13 @@
 //! legacy driver path), and pay release/acquire costs per dependency edge
 //! per the active [`SyncModel`].
 
+use std::cmp::{Ordering, Reverse};
+use std::collections::BinaryHeap;
+
 use crate::queue::{DispatchPacket, UserModeQueue};
 use crate::signal::SignalPool;
 use crate::sync::SyncModel;
-use crate::task::{TaskGraph, TaskId};
+use crate::task::{Task, TaskGraph, TaskId};
 use ena_model::error::DegradeError;
 
 /// The two agent classes of an APU node.
@@ -170,6 +173,105 @@ impl Schedule {
     }
 }
 
+/// A task whose dependencies are all placed, ordered by the list
+/// scheduler's pick: earliest ready time first, ties to the lowest id.
+#[derive(Clone, Copy, Debug)]
+struct ReadyTask {
+    ready_us: f64,
+    task: TaskId,
+}
+
+impl Ord for ReadyTask {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.ready_us
+            .total_cmp(&other.ready_us)
+            .then(self.task.cmp(&other.task))
+    }
+}
+
+impl PartialOrd for ReadyTask {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for ReadyTask {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for ReadyTask {}
+
+/// The list scheduler's ready queue.
+///
+/// A task enters once the last of its dependencies is placed and leaves
+/// least `(ready, id)` first: the pick a scan over every unplaced task
+/// would make, at O(log n) per pick instead of O(n + e). With the costs
+/// [`TaskGraph::add`] admits and non-negative overheads and backoffs,
+/// ready times are finite and non-negative, where the total order on
+/// `f64` agrees with `<`.
+struct ReadyQueue {
+    /// Dependencies of each task not yet placed, counted per occurrence.
+    pending: Vec<usize>,
+    /// Dependents of each task, one entry per dependency occurrence.
+    dependents: Vec<Vec<TaskId>>,
+    heap: BinaryHeap<Reverse<ReadyTask>>,
+}
+
+impl ReadyQueue {
+    /// A queue holding the graph's dependency-free tasks, ready at 0.
+    fn new(graph: &TaskGraph) -> Self {
+        let n = graph.len();
+        let mut queue = Self {
+            pending: vec![0; n],
+            dependents: vec![Vec::new(); n],
+            heap: BinaryHeap::new(),
+        };
+        for (id, task) in graph.tasks().iter().enumerate() {
+            queue.pending[id] = task.deps.len();
+            for &d in &task.deps {
+                queue.dependents[d].push(id);
+            }
+            if task.deps.is_empty() {
+                queue.push(0.0, id);
+            }
+        }
+        queue
+    }
+
+    /// Removes and returns the least `(ready, id)` task.
+    fn pop(&mut self) -> Option<(f64, TaskId)> {
+        self.heap.pop().map(|Reverse(r)| (r.ready_us, r.task))
+    }
+
+    /// Queues `task` (all of whose dependencies are placed) at `ready_us`.
+    fn push(&mut self, ready_us: f64, task: TaskId) {
+        self.heap.push(Reverse(ReadyTask { ready_us, task }));
+    }
+
+    /// Records that `task` is placed (which happens once per task),
+    /// queueing every dependent whose last dependency it was.
+    fn place(&mut self, task: TaskId, graph: &TaskGraph, placement: &[Option<TaskSpan>]) {
+        for t in std::mem::take(&mut self.dependents[task]) {
+            self.pending[t] -= 1;
+            if self.pending[t] == 0 {
+                self.push(ready_time(&graph.tasks()[t], placement, 0.0), t);
+            }
+        }
+    }
+}
+
+/// When a task whose dependencies are all placed may start: the last
+/// dependency completion, or `floor` if that is later.
+fn ready_time(task: &Task, placement: &[Option<TaskSpan>], floor: f64) -> f64 {
+    task.deps
+        .iter()
+        .filter_map(|&d| placement[d])
+        .map(|p| p.end_us)
+        .fold(floor, f64::max)
+}
+
 /// The simulated heterogeneous runtime.
 #[derive(Clone, Debug)]
 pub struct Runtime {
@@ -184,6 +286,11 @@ impl Runtime {
 
     /// Executes `graph` to completion with greedy earliest-finish list
     /// scheduling, returning the schedule.
+    ///
+    /// Each step places the ready task (all dependencies placed) with the
+    /// least `(ready time, id)` on the compatible agent where it finishes
+    /// first. A ready queue makes the whole schedule O((n + e) log n) for
+    /// n tasks and e dependency edges, plus O(agents) per placement.
     ///
     /// # Panics
     ///
@@ -204,32 +311,15 @@ impl Runtime {
         let mut cpu_free = vec![0.0f64; cfg.cpu_cores];
         let mut gpu_free = vec![0.0f64; cfg.gpu_queues];
         let mut placement: Vec<Option<TaskSpan>> = vec![None; n];
-        let mut scheduled = vec![false; n];
         let mut spans = Vec::with_capacity(n);
         let mut dispatch_total = 0.0;
         let mut sync_total = 0.0;
 
-        for _ in 0..n {
-            // Pick the unscheduled task with all deps placed whose ready
-            // time is earliest (deterministic tie-break by id).
-            let mut pick: Option<(f64, TaskId)> = None;
-            for (id, task) in graph.tasks().iter().enumerate() {
-                if scheduled[id] || !task.deps.iter().all(|&d| scheduled[d]) {
-                    continue;
-                }
-                let ready = task
-                    .deps
-                    .iter()
-                    .filter_map(|&d| placement[d])
-                    .map(|p| p.end_us)
-                    .fold(0.0f64, f64::max);
-                if pick.is_none_or(|(r, i)| (ready, id) < (r, i)) {
-                    pick = Some((ready, id));
-                }
-            }
-            // Structurally unreachable (add() admits only acyclic graphs),
-            // but degrade to a partial schedule rather than aborting.
-            let Some((ready, id)) = pick else { break };
+        // The ready task whose ready time is earliest (deterministic
+        // tie-break by id). add() admits only acyclic graphs, so the queue
+        // drains only once every task is placed.
+        let mut queue = ReadyQueue::new(graph);
+        while let Some((ready, id)) = queue.pop() {
             let task = &graph.tasks()[id];
 
             // Candidate placements: earliest finish across compatible agents.
@@ -297,7 +387,7 @@ impl Runtime {
                 end_us: end,
             };
             placement[id] = Some(span);
-            scheduled[id] = true;
+            queue.place(id, graph, &placement);
             spans.push(span);
             dispatch_total += cfg.dispatch_overhead_us;
             sync_total += sync;
@@ -375,38 +465,18 @@ impl Runtime {
         let mut cpu_free = vec![0.0f64; cfg.cpu_cores];
         let mut gpu_free = vec![0.0f64; cfg.gpu_queues];
         let mut placement: Vec<Option<TaskSpan>> = vec![None; n];
-        let mut scheduled = vec![false; n];
         let mut attempts = vec![0u32; n];
-        // Floor on a re-queued task's ready time (failure time + backoff).
-        let mut requeue_ready = vec![0.0f64; n];
         let mut spans = Vec::with_capacity(n);
         let mut dispatch_total = 0.0;
         let mut sync_total = 0.0;
         let mut retries = 0u64;
         let mut lost_work = 0.0f64;
-        let mut remaining = n;
 
-        while remaining > 0 {
-            // Pick the unscheduled task with all deps placed whose ready
-            // time is earliest (deterministic tie-break by id).
-            let mut pick: Option<(f64, TaskId)> = None;
-            for (id, task) in graph.tasks().iter().enumerate() {
-                if scheduled[id] || !task.deps.iter().all(|&d| scheduled[d]) {
-                    continue;
-                }
-                let ready = task
-                    .deps
-                    .iter()
-                    .filter_map(|&d| placement[d])
-                    .map(|p| p.end_us)
-                    .fold(requeue_ready[id], f64::max);
-                if pick.is_none_or(|(r, i)| (ready, id) < (r, i)) {
-                    pick = Some((ready, id));
-                }
-            }
-            // Structurally unreachable (add() admits only acyclic graphs),
-            // but degrade to a partial schedule rather than aborting.
-            let Some((ready, id)) = pick else { break };
+        // The ready task whose ready time is earliest (deterministic
+        // tie-break by id); a re-queued task returns with its ready time
+        // floored at failure time + backoff.
+        let mut queue = ReadyQueue::new(graph);
+        while let Some((ready, id)) = queue.pop() {
             let task = &graph.tasks()[id];
 
             // Candidate placements over agents not yet known-dead at their
@@ -472,7 +542,8 @@ impl Runtime {
                 }
                 retries += 1;
                 lost_work += (fail_at - start).max(0.0);
-                requeue_ready[id] = fail_at + retry.backoff_for(attempts[id]);
+                let floor = fail_at + retry.backoff_for(attempts[id]);
+                queue.push(ready_time(task, &placement, floor), id);
                 match kind {
                     AgentKind::CpuCore => cpu_free[idx] = f64::INFINITY,
                     AgentKind::GpuQueue => gpu_free[idx] = f64::INFINITY,
@@ -509,8 +580,7 @@ impl Runtime {
                 end_us: end,
             };
             placement[id] = Some(span);
-            scheduled[id] = true;
-            remaining -= 1;
+            queue.place(id, graph, &placement);
             spans.push(span);
             dispatch_total += cfg.dispatch_overhead_us;
             sync_total += sync;

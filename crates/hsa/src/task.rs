@@ -81,6 +81,8 @@ pub enum GraphError {
     Cycle,
     /// A task can run on no agent.
     Unrunnable(TaskId),
+    /// A task has a negative or non-finite cost on some agent.
+    InvalidCost(TaskId),
 }
 
 impl core::fmt::Display for GraphError {
@@ -91,6 +93,9 @@ impl core::fmt::Display for GraphError {
             }
             GraphError::Cycle => f.write_str("task graph contains a cycle"),
             GraphError::Unrunnable(t) => write!(f, "task {t} can run on no agent"),
+            GraphError::InvalidCost(t) => {
+                write!(f, "task {t} has a negative or non-finite cost")
+            }
         }
     }
 }
@@ -114,7 +119,9 @@ impl TaskGraph {
     ///
     /// # Errors
     ///
-    /// Returns [`GraphError::UnknownDependency`] for forward/self edges or
+    /// Returns [`GraphError::UnknownDependency`] for forward/self edges,
+    /// [`GraphError::InvalidCost`] if a cost is negative or not finite (so
+    /// every schedule time stays finite and non-negative), or
     /// [`GraphError::Unrunnable`] if no agent can run the task.
     pub fn add(
         &mut self,
@@ -123,6 +130,10 @@ impl TaskGraph {
         deps: &[TaskId],
     ) -> Result<TaskId, GraphError> {
         let id = self.tasks.len();
+        let valid = |us: Option<f64>| us.is_none_or(|us| us.is_finite() && us >= 0.0);
+        if !(valid(cost.cpu_us) && valid(cost.gpu_us)) {
+            return Err(GraphError::InvalidCost(id));
+        }
         if cost.best().is_infinite() {
             return Err(GraphError::Unrunnable(id));
         }
@@ -204,6 +215,22 @@ mod tests {
             gpu_us: None,
         };
         assert_eq!(g.add("none", cost, &[]), Err(GraphError::Unrunnable(0)));
+    }
+
+    #[test]
+    fn negative_and_non_finite_costs_are_rejected() {
+        let mut g = TaskGraph::new();
+        g.add("ok", TaskCost::either(0.0, 1.0), &[]).unwrap();
+        for cost in [
+            TaskCost::cpu(-50.0),
+            TaskCost::gpu(f64::NAN),
+            TaskCost::gpu(f64::INFINITY),
+            TaskCost::either(1.0, f64::NEG_INFINITY),
+            TaskCost::either(-1e-9, 1.0),
+        ] {
+            assert_eq!(g.add("bad", cost, &[0]), Err(GraphError::InvalidCost(1)));
+        }
+        assert_eq!(g.len(), 1, "rejected tasks must not be added");
     }
 
     #[test]

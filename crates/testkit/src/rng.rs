@@ -23,19 +23,33 @@ pub struct SplitMix64 {
 }
 
 impl SplitMix64 {
+    /// The golden-ratio increment the state advances by per output.
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
     /// Creates a generator from a 64-bit seed.
     pub fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
+    /// The `n`-th output (0-based) of the stream seeded with `seed`, in
+    /// O(1): the state is a counter, so any position can be jumped to.
+    pub fn output_at(seed: u64, n: u64) -> u64 {
+        Self::new(seed.wrapping_add(n.wrapping_mul(Self::GAMMA))).next_u64()
+    }
+
     /// Returns the next 64-bit output.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        self.state = self.state.wrapping_add(Self::GAMMA);
         let mut z = self.state;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
     }
+}
+
+/// Maps 64 random bits to a uniform `f64` in `[0, 1)`, keeping the top 53.
+pub fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// xoshiro256++ 1.0 (Blackman & Vigna): 256-bit state, 64-bit output.
@@ -81,7 +95,7 @@ impl Xoshiro256pp {
 
     /// Returns a uniform `f64` in `[0, 1)` with 53 bits of precision.
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Returns a uniform integer in `[0, n)` without modulo bias
@@ -201,6 +215,14 @@ mod tests {
         let mut sm = SplitMix64::new(1234567);
         assert_eq!(sm.next_u64(), 6457827717110365317);
         assert_eq!(sm.next_u64(), 3203168211198807973);
+    }
+
+    #[test]
+    fn splitmix_output_at_jumps_into_the_stream() {
+        let mut sm = SplitMix64::new(1234567);
+        for n in 0..100 {
+            assert_eq!(SplitMix64::output_at(1234567, n), sm.next_u64(), "n = {n}");
+        }
     }
 
     #[test]

@@ -6,9 +6,14 @@
 //! of every nuclide in the material. The access pattern is essentially
 //! random over a multi-gigabyte table — the paper's most memory-/latency-
 //! intensive workload (89 % external traffic).
+//!
+//! The cross-section table is never materialized: each entry is drawn on
+//! demand from a counter-based stream (see [`NuclideData::xs`]), so a run
+//! costs its lookups rather than the table fill. The grid, the materials
+//! and therefore every traced address are those of a filled table.
 
 use ena_model::kernel::KernelCategory;
-use ena_testkit::rng::StdRng;
+use ena_testkit::rng::{unit_f64, SplitMix64, StdRng};
 
 use crate::app::{KernelRun, ProxyApp, RunConfig};
 use crate::apps::array_base;
@@ -23,12 +28,18 @@ const MAT_BASE: u64 = array_base(2);
 const CHANNELS: usize = 5;
 
 /// A scaled-down unionized energy grid.
+///
+/// The per-nuclide cross sections, flattened `[gridpoint][nuclide][channel]`,
+/// are a function of the flat index rather than a stored table: entry `i`
+/// is the `i`-th output of a SplitMix64 stream seeded from the run's
+/// generator, scaled to `[0, 10)`. Building still advances the generator
+/// past one draw per entry, so the materials drawn after the table (and
+/// with them every traced address) match a materialized table's.
 struct NuclideData {
     /// Sorted unionized energy grid.
     energies: Vec<f64>,
-    /// Per-nuclide cross sections at each grid point, flattened
-    /// `[gridpoint][nuclide][channel]`.
-    xs: Vec<f64>,
+    /// Seed of the stream whose `i`-th output is cross-section entry `i`.
+    xs_seed: u64,
     nuclides: usize,
     /// Materials: list of nuclide indices per material.
     materials: Vec<Vec<u32>>,
@@ -41,9 +52,12 @@ impl NuclideData {
             .map(|_| rng.random_range(1e-11..20.0f64))
             .collect();
         energies.sort_by(|a, b| a.total_cmp(b));
-        let xs = (0..gridpoints * nuclides * CHANNELS)
-            .map(|_| rng.random_range(0.0..10.0))
-            .collect();
+        // The table's draws: the first seeds the on-demand stream, the
+        // rest are skipped.
+        let xs_seed = rng.next_u64();
+        for _ in 1..gridpoints * nuclides * CHANNELS {
+            rng.next_u64();
+        }
         // 12 materials with varying nuclide counts (fuel has many).
         let materials = (0..12)
             .map(|m| {
@@ -59,10 +73,15 @@ impl NuclideData {
             .collect();
         Self {
             energies,
-            xs,
+            xs_seed,
             nuclides,
             materials,
         }
+    }
+
+    /// Cross-section entry `i` of the flattened table, in `[0, 10)`.
+    fn xs(&self, i: usize) -> f64 {
+        10.0 * unit_f64(SplitMix64::output_at(self.xs_seed, i as u64))
     }
 
     /// Binary search for the grid interval containing `e`, tracing each probe.
@@ -84,6 +103,10 @@ impl NuclideData {
 }
 
 /// The XSBench lookup proxy.
+///
+/// Lookups gather from a `[gridpoint][nuclide][channel]` cross-section
+/// table at `XS_BASE`; the entries are drawn on demand, the traced
+/// addresses are those of the full table.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct XsBench;
 
@@ -123,14 +146,13 @@ impl ProxyApp for XsBench {
                 0.0
             };
             tracer.flops(3);
-            let mats = data.materials[mat].clone();
-            for nuc in mats {
+            for &nuc in &data.materials[mat] {
                 let lo = (idx * data.nuclides + nuc as usize) * CHANNELS;
                 let hi = ((idx + 1) * data.nuclides + nuc as usize) * CHANNELS;
                 tracer.read(XS_BASE + (lo * 8) as u64, (CHANNELS * 8) as u32);
                 tracer.read(XS_BASE + (hi * 8) as u64, (CHANNELS * 8) as u32);
                 for c in 0..CHANNELS {
-                    let v = data.xs[lo + c] * (1.0 - frac) + data.xs[hi + c] * frac;
+                    let v = data.xs(lo + c) * (1.0 - frac) + data.xs(hi + c) * frac;
                     checksum += v;
                     tracer.flops(4);
                 }
@@ -173,6 +195,37 @@ mod tests {
             let idx = data.grid_search(e, &mut tracer);
             assert!(data.energies[idx] <= e || idx == 0);
             assert!(e <= data.energies[idx + 1] || data.energies[idx] > e);
+        }
+    }
+
+    #[test]
+    fn building_consumes_the_draws_of_a_filled_table() {
+        let (gridpoints, nuclides, seed) = (64, 8, 11);
+        let data = NuclideData::build(gridpoints, nuclides, seed);
+        // Reference: the generator as a materialized fill leaves it.
+        let mut rng = StdRng::seed_from_u64(seed);
+        for _ in 0..gridpoints {
+            rng.random_range(1e-11..20.0f64);
+        }
+        let table: Vec<u64> = (0..gridpoints * nuclides * CHANNELS)
+            .map(|_| rng.next_u64())
+            .collect();
+        let materials: Vec<Vec<u32>> = (0..12)
+            .map(|m| {
+                let count = if m == 0 {
+                    nuclides.min(32)
+                } else {
+                    rng.random_range(2..8)
+                };
+                (0..count)
+                    .map(|_| rng.random_range(0..nuclides as u32))
+                    .collect()
+            })
+            .collect();
+        assert_eq!(data.materials, materials);
+        assert_eq!(data.xs_seed, table[0]);
+        for i in 0..table.len() {
+            assert!((0.0..10.0).contains(&data.xs(i)), "entry {i}");
         }
     }
 

@@ -10,8 +10,6 @@
 //! suppression, approximating the request stream a last-level cache would
 //! emit toward DRAM.
 
-use std::collections::BTreeSet;
-
 /// Cache-line size used for trace coalescing (bytes).
 pub const LINE_BYTES: u64 = 64;
 
@@ -42,9 +40,11 @@ impl Access {
 
 /// A recorded memory trace plus running statistics.
 ///
-/// The statistics (footprint, sequentiality, read/write mix) are maintained
-/// incrementally so they are available even when the access list itself is
-/// capped to bound memory use.
+/// The statistics (footprint, sequentiality, read/write mix) cover every
+/// recorded access, so they are available even when the access list
+/// itself is capped to bound memory use. Sequentiality and the mix are
+/// maintained incrementally; the footprint is counted by the [`Tracer`]
+/// when it finishes.
 #[derive(Clone, Debug, Default)]
 pub struct MemoryTrace {
     accesses: Vec<Access>,
@@ -53,7 +53,7 @@ pub struct MemoryTrace {
     writes: u64,
     sequential: u64,
     last_line: Option<u64>,
-    touched_lines: BTreeSet<u64>,
+    footprint_lines: u64,
 }
 
 impl MemoryTrace {
@@ -83,7 +83,6 @@ impl MemoryTrace {
             }
         }
         self.last_line = Some(line);
-        self.touched_lines.insert(line);
         if self
             .capacity_cap
             .is_none_or(|cap| self.accesses.len() < cap)
@@ -133,7 +132,7 @@ impl MemoryTrace {
 
     /// Number of distinct cache lines touched.
     pub fn footprint_lines(&self) -> u64 {
-        self.touched_lines.len() as u64
+        self.footprint_lines
     }
 
     /// Data footprint in bytes.
@@ -229,17 +228,64 @@ impl FilterCache {
     }
 }
 
+/// The distinct lines a trace touched, counted without a tree.
+///
+/// Recorded lines are appended to a buffer that is sorted and deduplicated
+/// in place whenever it has doubled since the last compaction, so it never
+/// holds more than twice the footprint (or `MIN_COMPACT` lines).
+#[derive(Clone, Debug)]
+struct TouchedLines {
+    lines: Vec<u64>,
+    /// Buffer length that triggers the next compaction.
+    compact_at: usize,
+}
+
+impl TouchedLines {
+    /// Smallest buffer worth compacting.
+    const MIN_COMPACT: usize = 1 << 12;
+
+    fn new() -> Self {
+        Self {
+            lines: Vec::new(),
+            compact_at: Self::MIN_COMPACT,
+        }
+    }
+
+    fn push(&mut self, line: u64) {
+        self.lines.push(line);
+        if self.lines.len() >= self.compact_at {
+            self.compact();
+            self.compact_at = (2 * self.lines.len()).max(Self::MIN_COMPACT);
+        }
+    }
+
+    fn compact(&mut self) {
+        self.lines.sort_unstable();
+        self.lines.dedup();
+    }
+
+    /// The number of distinct lines pushed.
+    fn count(mut self) -> u64 {
+        self.compact();
+        self.lines.len() as u64
+    }
+}
+
 /// Records a kernel's memory behaviour and op counts as it executes.
 ///
 /// With a filter cache attached (the default for
 /// [`Tracer::for_config`]), the recorded trace contains only the accesses
 /// that would miss the on-chip hierarchy and the resulting writebacks.
+/// The footprint is counted by sorting and deduplicating the recorded
+/// lines, a buffer compacted as it grows and counted in
+/// [`Tracer::into_parts`].
 #[derive(Clone, Debug)]
 pub struct Tracer {
     trace: MemoryTrace,
     counters: OpCounters,
     coalesce_line: Option<(u64, AccessKind)>,
     filter: Option<FilterCache>,
+    touched: TouchedLines,
 }
 
 /// Default filter-cache capacity in lines (32 KiB of 64 B lines).
@@ -255,6 +301,7 @@ impl Tracer {
             counters: OpCounters::new(),
             coalesce_line: None,
             filter: None,
+            touched: TouchedLines::new(),
         }
     }
 
@@ -262,9 +309,7 @@ impl Tracer {
     pub fn with_capacity_cap(cap: usize) -> Self {
         Self {
             trace: MemoryTrace::with_capacity_cap(cap),
-            counters: OpCounters::new(),
-            coalesce_line: None,
-            filter: None,
+            ..Self::new()
         }
     }
 
@@ -312,28 +357,25 @@ impl Tracer {
                 continue;
             }
             self.coalesce_line = Some((line, kind));
-            match &mut self.filter {
-                None => self.trace.record(Access {
-                    addr: line * LINE_BYTES,
-                    kind,
-                }),
-                Some(cache) => match cache.access(line, kind == AccessKind::Write) {
-                    FilterOutcome::Hit => {}
-                    FilterOutcome::Miss { writeback } => {
-                        self.trace.record(Access {
-                            addr: line * LINE_BYTES,
-                            kind,
-                        });
-                        if let Some(victim) = writeback {
-                            self.trace.record(Access {
-                                addr: victim * LINE_BYTES,
-                                kind: AccessKind::Write,
-                            });
-                        }
-                    }
-                },
+            let outcome = match &mut self.filter {
+                None => FilterOutcome::Miss { writeback: None },
+                Some(cache) => cache.access(line, kind == AccessKind::Write),
+            };
+            if let FilterOutcome::Miss { writeback } = outcome {
+                self.record(line, kind);
+                if let Some(victim) = writeback {
+                    self.record(victim, AccessKind::Write);
+                }
             }
         }
+    }
+
+    fn record(&mut self, line: u64, kind: AccessKind) {
+        self.trace.record(Access {
+            addr: line * LINE_BYTES,
+            kind,
+        });
+        self.touched.push(line);
     }
 
     /// Adds `n` double-precision FLOPs to the counters.
@@ -355,7 +397,8 @@ impl Tracer {
     ///
     /// If a filter cache is attached, its remaining dirty lines are flushed
     /// as writebacks first, so the trace accounts for all DRAM write
-    /// traffic the kernel generated.
+    /// traffic the kernel generated. The footprint is then counted by
+    /// sorting and deduplicating the recorded lines.
     pub fn into_parts(mut self) -> (MemoryTrace, OpCounters) {
         if let Some(cache) = self.filter.take() {
             let mut dirty: Vec<u64> = cache
@@ -367,12 +410,10 @@ impl Tracer {
                 .collect();
             dirty.sort_unstable();
             for line in dirty {
-                self.trace.record(Access {
-                    addr: line * LINE_BYTES,
-                    kind: AccessKind::Write,
-                });
+                self.record(line, AccessKind::Write);
             }
         }
+        self.trace.footprint_lines = self.touched.count();
         (self.trace, self.counters)
     }
 }
@@ -455,6 +496,25 @@ mod tests {
         assert_eq!(trace.len(), 100);
         assert_eq!(trace.footprint_lines(), 100);
         assert!((trace.write_fraction() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn touched_lines_count_distinct_lines_across_compactions() {
+        let mut touched = TouchedLines::new();
+        let mut oracle = std::collections::BTreeSet::new();
+        let mut x = 7u64;
+        for _ in 0..50_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let line = (x >> 33) % 20_000;
+            touched.push(line);
+            oracle.insert(line);
+            // The buffer stays within twice the footprint.
+            let bound = (2 * oracle.len()).max(TouchedLines::MIN_COMPACT);
+            assert!(touched.lines.len() <= bound);
+        }
+        assert_eq!(touched.count(), oracle.len() as u64);
     }
 
     #[test]

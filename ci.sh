@@ -40,28 +40,38 @@ fi
 echo "all $reports reports match artifacts/"
 rm -rf "$figures_dir"
 
-echo "==> sweep smoke: cold run, then warm run must hit the cache"
-rm -rf artifacts/sweep-cache
-cargo run --release -p ena-cli --bin ena -- sweep --jobs 2 --resume >/dev/null
-warm_line=$(cargo run --release -p ena-cli --bin ena -- sweep --jobs 2 --resume | grep '^cache:')
-echo "warm $warm_line"
-hit_rate=$(echo "$warm_line" | sed -n 's/.*(\([0-9.]*\)% hit rate).*/\1/p')
-if ! awk -v r="$hit_rate" 'BEGIN { exit !(r >= 90.0) }'; then
-  echo "ci.sh: warm sweep hit rate ${hit_rate}% is below 90%" >&2
-  exit 1
-fi
+# Runs one sweep axis cold, then warm from its fresh disk cache: the warm
+# run must hit the cache for >= 90% of its points and print the cold
+# run's report, frontier included (only the cache and worker lines may
+# differ).
+sweep_smoke() {
+  local cache_dir=$1
+  shift
+  rm -rf "artifacts/$cache_dir"
+  local cold warm warm_line hit_rate
+  cold=$(cargo run --release -p ena-cli --bin ena -- "$@" --resume --frontier)
+  warm=$(cargo run --release -p ena-cli --bin ena -- "$@" --resume --frontier)
+  warm_line=$(echo "$warm" | grep '^cache:')
+  echo "warm $* $warm_line"
+  hit_rate=$(echo "$warm_line" | sed -n 's/.*(\([0-9.]*\)% hit rate).*/\1/p')
+  if ! awk -v r="$hit_rate" 'BEGIN { exit !(r >= 90.0) }'; then
+    echo "ci.sh: warm '$*' hit rate ${hit_rate}% is below 90%" >&2
+    exit 1
+  fi
+  if ! diff <(echo "$cold" | grep -v '^cache:\|^workers:') \
+    <(echo "$warm" | grep -v '^cache:\|^workers:'); then
+    echo "ci.sh: warm '$*' did not replay the cold report" >&2
+    exit 1
+  fi
+}
 
-echo "==> multinode smoke: cold sweep, then warm run must hit the cache"
-rm -rf artifacts/multinode-cache
+echo "==> sweep smokes: every axis cold, then warm from its cache"
+sweep_smoke sweep-cache sweep --jobs 2
+sweep_smoke multinode-cache multinode --sweep --jobs 2
+sweep_smoke recovery-cache multinode --sweep --jobs 2 --mtbf 96 --checkpoint-cost 3
+
+echo "==> multinode campaign smoke"
 cargo run --release -p ena-cli --bin ena -- multinode --nodes 8 --seed 0xC0FFEE >/dev/null
-cargo run --release -p ena-cli --bin ena -- multinode --sweep --jobs 2 --resume >/dev/null
-mn_warm_line=$(cargo run --release -p ena-cli --bin ena -- multinode --sweep --jobs 2 --resume | grep '^cache:')
-echo "warm $mn_warm_line"
-mn_hit_rate=$(echo "$mn_warm_line" | sed -n 's/.*(\([0-9.]*\)% hit rate).*/\1/p')
-if ! awk -v r="$mn_hit_rate" 'BEGIN { exit !(r >= 90.0) }'; then
-  echo "ci.sh: warm multinode sweep hit rate ${mn_hit_rate}% is below 90%" >&2
-  exit 1
-fi
 
 echo "==> chaos smoke: seeded fault campaign must hold every invariant"
 rm -rf artifacts/chaos-cache
@@ -76,17 +86,6 @@ echo "==> transient smoke: seeded campaign must match the golden report"
 transient_out=$(cargo run --release -p ena-cli --bin ena -- faults --seed 0xC0FFEE --transient)
 if ! diff <(echo "$transient_out") artifacts/transient_campaign.txt; then
   echo "ci.sh: transient campaign diverged from artifacts/transient_campaign.txt" >&2
-  exit 1
-fi
-
-echo "==> recovery smoke: cold interval sweep, then warm run must hit the cache"
-rm -rf artifacts/recovery-cache
-cargo run --release -p ena-cli --bin ena -- multinode --sweep --jobs 2 --resume --mtbf 96 --checkpoint-cost 3 >/dev/null
-rc_warm_line=$(cargo run --release -p ena-cli --bin ena -- multinode --sweep --jobs 2 --resume --mtbf 96 --checkpoint-cost 3 | grep '^cache:')
-echo "warm $rc_warm_line"
-rc_hit_rate=$(echo "$rc_warm_line" | sed -n 's/.*(\([0-9.]*\)% hit rate).*/\1/p')
-if ! awk -v r="$rc_hit_rate" 'BEGIN { exit !(r >= 90.0) }'; then
-  echo "ci.sh: warm recovery sweep hit rate ${rc_hit_rate}% is below 90%" >&2
   exit 1
 fi
 

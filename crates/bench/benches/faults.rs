@@ -6,7 +6,7 @@
 //! Run with `cargo bench -p ena-bench --features timing --bench faults`.
 //! The measurements land machine-readably in
 //! `artifacts/BENCH_faults.json`; if a previous file exists, each median
-//! is regression-guarded against it (a > [`GUARD_FACTOR`]x slowdown
+//! is regression-guarded against it (a > `timing::GUARD_FACTOR`x slowdown
 //! fails the run; set `ENA_BENCH_NO_GUARD=1` to bypass, e.g. when
 //! changing machines).
 
@@ -15,53 +15,7 @@ use ena_faults::{
     run_transient_campaign, TransientCampaignSpec, TransientRates, TransientSchedule,
 };
 use ena_testkit::golden::artifacts_dir;
-use ena_testkit::timing::{Harness, Measurement};
-
-/// Tolerated median slowdown versus the previous recorded run.
-const GUARD_FACTOR: f64 = 4.0;
-
-fn write_json(path: &std::path::Path, samples: usize, results: &[&Measurement]) {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"group\": \"faults\",\n");
-    let _ = writeln!(out, "  \"samples\": {samples},");
-    out.push_str("  \"benches\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}",
-            m.label,
-            m.median_ns(),
-            m.min_ns(),
-            m.mean_ns()
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_faults.json");
-}
-
-/// Pulls `"label": ..., "median_ns": <value>` pairs out of a previous
-/// run's JSON without a parser dependency.
-fn previous_medians(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"label\": \"").skip(1) {
-        let Some(label_end) = chunk.find('"') else {
-            continue;
-        };
-        let Some(at) = chunk.find("\"median_ns\": ") else {
-            continue;
-        };
-        let rest = &chunk[at + "\"median_ns\": ".len()..];
-        let value: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((chunk[..label_end].to_string(), v));
-        }
-    }
-    out
-}
+use ena_testkit::timing::Harness;
 
 fn main() {
     let mut h = Harness::new("faults");
@@ -71,11 +25,6 @@ fn main() {
     let spec = TransientCampaignSpec::standard(0xC0FFEE);
     let horizon = spec.horizon_us();
     let recovery = RecoveryModel::new(96.0, 3.0);
-
-    let path = artifacts_dir().join("BENCH_faults.json");
-    let previous = std::fs::read_to_string(&path)
-        .map(|t| previous_medians(&t))
-        .unwrap_or_default();
 
     let sample = h
         .bench("transient_schedule_sample", || {
@@ -93,29 +42,11 @@ fn main() {
         })
         .clone();
 
-    let results = [&sample, &campaign, &daly];
-    write_json(&path, 10, &results);
-    println!("wrote {}", path.display());
-
-    if std::env::var_os("ENA_BENCH_NO_GUARD").is_some() {
-        return;
-    }
-    let mut regressed = false;
-    for m in results {
-        if let Some((_, old)) = previous.iter().find(|(l, _)| *l == m.label) {
-            let ratio = m.median_ns() / old.max(1e-9);
-            if ratio > GUARD_FACTOR {
-                eprintln!(
-                    "REGRESSION: {} median {:.0} ns is {ratio:.1}x the recorded {:.0} ns",
-                    m.label,
-                    m.median_ns(),
-                    old
-                );
-                regressed = true;
-            }
-        }
-    }
-    if regressed {
+    let path = artifacts_dir().join("BENCH_faults.json");
+    let clean = h
+        .record(&path, &[&sample, &campaign, &daly])
+        .expect("write BENCH_faults.json");
+    if !clean {
         std::process::exit(1);
     }
 }

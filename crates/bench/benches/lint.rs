@@ -6,60 +6,14 @@
 //!
 //! Run with `cargo bench -p ena-bench --features timing --bench lint`.
 //! Measurements land in `artifacts/BENCH_lint.json`; when a previous
-//! file exists each median is guarded against it (> [`GUARD_FACTOR`]x
+//! file exists each median is guarded against it (> `timing::GUARD_FACTOR`x
 //! slowdown fails; `ENA_BENCH_NO_GUARD=1` bypasses, e.g. on a new
 //! machine).
 
 use std::path::Path;
 
 use ena_testkit::golden::artifacts_dir;
-use ena_testkit::timing::{Harness, Measurement};
-
-/// Tolerated median slowdown versus the previous recorded run.
-const GUARD_FACTOR: f64 = 4.0;
-
-fn write_json(path: &Path, samples: usize, results: &[&Measurement]) {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"group\": \"lint\",\n");
-    let _ = writeln!(out, "  \"samples\": {samples},");
-    out.push_str("  \"benches\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}",
-            m.label,
-            m.median_ns(),
-            m.min_ns(),
-            m.mean_ns()
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_lint.json");
-}
-
-/// Pulls `"label": ..., "median_ns": <value>` pairs out of a previous
-/// run's JSON without a parser dependency.
-fn previous_medians(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"label\": \"").skip(1) {
-        let Some(label_end) = chunk.find('"') else {
-            continue;
-        };
-        let Some(at) = chunk.find("\"median_ns\": ") else {
-            continue;
-        };
-        let rest = &chunk[at + "\"median_ns\": ".len()..];
-        let value: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((chunk[..label_end].to_string(), v));
-        }
-    }
-    out
-}
+use ena_testkit::timing::Harness;
 
 fn main() {
     let here = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -95,33 +49,11 @@ fn main() {
         })
         .clone();
 
-    let json_path = artifacts_dir().join("BENCH_lint.json");
-    let previous = std::fs::read_to_string(&json_path)
-        .map(|t| previous_medians(&t))
-        .unwrap_or_default();
-    let results = [&scan, &full];
-    write_json(&json_path, 10, &results);
-    println!("wrote {}", json_path.display());
-
-    if std::env::var_os("ENA_BENCH_NO_GUARD").is_some() {
-        return;
-    }
-    let mut regressed = false;
-    for m in results {
-        if let Some((_, old)) = previous.iter().find(|(l, _)| *l == m.label) {
-            let ratio = m.median_ns() / old.max(1e-9);
-            if ratio > GUARD_FACTOR {
-                eprintln!(
-                    "REGRESSION: {} median {:.0} ns is {ratio:.1}x the recorded {:.0} ns",
-                    m.label,
-                    m.median_ns(),
-                    old
-                );
-                regressed = true;
-            }
-        }
-    }
-    if regressed {
+    let path = artifacts_dir().join("BENCH_lint.json");
+    let clean = h
+        .record(&path, &[&scan, &full])
+        .expect("write BENCH_lint.json");
+    if !clean {
         std::process::exit(1);
     }
 }

@@ -7,64 +7,18 @@
 //! Run with `cargo bench -p ena-bench --features timing`. Measurements
 //! land machine-readably in `artifacts/BENCH_serve.json` and, when a
 //! previous file exists, each median is regression-guarded against it
-//! (a > [`GUARD_FACTOR`]x slowdown fails the run; set
+//! (a > `timing::GUARD_FACTOR`x slowdown fails the run; set
 //! `ENA_BENCH_NO_GUARD=1` to bypass, e.g. when changing machines).
 
 use ena_core::dse::Explorer;
 use ena_serve::{Client, ServeConfig, Server};
 use ena_testkit::golden::artifacts_dir;
-use ena_testkit::timing::{Harness, Measurement};
+use ena_testkit::timing::Harness;
 use ena_testkit::transport::pair;
 use ena_workloads::profile_for;
 
-/// Tolerated median slowdown versus the previous recorded run.
-const GUARD_FACTOR: f64 = 4.0;
-
 /// Distinct points pre-warmed into the store and replayed pipelined.
 const PIPELINE: usize = 16;
-
-fn write_json(path: &std::path::Path, samples: usize, results: &[&Measurement]) {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"group\": \"serve\",\n");
-    let _ = writeln!(out, "  \"samples\": {samples},");
-    out.push_str("  \"benches\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}",
-            m.label,
-            m.median_ns(),
-            m.min_ns(),
-            m.mean_ns()
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_serve.json");
-}
-
-/// Pulls `"label": ..., "median_ns": <value>` pairs out of a previous
-/// run's JSON without a parser dependency.
-fn previous_medians(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"label\": \"").skip(1) {
-        let Some(label_end) = chunk.find('"') else {
-            continue;
-        };
-        let Some(at) = chunk.find("\"median_ns\": ") else {
-            continue;
-        };
-        let rest = &chunk[at + "\"median_ns\": ".len()..];
-        let value: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((chunk[..label_end].to_string(), v));
-        }
-    }
-    out
-}
 
 fn main() {
     let profiles = vec![profile_for("CoMD").expect("CoMD is a paper app")];
@@ -78,10 +32,6 @@ fn main() {
 
     let mut h = Harness::new("serve");
     h.sample_size(20);
-    let json_path = artifacts_dir().join("BENCH_serve.json");
-    let previous = std::fs::read_to_string(&json_path)
-        .map(|t| previous_medians(&t))
-        .unwrap_or_default();
 
     let (hit, pipeline, stats) = std::thread::scope(|s| {
         let server = &server;
@@ -114,29 +64,11 @@ fn main() {
         (hit, pipeline, stats)
     });
 
-    let results = [&hit, &pipeline, &stats];
-    write_json(&json_path, 20, &results);
-    println!("wrote {}", json_path.display());
-
-    if std::env::var_os("ENA_BENCH_NO_GUARD").is_some() {
-        return;
-    }
-    let mut regressed = false;
-    for m in results {
-        if let Some((_, old)) = previous.iter().find(|(l, _)| *l == m.label) {
-            let ratio = m.median_ns() / old.max(1e-9);
-            if ratio > GUARD_FACTOR {
-                eprintln!(
-                    "REGRESSION: {} median {:.0} ns is {ratio:.1}x the recorded {:.0} ns",
-                    m.label,
-                    m.median_ns(),
-                    old
-                );
-                regressed = true;
-            }
-        }
-    }
-    if regressed {
+    let path = artifacts_dir().join("BENCH_serve.json");
+    let clean = h
+        .record(&path, &[&hit, &pipeline, &stats])
+        .expect("write BENCH_serve.json");
+    if !clean {
         std::process::exit(1);
     }
 }

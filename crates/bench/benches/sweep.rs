@@ -8,7 +8,7 @@
 //! summary lands in `artifacts/sweep_scaling.txt`; cache measurements
 //! land machine-readably in `artifacts/BENCH_sweep.json` and, when a
 //! previous file exists, each median is regression-guarded against it
-//! (a > [`GUARD_FACTOR`]x slowdown fails the run; set
+//! (a > `timing::GUARD_FACTOR`x slowdown fails the run; set
 //! `ENA_BENCH_NO_GUARD=1` to bypass, e.g. when changing machines).
 
 use std::path::PathBuf;
@@ -17,11 +17,8 @@ use std::sync::Arc;
 use ena_core::dse::{DesignSpace, Explorer};
 use ena_sweep::{hex_field, CacheRecord, DiskCache, RealFs, SweepEngine, SweepSpec, SyncPolicy};
 use ena_testkit::golden::artifacts_dir;
-use ena_testkit::timing::{Harness, Measurement};
+use ena_testkit::timing::Harness;
 use ena_workloads::paper_profiles;
-
-/// Tolerated median slowdown versus the previous recorded run.
-const GUARD_FACTOR: f64 = 4.0;
 
 /// Records appended per iteration of the cache benches.
 const APPENDS: usize = 64;
@@ -67,55 +64,10 @@ fn append_run(dir: &PathBuf, sync: SyncPolicy) -> u64 {
     cache.generation()
 }
 
-fn write_json(path: &std::path::Path, samples: usize, results: &[&Measurement]) {
-    use std::fmt::Write as _;
-    let mut out = String::from("{\n  \"group\": \"sweep\",\n");
-    let _ = writeln!(out, "  \"samples\": {samples},");
-    out.push_str("  \"benches\": [\n");
-    for (i, m) in results.iter().enumerate() {
-        let _ = write!(
-            out,
-            "    {{\"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}",
-            m.label,
-            m.median_ns(),
-            m.min_ns(),
-            m.mean_ns()
-        );
-        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).expect("write BENCH_sweep.json");
-}
-
-/// Pulls `"label": ..., "median_ns": <value>` pairs out of a previous
-/// run's JSON without a parser dependency.
-fn previous_medians(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for chunk in text.split("\"label\": \"").skip(1) {
-        let Some(label_end) = chunk.find('"') else {
-            continue;
-        };
-        let Some(at) = chunk.find("\"median_ns\": ") else {
-            continue;
-        };
-        let rest = &chunk[at + "\"median_ns\": ".len()..];
-        let value: String = rest
-            .chars()
-            .take_while(|c| c.is_ascii_digit() || *c == '.')
-            .collect();
-        if let Ok(v) = value.parse::<f64>() {
-            out.push((chunk[..label_end].to_string(), v));
-        }
-    }
-    out
-}
-
 fn sweep_once(jobs: usize) -> usize {
     let mut engine = SweepEngine::new(Explorer::default());
-    let spec = SweepSpec {
-        jobs,
-        ..SweepSpec::new(DesignSpace::coarse(), paper_profiles())
-    };
+    let mut spec = SweepSpec::new(DesignSpace::coarse(), paper_profiles());
+    spec.run.jobs = jobs;
     engine
         .run(&spec)
         .expect("coarse sweep completes")
@@ -155,11 +107,6 @@ fn main() {
 
     // Cache hot paths: appends under both durability policies, and a
     // warm open that re-parses (and CRC-checks) every line.
-    let json_path = artifacts_dir().join("BENCH_sweep.json");
-    let previous = std::fs::read_to_string(&json_path)
-        .map(|t| previous_medians(&t))
-        .unwrap_or_default();
-
     let per_record_dir = bench_dir("bench-cache-per-record");
     let per_record = h
         .bench("cache_append_64_per_record", || {
@@ -190,29 +137,11 @@ fn main() {
         })
         .clone();
 
-    let results = [&per_record, &flush, &warm];
-    write_json(&json_path, 10, &results);
-    println!("wrote {}", json_path.display());
-
-    if std::env::var_os("ENA_BENCH_NO_GUARD").is_some() {
-        return;
-    }
-    let mut regressed = false;
-    for m in results {
-        if let Some((_, old)) = previous.iter().find(|(l, _)| *l == m.label) {
-            let ratio = m.median_ns() / old.max(1e-9);
-            if ratio > GUARD_FACTOR {
-                eprintln!(
-                    "REGRESSION: {} median {:.0} ns is {ratio:.1}x the recorded {:.0} ns",
-                    m.label,
-                    m.median_ns(),
-                    old
-                );
-                regressed = true;
-            }
-        }
-    }
-    if regressed {
+    let path = artifacts_dir().join("BENCH_sweep.json");
+    let clean = h
+        .record(&path, &[&per_record, &flush, &warm])
+        .expect("write BENCH_sweep.json");
+    if !clean {
         std::process::exit(1);
     }
 }

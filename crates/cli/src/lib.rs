@@ -701,11 +701,9 @@ pub fn execute(command: Command) -> Result<String, String> {
             } else {
                 CacheMode::Memory
             };
-            let spec = SweepSpec {
-                jobs,
-                cache,
-                ..SweepSpec::new(space, paper_profiles())
-            };
+            let mut spec = SweepSpec::new(space, paper_profiles());
+            spec.run.jobs = jobs;
+            spec.run.cache = cache;
             let outcome = SweepEngine::new(explorer)
                 .run(&spec)
                 .map_err(|e| e.to_string())?;
@@ -805,16 +803,14 @@ pub fn execute(command: Command) -> Result<String, String> {
                     } else {
                         CacheMode::Memory
                     };
-                    let spec = RecoverySweepSpec {
-                        jobs,
-                        cache,
-                        seed,
-                        ..RecoverySweepSpec::new(
-                            RecoverySpace::standard(),
-                            ScaleOutSpec::standard(app.clone()),
-                            model,
-                        )
-                    };
+                    let mut spec = RecoverySweepSpec::new(
+                        RecoverySpace::standard(),
+                        ScaleOutSpec::standard(app.clone()),
+                        model,
+                    );
+                    spec.seed = seed;
+                    spec.run.jobs = jobs;
+                    spec.run.cache = cache;
                     let outcome = RecoverySweep::new().run(&spec).map_err(|e| e.to_string())?;
                     let best = outcome
                         .records
@@ -867,14 +863,12 @@ pub fn execute(command: Command) -> Result<String, String> {
                 } else {
                     CacheMode::Memory
                 };
-                let spec = MultiNodeSweepSpec {
-                    jobs,
-                    cache,
-                    ..MultiNodeSweepSpec::new(
-                        MultiNodeSpace::cabinet(),
-                        ScaleOutSpec::standard(app.clone()),
-                    )
-                };
+                let mut spec = MultiNodeSweepSpec::new(
+                    MultiNodeSpace::cabinet(),
+                    ScaleOutSpec::standard(app.clone()),
+                );
+                spec.run.jobs = jobs;
+                spec.run.cache = cache;
                 let outcome = MultiNodeSweep::new()
                     .run(&spec)
                     .map_err(|e| e.to_string())?;
@@ -1578,18 +1572,15 @@ mod tests {
         // End-to-end over a real cache file written by the sweep engine.
         let dir = std::env::temp_dir().join("ena-cli-cache-verify");
         let _removed = std::fs::remove_dir_all(&dir);
-        let spec = SweepSpec {
-            jobs: 1,
-            cache: CacheMode::Disk(dir.clone()),
-            ..SweepSpec::new(
-                DesignSpace {
-                    cu_counts: vec![320],
-                    clocks: vec![Megahertz::new(1000.0)],
-                    bandwidths: vec![GigabytesPerSec::from_terabytes_per_sec(3.0)],
-                },
-                paper_profiles(),
-            )
-        };
+        let mut spec = SweepSpec::new(
+            DesignSpace {
+                cu_counts: vec![320],
+                clocks: vec![Megahertz::new(1000.0)],
+                bandwidths: vec![GigabytesPerSec::from_terabytes_per_sec(3.0)],
+            },
+            paper_profiles(),
+        );
+        spec.run.cache = CacheMode::Disk(dir.clone());
         SweepEngine::new(Explorer::default()).run(&spec).unwrap();
         let file = std::fs::read_dir(&dir)
             .unwrap()

@@ -27,8 +27,8 @@
 //!   additionally be priced for per-link CRC retransmits
 //!   ([`schedule_with_retransmits`]).
 //! - [`sweep`] — (node count x topology) and (checkpoint-interval x
-//!   nodes) as sweep axes through the memoized, parallel `ena-sweep`
-//!   machinery.
+//!   nodes) as two more axes of the memoized, parallel, supervised
+//!   `ena-sweep` driver.
 //!
 //! Everything is a pure function of its inputs: same spec, byte-identical
 //! reports, in this process or any other.
@@ -65,8 +65,7 @@ pub use collective::{
 pub use recovery::{RecoveryEstimate, RecoveryModel, DALY_TOLERANCE, RECOVERY_CAMPAIGN_HOURS};
 pub use scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec, SMALL_N_TOLERANCE};
 pub use sweep::{
-    MultiNodeOutcome, MultiNodePoint, MultiNodeRecord, MultiNodeSpace, MultiNodeSweep,
-    MultiNodeSweepError, MultiNodeSweepSpec, RecoveryPoint, RecoveryRecord, RecoverySpace,
-    RecoverySweep, RecoverySweepOutcome, RecoverySweepSpec,
+    MultiNodePoint, MultiNodeRecord, MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec,
+    RecoveryPoint, RecoveryRecord, RecoverySpace, RecoverySweep, RecoverySweepSpec,
 };
 pub use topology::{FabricError, FabricGraph, FabricKind, FabricLink, FabricNodeKind};

@@ -1,33 +1,55 @@
-//! (node count x topology) as a sweep axis through the `ena-sweep`
-//! machinery.
+//! (node count x topology) and (checkpoint-interval x nodes) as sweep
+//! axes of the `ena-sweep` driver.
 //!
-//! A [`MultiNodeSweep`] evaluates every [`MultiNodePoint`] of a
-//! [`MultiNodeSpace`] — a healthy-fleet scale-out estimate per point —
-//! on the same work-stealing pool, with the same memoization (in-memory
-//! plus the generic [`DiskCache`]) and the same determinism contract as
-//! the node-level engine: the outcome is byte-identical to the
-//! sequential oracle for any job count, cache temperature, or
-//! interruption history. The Pareto frontier (maximize exaflops and
-//! efficiency, minimize power) comes from the shared
-//! [`frontier_indices`] kernel.
+//! [`MultiNodeSweepSpec`] is an [`Axis`]: every [`MultiNodePoint`] of a
+//! [`MultiNodeSpace`] evaluates to a healthy-fleet scale-out estimate,
+//! and the Pareto frontier (maximize exaflops and efficiency, minimize
+//! power) comes from the shared [`frontier_indices`] kernel.
+//! [`RecoverySweepSpec`] is the second fabric axis: each point is a
+//! Young/Daly analytic-vs-simulated recovery assessment at an interval
+//! scaled away from Daly's optimum, scoring recovered
+//! (efficiency-weighted) fleet throughput.
 //!
-//! [`RecoverySweep`] runs the second fabric axis the same way:
-//! (checkpoint-interval x nodes), each point a Young/Daly
-//! analytic-vs-simulated recovery assessment at an interval scaled away
-//! from Daly's optimum, scoring recovered (efficiency-weighted) fleet
-//! throughput.
+//! Both run through the one memoizing driver ([`Memo`], aliased here as
+//! [`MultiNodeSweep`] and [`RecoverySweep`]), so they share the node
+//! axis's caching, checkpoint/resume, supervision (retries, quarantine,
+//! failpoints) and determinism contract: the outcome is byte-identical
+//! to the sequential oracle for any job count, cache temperature, or
+//! interruption history.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use ena_model::hash::{StableHash, StableHasher, MODEL_VERSION};
-use ena_sweep::cache::CacheError;
-use ena_sweep::pool::{map_chunks, PoolError};
-use ena_sweep::{frontier_indices, CacheMode, CacheRecord, DiskCache, RealFs, SyncPolicy, Vfs};
+use ena_model::hash::{digest, StableHash, StableHasher};
+use ena_sweep::{frontier_indices, Axis, CacheRecord, Memo, RunOptions};
 
 use crate::recovery::RecoveryModel;
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
+
+/// The memoizing multi-node sweep driver.
+pub type MultiNodeSweep = Memo<MultiNodeRecord>;
+
+/// The memoizing (checkpoint-interval x nodes) sweep driver.
+pub type RecoverySweep = Memo<RecoveryRecord>;
+
+/// Everything in a [`ScaleOutSpec`] that determines an evaluation: the
+/// workload, the node hardware, and the payloads.
+impl StableHash for ScaleOutSpec {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        h.write_str(&self.workload);
+        self.base.stable_hash(h);
+        h.write_f64(self.payload_bytes);
+        h.write_f64(self.reduce_bytes);
+    }
+}
+
+/// Memoization key of a fabric grid point within `campaign`.
+fn keyed(campaign: u64, point: &impl StableHash) -> u64 {
+    let mut h = StableHasher::new();
+    h.write_u64(campaign);
+    point.stable_hash(&mut h);
+    h.finish()
+}
 
 /// One multi-node design point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -80,11 +102,6 @@ impl MultiNodeSpace {
             }
         }
         out
-    }
-
-    /// True when the grid has no points.
-    pub fn is_empty(&self) -> bool {
-        self.node_counts.is_empty() || self.kinds.is_empty()
     }
 }
 
@@ -157,282 +174,62 @@ impl CacheRecord for MultiNodeRecord {
     }
 }
 
-/// One multi-node sweep request.
+/// One multi-node sweep request: the (nodes x topology) axis.
 #[derive(Clone, Debug)]
 pub struct MultiNodeSweepSpec {
     /// The grid to sweep.
     pub space: MultiNodeSpace,
     /// Per-node model and payloads (also names the workload).
     pub scaleout: ScaleOutSpec,
-    /// Worker thread count (clamped to at least 1).
-    pub jobs: usize,
-    /// Points per work-stealing chunk.
-    pub chunk_points: usize,
-    /// Memoization layer.
-    pub cache: CacheMode,
-    /// Filesystem the disk cache goes through (swap in
-    /// [`ChaosFs`](ena_sweep::ChaosFs) to inject faults).
-    pub fs: Arc<dyn Vfs>,
-    /// Durability policy for cache appends.
-    pub sync: SyncPolicy,
+    /// How the sweep runs.
+    pub run: RunOptions,
 }
 
 impl MultiNodeSweepSpec {
-    /// A sequential, memory-cached spec over `space`.
+    /// A sequential, memory-cached spec over `space`, 4 points per chunk.
     pub fn new(space: MultiNodeSpace, scaleout: ScaleOutSpec) -> Self {
         Self {
             space,
             scaleout,
-            jobs: 1,
-            chunk_points: 4,
-            cache: CacheMode::Memory,
-            fs: Arc::new(RealFs),
-            sync: SyncPolicy::default(),
+            run: RunOptions::new(4),
         }
     }
 }
 
-/// Everything a completed multi-node sweep produced.
-#[derive(Clone, Debug)]
-pub struct MultiNodeOutcome {
-    /// Every record, in grid point order.
-    pub records: Vec<MultiNodeRecord>,
-    /// Indices into `records` on the Pareto frontier (exaflops up,
+impl Axis for MultiNodeSweepSpec {
+    type Point = MultiNodePoint;
+    type Record = MultiNodeRecord;
+    type Error = FabricError;
+    /// Indices into the records on the Pareto frontier (exaflops up,
     /// efficiency up, power down), in grid order.
-    pub frontier: Vec<usize>,
-    /// Points answered from the memoization cache.
-    pub cache_hits: usize,
-    /// Points evaluated fresh this run.
-    pub fresh_evals: usize,
-    /// Points in the grid.
-    pub total_points: usize,
-}
+    type Frontier = Vec<usize>;
 
-impl MultiNodeOutcome {
-    /// Fraction of points served by the cache.
-    pub fn hit_rate(&self) -> f64 {
-        if self.total_points == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.total_points as f64
-        }
-    }
-}
-
-/// Multi-node sweep failure modes.
-#[derive(Debug)]
-pub enum MultiNodeSweepError {
-    /// The grid has no points.
-    EmptySpace,
-    /// A point failed to evaluate.
-    Fabric(FabricError),
-    /// The persistent cache failed.
-    Cache(CacheError),
-    /// The worker pool lost chunks before completing the sweep.
-    Pool(PoolError),
-    /// A point's record vanished between evaluation and merge.
-    MissingRecord {
-        /// The memoization key with no record.
-        key: u64,
-    },
-}
-
-impl std::fmt::Display for MultiNodeSweepError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Self::EmptySpace => write!(f, "empty multi-node grid"),
-            Self::Fabric(e) => write!(f, "multi-node sweep point: {e}"),
-            Self::Cache(e) => write!(f, "multi-node sweep cache: {e}"),
-            Self::Pool(e) => write!(f, "multi-node sweep pool: {e}"),
-            Self::MissingRecord { key } => {
-                write!(f, "no record for multi-node key {key:#018x} at merge time")
-            }
-        }
-    }
-}
-
-impl std::error::Error for MultiNodeSweepError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            Self::Fabric(e) => Some(e),
-            Self::Cache(e) => Some(e),
-            Self::Pool(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<FabricError> for MultiNodeSweepError {
-    fn from(e: FabricError) -> Self {
-        Self::Fabric(e)
-    }
-}
-
-impl From<CacheError> for MultiNodeSweepError {
-    fn from(e: CacheError) -> Self {
-        Self::Cache(e)
-    }
-}
-
-impl From<PoolError> for MultiNodeSweepError {
-    fn from(e: PoolError) -> Self {
-        Self::Pool(e)
-    }
-}
-
-/// The memoizing multi-node sweep engine.
-#[derive(Debug, Default)]
-pub struct MultiNodeSweep {
-    version: String,
-    memo: BTreeMap<u64, MultiNodeRecord>,
-}
-
-impl MultiNodeSweep {
-    /// An engine stamped with the current
-    /// [`MODEL_VERSION`](ena_model::hash::MODEL_VERSION).
-    pub fn new() -> Self {
-        Self {
-            version: MODEL_VERSION.to_string(),
-            memo: BTreeMap::new(),
-        }
+    fn options(&self) -> &RunOptions {
+        &self.run
     }
 
-    /// Overrides the model-version stamp (test hook for the eviction
-    /// path; production code keeps the default).
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = version.into();
-        self.memo.clear();
-        self
+    fn points(&self) -> Vec<MultiNodePoint> {
+        self.space.points()
     }
 
-    /// Digest of everything besides the grid coordinates that determines
-    /// an evaluation: the workload, the node hardware, and the payloads.
-    fn campaign_digest(scaleout: &ScaleOutSpec) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_str(&scaleout.workload);
-        scaleout.base.stable_hash(&mut h);
-        h.write_f64(scaleout.payload_bytes);
-        h.write_f64(scaleout.reduce_bytes);
-        h.finish()
+    /// The workload, the node hardware, and the payloads.
+    fn campaign_digest(&self) -> u64 {
+        digest(&self.scaleout)
     }
 
-    fn point_key(campaign: u64, point: &MultiNodePoint) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(campaign);
-        point.stable_hash(&mut h);
-        h.finish()
+    fn point_key(&self, campaign: u64, point: &MultiNodePoint) -> u64 {
+        keyed(campaign, point)
     }
 
-    /// Evaluates one grid point: build the fabric, estimate the healthy
-    /// fleet.
-    fn evaluate_point(
-        point: MultiNodePoint,
-        scaleout: &ScaleOutSpec,
-    ) -> Result<MultiNodeRecord, FabricError> {
+    /// Builds the fabric and estimates the healthy fleet.
+    fn evaluate(&self, point: &MultiNodePoint) -> Result<MultiNodeRecord, FabricError> {
         let graph = FabricGraph::build(point.kind, point.nodes)?;
-        let est = estimate(&graph, scaleout, &BTreeMap::new())?;
-        Ok(MultiNodeRecord::from_estimate(point, &est))
+        let est = estimate(&graph, &self.scaleout, &BTreeMap::new())?;
+        Ok(MultiNodeRecord::from_estimate(*point, &est))
     }
 
-    /// Runs one sweep: resolves cache hits, evaluates the remainder on
-    /// the work-stealing pool, merges in grid order, and extracts the
-    /// frontier.
-    ///
-    /// # Errors
-    ///
-    /// [`MultiNodeSweepError::EmptySpace`] for a pointless grid,
-    /// [`MultiNodeSweepError::Fabric`] when a point fails to evaluate,
-    /// and the cache / pool infrastructure variants.
-    pub fn run(
-        &mut self,
-        spec: &MultiNodeSweepSpec,
-    ) -> Result<MultiNodeOutcome, MultiNodeSweepError> {
-        if spec.space.is_empty() {
-            return Err(MultiNodeSweepError::EmptySpace);
-        }
-        let campaign = Self::campaign_digest(&spec.scaleout);
-        let mut disk = match &spec.cache {
-            CacheMode::Memory => None,
-            CacheMode::Disk(dir) => {
-                let (cache, entries) = DiskCache::<MultiNodeRecord>::open_with(
-                    spec.fs.clone(),
-                    spec.sync,
-                    dir,
-                    campaign,
-                    &self.version,
-                )?;
-                for (key, record) in entries {
-                    self.memo.insert(key, record);
-                }
-                Some(cache)
-            }
-        };
-
-        let points = spec.space.points();
-        let keys: Vec<u64> = points
-            .iter()
-            .map(|p| Self::point_key(campaign, p))
-            .collect();
-        let fresh: Vec<(u64, MultiNodePoint)> = keys
-            .iter()
-            .zip(&points)
-            .filter(|(key, _)| !self.memo.contains_key(*key))
-            .map(|(key, point)| (*key, *point))
-            .collect();
-        let cache_hits = points.len() - fresh.len();
-        let fresh_evals = fresh.len();
-
-        let chunk_points = spec.chunk_points.max(1);
-        let chunks: Vec<Vec<(u64, MultiNodePoint)>> = fresh
-            .chunks(chunk_points)
-            .map(<[(u64, MultiNodePoint)]>::to_vec)
-            .collect();
-
-        let scaleout = &spec.scaleout;
-        let mut io_error: Option<CacheError> = None;
-        let (chunk_results, _) = map_chunks(
-            spec.jobs,
-            chunks,
-            |(key, point)| (*key, Self::evaluate_point(*point, scaleout)),
-            |_, results: &[(u64, Result<MultiNodeRecord, FabricError>)]| {
-                if let Some(cache) = disk.as_mut() {
-                    if io_error.is_none() {
-                        for (key, result) in results {
-                            if let Ok(record) = result {
-                                if let Err(e) = cache.append(*key, record) {
-                                    io_error = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        )?;
-        if let Some(e) = io_error {
-            return Err(MultiNodeSweepError::Cache(e));
-        }
-        for (key, result) in chunk_results.into_iter().flatten() {
-            self.memo.insert(key, result?);
-        }
-
-        // Merge in grid order: the only order the frontier ever sees.
-        let mut records = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let Some(record) = self.memo.get(key) else {
-                return Err(MultiNodeSweepError::MissingRecord { key: *key });
-            };
-            records.push(record.clone());
-        }
-        let frontier = frontier_indices(&records, MultiNodeRecord::dominates);
-
-        Ok(MultiNodeOutcome {
-            records,
-            frontier,
-            cache_hits,
-            fresh_evals,
-            total_points: points.len(),
-        })
+    fn frontier(&self, records: &[MultiNodeRecord]) -> Vec<usize> {
+        frontier_indices(records, MultiNodeRecord::dominates)
     }
 }
 
@@ -495,11 +292,6 @@ impl RecoverySpace {
             }
         }
         out
-    }
-
-    /// True when the grid has no points.
-    pub fn is_empty(&self) -> bool {
-        self.node_counts.is_empty() || self.interval_scales_pct.is_empty()
     }
 }
 
@@ -565,7 +357,7 @@ impl CacheRecord for RecoveryRecord {
     }
 }
 
-/// One recovery sweep request.
+/// One recovery sweep request: the (checkpoint-interval x nodes) axis.
 #[derive(Clone, Debug)]
 pub struct RecoverySweepSpec {
     /// The grid to sweep.
@@ -578,21 +370,12 @@ pub struct RecoverySweepSpec {
     pub recovery: RecoveryModel,
     /// Seed for the Monte Carlo leg.
     pub seed: u64,
-    /// Worker thread count (clamped to at least 1).
-    pub jobs: usize,
-    /// Points per work-stealing chunk.
-    pub chunk_points: usize,
-    /// Memoization layer.
-    pub cache: CacheMode,
-    /// Filesystem the disk cache goes through (swap in
-    /// [`ChaosFs`](ena_sweep::ChaosFs) to inject faults).
-    pub fs: Arc<dyn Vfs>,
-    /// Durability policy for cache appends.
-    pub sync: SyncPolicy,
+    /// How the sweep runs.
+    pub run: RunOptions,
 }
 
 impl RecoverySweepSpec {
-    /// A sequential, memory-cached spec over `space`.
+    /// A sequential, memory-cached spec over `space`, 4 points per chunk.
     pub fn new(space: RecoverySpace, scaleout: ScaleOutSpec, recovery: RecoveryModel) -> Self {
         Self {
             space,
@@ -600,109 +383,58 @@ impl RecoverySweepSpec {
             kind: FabricKind::DragonflyLite,
             recovery,
             seed: 0xC0FFEE,
-            jobs: 1,
-            chunk_points: 4,
-            cache: CacheMode::Memory,
-            fs: Arc::new(RealFs),
-            sync: SyncPolicy::default(),
+            run: RunOptions::new(4),
         }
     }
 }
 
-/// Everything a completed recovery sweep produced.
-#[derive(Clone, Debug)]
-pub struct RecoverySweepOutcome {
-    /// Every record, in grid point order.
-    pub records: Vec<RecoveryRecord>,
-    /// Indices into `records` on the Pareto frontier (recovered
+impl Axis for RecoverySweepSpec {
+    type Point = RecoveryPoint;
+    type Record = RecoveryRecord;
+    type Error = FabricError;
+    /// Indices into the records on the Pareto frontier (recovered
     /// throughput up, simulated efficiency up), in grid order.
-    pub frontier: Vec<usize>,
-    /// Points answered from the memoization cache.
-    pub cache_hits: usize,
-    /// Points evaluated fresh this run.
-    pub fresh_evals: usize,
-    /// Points in the grid.
-    pub total_points: usize,
-}
+    type Frontier = Vec<usize>;
 
-impl RecoverySweepOutcome {
-    /// Fraction of points served by the cache.
-    pub fn hit_rate(&self) -> f64 {
-        if self.total_points == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.total_points as f64
-        }
-    }
-}
-
-/// The memoizing (checkpoint-interval x nodes) sweep engine. Shares the
-/// determinism contract (and error type) of [`MultiNodeSweep`].
-#[derive(Debug, Default)]
-pub struct RecoverySweep {
-    version: String,
-    memo: BTreeMap<u64, RecoveryRecord>,
-}
-
-impl RecoverySweep {
-    /// An engine stamped with the current
-    /// [`MODEL_VERSION`](ena_model::hash::MODEL_VERSION).
-    pub fn new() -> Self {
-        Self {
-            version: MODEL_VERSION.to_string(),
-            memo: BTreeMap::new(),
-        }
+    fn options(&self) -> &RunOptions {
+        &self.run
     }
 
-    /// Overrides the model-version stamp (test hook for the eviction
-    /// path; production code keeps the default).
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = version.into();
-        self.memo.clear();
-        self
+    fn points(&self) -> Vec<RecoveryPoint> {
+        self.space.points()
     }
 
-    /// Digest of everything besides the grid coordinates that determines
-    /// an evaluation: workload, hardware, payloads, topology, recovery
-    /// parameters, and the Monte Carlo seed.
-    fn campaign_digest(spec: &RecoverySweepSpec) -> u64 {
+    /// Workload, hardware, payloads, topology, recovery parameters, and
+    /// the Monte Carlo seed.
+    fn campaign_digest(&self) -> u64 {
         let mut h = StableHasher::new();
-        h.write_str(&spec.scaleout.workload);
-        spec.scaleout.base.stable_hash(&mut h);
-        h.write_f64(spec.scaleout.payload_bytes);
-        h.write_f64(spec.scaleout.reduce_bytes);
-        spec.kind.stable_hash(&mut h);
-        spec.recovery.stable_hash(&mut h);
-        h.write_u64(spec.seed);
+        self.scaleout.stable_hash(&mut h);
+        self.kind.stable_hash(&mut h);
+        self.recovery.stable_hash(&mut h);
+        h.write_u64(self.seed);
         h.finish()
     }
 
-    fn point_key(campaign: u64, point: &RecoveryPoint) -> u64 {
-        let mut h = StableHasher::new();
-        h.write_u64(campaign);
-        point.stable_hash(&mut h);
-        h.finish()
+    fn point_key(&self, campaign: u64, point: &RecoveryPoint) -> u64 {
+        keyed(campaign, point)
     }
 
-    /// Evaluates one grid point: healthy fleet estimate at `nodes`, both
-    /// recovery legs at the scaled interval.
-    fn evaluate_point(
-        point: RecoveryPoint,
-        spec: &RecoverySweepSpec,
-    ) -> Result<RecoveryRecord, FabricError> {
-        let graph = FabricGraph::build(spec.kind, point.nodes)?;
-        let est = estimate(&graph, &spec.scaleout, &BTreeMap::new())?;
-        let interval_hours = spec.recovery.optimal_interval_hours(point.nodes)
+    /// Healthy fleet estimate at `nodes`, both recovery legs at the
+    /// scaled interval.
+    fn evaluate(&self, point: &RecoveryPoint) -> Result<RecoveryRecord, FabricError> {
+        let graph = FabricGraph::build(self.kind, point.nodes)?;
+        let est = estimate(&graph, &self.scaleout, &BTreeMap::new())?;
+        let interval_hours = self.recovery.optimal_interval_hours(point.nodes)
             * f64::from(point.interval_scale_pct)
             / 100.0;
-        let analytic = spec
+        let analytic = self
             .recovery
             .analytic_efficiency_at(point.nodes, interval_hours);
         let simulated =
-            spec.recovery
-                .simulated_efficiency_at(point.nodes, interval_hours, spec.seed);
+            self.recovery
+                .simulated_efficiency_at(point.nodes, interval_hours, self.seed);
         Ok(RecoveryRecord {
-            point,
+            point: *point,
             interval_hours,
             analytic,
             simulated,
@@ -710,110 +442,15 @@ impl RecoverySweep {
         })
     }
 
-    /// Runs one sweep: resolves cache hits, evaluates the remainder on
-    /// the work-stealing pool, merges in grid order, and extracts the
-    /// frontier.
-    ///
-    /// # Errors
-    ///
-    /// [`MultiNodeSweepError::EmptySpace`] for a pointless grid,
-    /// [`MultiNodeSweepError::Fabric`] when a point fails to evaluate,
-    /// and the cache / pool infrastructure variants.
-    pub fn run(
-        &mut self,
-        spec: &RecoverySweepSpec,
-    ) -> Result<RecoverySweepOutcome, MultiNodeSweepError> {
-        if spec.space.is_empty() {
-            return Err(MultiNodeSweepError::EmptySpace);
-        }
-        let campaign = Self::campaign_digest(spec);
-        let mut disk = match &spec.cache {
-            CacheMode::Memory => None,
-            CacheMode::Disk(dir) => {
-                let (cache, entries) = DiskCache::<RecoveryRecord>::open_with(
-                    spec.fs.clone(),
-                    spec.sync,
-                    dir,
-                    campaign,
-                    &self.version,
-                )?;
-                for (key, record) in entries {
-                    self.memo.insert(key, record);
-                }
-                Some(cache)
-            }
-        };
-
-        let points = spec.space.points();
-        let keys: Vec<u64> = points
-            .iter()
-            .map(|p| Self::point_key(campaign, p))
-            .collect();
-        let fresh: Vec<(u64, RecoveryPoint)> = keys
-            .iter()
-            .zip(&points)
-            .filter(|(key, _)| !self.memo.contains_key(*key))
-            .map(|(key, point)| (*key, *point))
-            .collect();
-        let cache_hits = points.len() - fresh.len();
-        let fresh_evals = fresh.len();
-
-        let chunk_points = spec.chunk_points.max(1);
-        let chunks: Vec<Vec<(u64, RecoveryPoint)>> = fresh
-            .chunks(chunk_points)
-            .map(<[(u64, RecoveryPoint)]>::to_vec)
-            .collect();
-
-        let mut io_error: Option<CacheError> = None;
-        let (chunk_results, _) = map_chunks(
-            spec.jobs,
-            chunks,
-            |(key, point)| (*key, Self::evaluate_point(*point, spec)),
-            |_, results: &[(u64, Result<RecoveryRecord, FabricError>)]| {
-                if let Some(cache) = disk.as_mut() {
-                    if io_error.is_none() {
-                        for (key, result) in results {
-                            if let Ok(record) = result {
-                                if let Err(e) = cache.append(*key, record) {
-                                    io_error = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
-            },
-        )?;
-        if let Some(e) = io_error {
-            return Err(MultiNodeSweepError::Cache(e));
-        }
-        for (key, result) in chunk_results.into_iter().flatten() {
-            self.memo.insert(key, result?);
-        }
-
-        // Merge in grid order: the only order the frontier ever sees.
-        let mut records = Vec::with_capacity(keys.len());
-        for key in &keys {
-            let Some(record) = self.memo.get(key) else {
-                return Err(MultiNodeSweepError::MissingRecord { key: *key });
-            };
-            records.push(record.clone());
-        }
-        let frontier = frontier_indices(&records, RecoveryRecord::dominates);
-
-        Ok(RecoverySweepOutcome {
-            records,
-            frontier,
-            cache_hits,
-            fresh_evals,
-            total_points: points.len(),
-        })
+    fn frontier(&self, records: &[RecoveryRecord]) -> Vec<usize> {
+        frontier_indices(records, RecoveryRecord::dominates)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ena_sweep::{CacheMode, SweepError};
 
     fn spec() -> MultiNodeSweepSpec {
         MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"))
@@ -857,8 +494,9 @@ mod tests {
         let mut oracle = MultiNodeSweep::new();
         let sequential = oracle.run(&spec()).unwrap();
         for jobs in [2usize, 4, 8] {
-            let mut engine = MultiNodeSweep::new();
-            let parallel = engine.run(&MultiNodeSweepSpec { jobs, ..spec() }).unwrap();
+            let mut parallel_spec = spec();
+            parallel_spec.run.jobs = jobs;
+            let parallel = MultiNodeSweep::new().run(&parallel_spec).unwrap();
             assert_eq!(parallel.records, sequential.records, "jobs = {jobs}");
             assert_eq!(parallel.frontier, sequential.frontier, "jobs = {jobs}");
         }
@@ -898,10 +536,8 @@ mod tests {
     fn disk_caches_resume_across_engine_instances() {
         let dir = std::env::temp_dir().join("ena-fabric-sweep-test-resume");
         let _ = std::fs::remove_dir_all(&dir);
-        let disk_spec = MultiNodeSweepSpec {
-            cache: CacheMode::Disk(dir.clone()),
-            ..spec()
-        };
+        let mut disk_spec = spec();
+        disk_spec.run.cache = CacheMode::Disk(dir.clone());
         let mut cold_engine = MultiNodeSweep::new();
         let cold = cold_engine.run(&disk_spec).unwrap();
         assert_eq!(cold.fresh_evals, 18);
@@ -927,10 +563,7 @@ mod tests {
             },
             ScaleOutSpec::standard("CoMD"),
         );
-        assert!(matches!(
-            engine.run(&empty),
-            Err(MultiNodeSweepError::EmptySpace)
-        ));
+        assert!(matches!(engine.run(&empty), Err(SweepError::EmptySpace)));
     }
 
     #[test]
@@ -940,10 +573,7 @@ mod tests {
             MultiNodeSpace::cabinet(),
             ScaleOutSpec::standard("NoSuchKernel"),
         );
-        assert!(matches!(
-            engine.run(&bad),
-            Err(MultiNodeSweepError::Fabric(_))
-        ));
+        assert!(matches!(engine.run(&bad), Err(SweepError::Evaluate(_))));
     }
 
     fn recovery_spec() -> RecoverySweepSpec {
@@ -987,13 +617,9 @@ mod tests {
         let sequential = oracle.run(&recovery_spec()).unwrap();
         assert_eq!(sequential.fresh_evals, 30);
         for jobs in [2usize, 8] {
-            let mut engine = RecoverySweep::new();
-            let parallel = engine
-                .run(&RecoverySweepSpec {
-                    jobs,
-                    ..recovery_spec()
-                })
-                .unwrap();
+            let mut parallel_spec = recovery_spec();
+            parallel_spec.run.jobs = jobs;
+            let parallel = RecoverySweep::new().run(&parallel_spec).unwrap();
             assert_eq!(parallel.records, sequential.records, "jobs = {jobs}");
             assert_eq!(parallel.frontier, sequential.frontier, "jobs = {jobs}");
         }
@@ -1044,10 +670,8 @@ mod tests {
     fn recovery_disk_caches_resume_across_engine_instances() {
         let dir = std::env::temp_dir().join("ena-fabric-recovery-sweep-test-resume");
         let _ = std::fs::remove_dir_all(&dir);
-        let disk_spec = RecoverySweepSpec {
-            cache: CacheMode::Disk(dir.clone()),
-            ..recovery_spec()
-        };
+        let mut disk_spec = recovery_spec();
+        disk_spec.run.cache = CacheMode::Disk(dir.clone());
         let mut cold_engine = RecoverySweep::new();
         let cold = cold_engine.run(&disk_spec).unwrap();
         assert_eq!(cold.fresh_evals, 30);
@@ -1068,9 +692,6 @@ mod tests {
             },
             ..recovery_spec()
         };
-        assert!(matches!(
-            engine.run(&empty),
-            Err(MultiNodeSweepError::EmptySpace)
-        ));
+        assert!(matches!(engine.run(&empty), Err(SweepError::EmptySpace)));
     }
 }

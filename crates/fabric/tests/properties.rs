@@ -17,13 +17,16 @@
 //!    job count and cache temperature.
 
 use std::collections::BTreeMap;
+use std::path::PathBuf;
+use std::sync::Arc;
 
 use ena_fabric::{
     estimate, run_multinode_campaign, schedule, CollectiveKind, FabricGraph, FabricKind,
-    MultiNodeCampaignSpec, MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, ScaleOutSpec,
+    MultiNodeCampaignSpec, MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel,
+    RecoverySpace, RecoverySweep, RecoverySweepSpec, ScaleOutSpec,
 };
 use ena_model::hash::StableHasher;
-use ena_sweep::CacheMode;
+use ena_sweep::{Axis, CacheMode, Failpoint, SweepError};
 use ena_testkit::prelude::*;
 
 fn any_kind() -> impl Strategy<Value = FabricKind> {
@@ -111,11 +114,82 @@ proptest! {
             ScaleOutSpec::standard("CoMD"),
         );
         let sequential = MultiNodeSweep::new().run(&spec).unwrap();
-        let parallel = MultiNodeSweep::new()
-            .run(&MultiNodeSweepSpec { jobs, ..spec })
-            .unwrap();
+        let mut parallel_spec = spec;
+        parallel_spec.run.jobs = jobs;
+        let parallel = MultiNodeSweep::new().run(&parallel_spec).unwrap();
         prop_assert_eq!(&parallel.records, &sequential.records);
         prop_assert_eq!(&parallel.frontier, &sequential.frontier);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The fabric axes run under the node axis's supervision: a point
+    /// whose evaluation panics on every attempt quarantines its chunk,
+    /// and every other record equals a clean run's.
+    #[test]
+    fn a_panicking_multinode_point_is_quarantined(victim in 0usize..18, jobs in 1usize..4) {
+        let mut spec =
+            MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
+        spec.run.jobs = jobs;
+        let clean = MultiNodeSweep::new().run(&spec).unwrap();
+        let campaign = spec.campaign_digest();
+        let poisoned = spec.point_key(campaign, &spec.space.points()[victim]);
+        let failpoint: Failpoint =
+            Arc::new(move |key| assert!(key != poisoned, "poisoned point {key:#x}"));
+        let outcome = MultiNodeSweep::new()
+            .with_failpoint(failpoint)
+            .run(&spec)
+            .expect("a caught panic quarantines instead of failing the sweep");
+
+        prop_assert_eq!(outcome.quarantine.entries.len(), 1);
+        let entry = &outcome.quarantine.entries[0];
+        prop_assert_eq!(entry.chunk_index, victim / spec.run.chunk_points);
+        prop_assert!(entry.keys.contains(&poisoned));
+        prop_assert!(entry.message.contains("poisoned point"), "{}", entry.message);
+        let survivors: Vec<_> = clean
+            .records
+            .iter()
+            .filter(|r| !entry.keys.contains(&spec.point_key(campaign, &r.point)))
+            .cloned()
+            .collect();
+        prop_assert_eq!(&outcome.records, &survivors);
+        prop_assert_eq!(outcome.fresh_evals, survivors.len());
+    }
+
+    /// Stopping a recovery sweep after `k` fresh points checkpoints
+    /// exactly those `k`: a fresh engine resumes from disk with `k` hits
+    /// and reproduces the uninterrupted run.
+    #[test]
+    fn an_interrupted_recovery_sweep_resumes_from_its_checkpoint(k in 1usize..30) {
+        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("recovery-resume-{k}"));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut spec = RecoverySweepSpec::new(
+            RecoverySpace::standard(),
+            ScaleOutSpec::standard("CoMD"),
+            RecoveryModel::new(96.0, 3.0),
+        );
+        spec.run.jobs = 2;
+        let uninterrupted = RecoverySweep::new().run(&spec).unwrap();
+
+        spec.run.cache = CacheMode::Disk(dir.clone());
+        let mut limited = spec.clone();
+        limited.run.fresh_limit = Some(k);
+        match RecoverySweep::new().run(&limited) {
+            Err(SweepError::Interrupted { completed, remaining }) => {
+                prop_assert_eq!(completed, k);
+                prop_assert_eq!(completed + remaining, 30);
+            }
+            other => prop_assert!(false, "expected interruption, got {other:?}"),
+        }
+
+        let resumed = RecoverySweep::new().run(&spec).unwrap();
+        prop_assert_eq!(resumed.cache_hits, k);
+        prop_assert_eq!(resumed.fresh_evals, 30 - k);
+        prop_assert_eq!(&resumed.records, &uninterrupted.records);
+        prop_assert_eq!(&resumed.frontier, &uninterrupted.frontier);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -241,11 +315,10 @@ fn acceptance_campaign_is_byte_identical_across_processes() {
 fn multinode_disk_cache_round_trips_bit_exactly() {
     let dir = std::env::temp_dir().join("ena-fabric-props-disk-cache");
     let _ = std::fs::remove_dir_all(&dir);
-    let spec = MultiNodeSweepSpec {
-        jobs: 2,
-        cache: CacheMode::Disk(dir.clone()),
-        ..MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"))
-    };
+    let mut spec =
+        MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
+    spec.run.jobs = 2;
+    spec.run.cache = CacheMode::Disk(dir.clone());
     let cold = MultiNodeSweep::new().run(&spec).unwrap();
     assert_eq!(cold.cache_hits, 0);
     let warm = MultiNodeSweep::new().run(&spec).unwrap();

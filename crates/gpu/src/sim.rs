@@ -39,9 +39,8 @@
 //! then costs two O(wavefronts) iterations per grant: one grants the
 //! pipe, one finds nothing to issue and jumps to when the pipe frees.
 //! The fast path reproduces those iterations in O(1) per grant. It
-//! applies when there is one compute pipe, it is free at `now`, the issue
-//! width is at least 1, and every live wavefront's current op is
-//! `Compute`.
+//! applies when there is one compute pipe, it is free at `now`, and every
+//! live wavefront's current op is `Compute`.
 //!
 //! It is exact because a wavefront's `busy_until` is only ever set by a
 //! pipe grant, so with one pipe no wavefront is busy once the pipe is
@@ -55,29 +54,41 @@
 //! own cycle, so the general loop handles it.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 use crate::backend::MemoryBackend;
 use crate::program::{Cursor, Op, WavefrontProgram};
 
 /// Configuration of one simulated compute unit.
+///
+/// Every field is nonzero: with no issue slot, or no in-flight slot for a
+/// wavefront's load or store, nothing could ever issue and
+/// [`GpuSim::run`] would never return. So this does not compile:
+///
+/// ```compile_fail,E0308
+/// use ena_gpu::sim::CuConfig;
+///
+/// let _ = CuConfig { issue_width: 0, ..CuConfig::default() };
+/// ```
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct CuConfig {
     /// Ops issued per cycle across ready wavefronts (SIMD scheduler width).
-    pub issue_width: u32,
+    pub issue_width: NonZeroU32,
     /// Maximum in-flight memory requests per wavefront.
-    pub max_outstanding: u32,
+    pub max_outstanding: NonZeroU32,
     /// Shared compute pipelines: a `Compute` op occupies one for its full
     /// duration. One pipe at 64 FLOPs/cycle models a whole CU's vector
     /// throughput.
-    pub compute_pipes: u32,
+    pub compute_pipes: NonZeroU32,
 }
 
 impl Default for CuConfig {
+    /// Issue width 4, 8 requests in flight per wavefront, one pipe.
     fn default() -> Self {
         Self {
-            issue_width: 4,
-            max_outstanding: 8,
-            compute_pipes: 1,
+            issue_width: NonZeroU32::MIN.saturating_add(3),
+            max_outstanding: NonZeroU32::MIN.saturating_add(7),
+            compute_pipes: NonZeroU32::MIN,
         }
     }
 }
@@ -129,7 +140,9 @@ impl WavefrontState {
             Op::Wait { max_outstanding } => in_flight
                 .checked_sub(max_outstanding as usize + 1)
                 .and_then(|i| self.outstanding.get(i)),
-            Op::Load { .. } | Op::Store { .. } if in_flight >= cfg.max_outstanding as usize => {
+            Op::Load { .. } | Op::Store { .. }
+                if in_flight >= cfg.max_outstanding.get() as usize =>
+            {
                 self.outstanding.front()
             }
             _ => None,
@@ -195,13 +208,13 @@ impl<'a, B: MemoryBackend> GpuSim<'a, B> {
         assert!(!wavefronts.is_empty(), "no wavefronts to run");
         let mut m = Machine {
             waves: wavefronts.into_iter().map(WavefrontState::new).collect(),
-            pipe_free: vec![0; self.config.compute_pipes.max(1) as usize],
+            pipe_free: vec![0; self.config.compute_pipes.get() as usize],
             now: 0,
             rr: 0,
             stats: TimingStats::default(),
         };
         while m.waves.iter().any(|w| !w.done()) {
-            if !m.pipe_bound_stretch(&self.config) {
+            if !m.pipe_bound_stretch() {
                 m.step(&self.config, self.backend);
             }
         }
@@ -216,7 +229,7 @@ impl<'a, B: MemoryBackend> GpuSim<'a, B> {
             .unwrap_or(0);
         let mut stats = m.stats;
         stats.cycles = m.now.max(drain).max(1);
-        stats.issue_slots = stats.cycles * u64::from(self.config.issue_width);
+        stats.issue_slots = stats.cycles * u64::from(self.config.issue_width.get());
         stats
     }
 }
@@ -239,7 +252,7 @@ impl Machine {
         let n = self.waves.len();
         let mut issued = 0u32;
         for k in 0..n {
-            if issued >= cfg.issue_width {
+            if issued >= cfg.issue_width.get() {
                 break;
             }
             let w = &mut self.waves[(self.rr + k) % n];
@@ -260,7 +273,7 @@ impl Machine {
                     true
                 }
                 Op::Load { addr } | Op::Store { addr }
-                    if w.outstanding.len() < cfg.max_outstanding as usize =>
+                    if w.outstanding.len() < cfg.max_outstanding.get() as usize =>
                 {
                     let is_write = matches!(op, Op::Store { .. });
                     w.track(backend.request(addr, is_write, now));
@@ -303,12 +316,11 @@ impl Machine {
 
     /// Runs the pipe-bound fast path (module docs) from `now` if it
     /// applies, returning whether it granted the pipe at least once.
-    fn pipe_bound_stretch(&mut self, cfg: &CuConfig) -> bool {
+    fn pipe_bound_stretch(&mut self) -> bool {
         let [pipe] = self.pipe_free.as_mut_slice() else {
             return false;
         };
         if *pipe > self.now
-            || cfg.issue_width == 0
             || !self
                 .waves
                 .iter()
@@ -396,7 +408,7 @@ mod tests {
     fn compute_bound_wavefronts_saturate_the_pipes() {
         let mut mem = FixedLatency::new(100, 1);
         let cfg = CuConfig {
-            compute_pipes: 4,
+            compute_pipes: NonZeroU32::new(4).unwrap(),
             ..CuConfig::default()
         };
         let mut sim = GpuSim::new(cfg, &mut mem);

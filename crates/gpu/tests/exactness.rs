@@ -8,6 +8,8 @@
 //! identical `TimingStats`, and the pinned counts hold the validation
 //! experiment's inputs to the values the plain loop produced.
 
+use std::num::NonZeroU32;
+
 use ena_gpu::backend::{FixedLatency, HbmBackend, MemoryBackend};
 use ena_gpu::program::{Op, WavefrontProgram};
 use ena_gpu::sim::{CuConfig, GpuSim, TimingStats};
@@ -44,7 +46,7 @@ mod reference {
                     }
                 }
                 Op::Load { .. } | Op::Store { .. } => {
-                    if self.outstanding.len() >= cfg.max_outstanding as usize {
+                    if self.outstanding.len() >= cfg.max_outstanding.get() as usize {
                         if let Some(&min) = self.outstanding.iter().min() {
                             earliest = earliest.max(min);
                         }
@@ -74,7 +76,7 @@ mod reference {
         let mut now = 0u64;
         let mut stats = TimingStats::default();
         let mut rr = 0usize;
-        let mut pipe_free = vec![0u64; config.compute_pipes.max(1) as usize];
+        let mut pipe_free = vec![0u64; config.compute_pipes.get() as usize];
 
         while waves.iter().any(|w| !w.done()) {
             for w in waves.iter_mut() {
@@ -83,7 +85,7 @@ mod reference {
             let mut issued = 0u32;
             let n = waves.len();
             for k in 0..n {
-                if issued >= config.issue_width {
+                if issued >= config.issue_width.get() {
                     break;
                 }
                 let w = &mut waves[(rr + k) % n];
@@ -102,7 +104,7 @@ mod reference {
                         issued += 1;
                     }
                     Op::Load { addr } | Op::Store { addr }
-                        if w.outstanding.len() < config.max_outstanding as usize =>
+                        if w.outstanding.len() < config.max_outstanding.get() as usize =>
                     {
                         let is_write = matches!(w.ops[w.pc], Op::Store { .. });
                         w.outstanding.push(backend.request(addr, is_write, now));
@@ -148,7 +150,7 @@ mod reference {
             .max()
             .unwrap_or(0);
         stats.cycles = now.max(drain).max(1);
-        stats.issue_slots = stats.cycles * u64::from(config.issue_width);
+        stats.issue_slots = stats.cycles * u64::from(config.issue_width.get());
         stats
     }
 }
@@ -186,10 +188,11 @@ fn program() -> impl Strategy<Value = WavefrontProgram> {
 
 fn config() -> impl Strategy<Value = CuConfig> {
     (1u32..=4, 1u32..=8, 1u32..=3).prop_map(|(issue_width, max_outstanding, compute_pipes)| {
+        let nonzero = |n| NonZeroU32::new(n).expect("strategy draws from 1..");
         CuConfig {
-            issue_width,
-            max_outstanding,
-            compute_pipes,
+            issue_width: nonzero(issue_width),
+            max_outstanding: nonzero(max_outstanding),
+            compute_pipes: nonzero(compute_pipes),
         }
     })
 }

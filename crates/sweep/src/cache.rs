@@ -1254,10 +1254,11 @@ mod tests {
             "{cache_err}"
         );
 
-        let sweep_err = crate::engine::SweepError::Cache(cache_err);
+        let sweep_err: crate::engine::SweepError = crate::engine::SweepError::Cache(cache_err);
         let chained = sweep_err.source().expect("cache source");
         assert!(chained.to_string().contains("/tmp/x.sweep"), "{chained}");
-        assert!(crate::engine::SweepError::EmptySpace.source().is_none());
+        let empty: crate::engine::SweepError = crate::engine::SweepError::EmptySpace;
+        assert!(empty.source().is_none());
 
         let verify_err = VerifyError::Unreadable {
             path: PathBuf::from("/tmp/y.sweep"),

@@ -34,7 +34,7 @@ use ena_model::kernel::KernelProfile;
 use ena_testkit::chaos::{ChaosConfig, ChaosFs};
 use ena_testkit::rng::SplitMix64;
 
-use crate::cache::{verify_file, DiskCache, SyncPolicy};
+use crate::cache::{verify_file, DiskCache};
 use crate::engine::{CacheMode, Failpoint, SweepEngine, SweepError, SweepSpec};
 use ena_core::dse::PointRecord;
 
@@ -328,12 +328,10 @@ pub fn run_chaos_campaign(
 ) -> Result<ChaosReport, ChaosError> {
     // Fault-free oracle: fixes the expected frontier.
     let mut oracle = SweepEngine::new(explorer.clone());
-    let oracle_spec = SweepSpec {
-        jobs: spec.jobs,
-        chunk_points: spec.chunk_points,
-        ..SweepSpec::new(spec.space.clone(), spec.profiles.clone())
-    };
-    let baseline = oracle.run(&oracle_spec).map_err(ChaosError::Oracle)?;
+    let mut sweep = SweepSpec::new(spec.space.clone(), spec.profiles.clone());
+    sweep.run.jobs = spec.jobs;
+    sweep.run.chunk_points = spec.chunk_points;
+    let baseline = oracle.run(&sweep).map_err(ChaosError::Oracle)?;
     let expected_frontier = render_frontier(&baseline.frontier);
     let total_points = baseline.telemetry.total_points;
     let campaign = oracle.campaign_digest(&spec.profiles);
@@ -362,14 +360,9 @@ pub fn run_chaos_campaign(
             spec.kill_persistent_permille,
             spec.kill_transient_permille,
         ));
-        let run_spec = SweepSpec {
-            jobs: spec.jobs,
-            chunk_points: spec.chunk_points,
-            cache: CacheMode::Disk(spec.dir.clone()),
-            fs: Arc::new(chaos.clone()),
-            sync: SyncPolicy::PerRecord,
-            ..SweepSpec::new(spec.space.clone(), spec.profiles.clone())
-        };
+        let mut run_spec = sweep.clone();
+        run_spec.run.cache = CacheMode::Disk(spec.dir.clone());
+        run_spec.run.fs = Arc::new(chaos.clone());
         let result = engine.run(&run_spec);
         let counts = chaos.counts();
 
@@ -437,13 +430,8 @@ pub fn run_chaos_campaign(
 
     // Final clean run: resume from the survivors, no faults, no kills.
     let mut engine = SweepEngine::new(explorer.clone());
-    let final_spec = SweepSpec {
-        jobs: spec.jobs,
-        chunk_points: spec.chunk_points,
-        cache: CacheMode::Disk(spec.dir.clone()),
-        ..SweepSpec::new(spec.space.clone(), spec.profiles.clone())
-    };
-    let outcome = engine.run(&final_spec).map_err(ChaosError::FinalRun)?;
+    sweep.run.cache = CacheMode::Disk(spec.dir.clone());
+    let outcome = engine.run(&sweep).map_err(ChaosError::FinalRun)?;
     if !outcome.quarantine.is_empty() {
         return Err(ChaosError::FinalQuarantine {
             points: outcome.quarantine.points(),

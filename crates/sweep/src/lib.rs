@@ -15,17 +15,24 @@
 //!   [`Vfs`](ena_testkit::chaos::Vfs) filesystem trait.
 //! - [`pareto`] — frontier extraction over (mean perf, peak power, peak
 //!   DRAM temperature).
-//! - [`engine`] — the [`SweepEngine`] tying them together, with
-//!   [`Telemetry`] (cache hit rate, points/sec, per-worker utilization).
+//! - [`engine`] — the one sweep driver tying them together: an [`Axis`]
+//!   names its grid, campaign digest, point key, evaluation and
+//!   frontier; [`Memo::run`] owns the cache open, hit resolution,
+//!   `fresh_limit`, chunking, the supervised pool, streaming appends,
+//!   quarantine and the grid-order merge, and reports [`Telemetry`]
+//!   (cache hit rate, points/sec, per-worker utilization). The node axis
+//!   runs through [`SweepEngine`]; `ena-fabric`'s multi-node and
+//!   recovery axes are two more impls, sharing one [`RunOptions`].
 //! - [`chaos`] — seeded chaos campaigns that drive the whole stack
 //!   through injected I/O faults and worker kills and assert the
 //!   serving invariants (parseable caches, no lost acknowledged
 //!   records, fault-free frontier).
 //!
-//! The headline property: a [`SweepEngine`] run is **byte-identical** to
-//! the sequential [`Explorer`](ena_core::Explorer) oracle for any thread
-//! count, cache state, or interruption history — parallelism and
-//! memoization are pure go-faster knobs, never sources of drift.
+//! The headline property: a sweep along any axis is **byte-identical**
+//! to its sequential oracle (for the node axis, the
+//! [`Explorer`](ena_core::Explorer)) for any thread count, cache state,
+//! or interruption history — parallelism and memoization are pure
+//! go-faster knobs, never sources of drift.
 //!
 //! # Example
 //!
@@ -36,10 +43,8 @@
 //! use ena_workloads::paper_profiles;
 //!
 //! let mut engine = SweepEngine::new(Explorer::default());
-//! let spec = SweepSpec {
-//!     jobs: 2,
-//!     ..SweepSpec::new(DesignSpace::coarse(), paper_profiles())
-//! };
+//! let mut spec = SweepSpec::new(DesignSpace::coarse(), paper_profiles());
+//! spec.run.jobs = 2;
 //! let outcome = engine.run(&spec).expect("sweep completes");
 //! assert_eq!(
 //!     outcome.result,
@@ -67,10 +72,11 @@ pub use cache::{
 };
 pub use chaos::{run_chaos_campaign, ChaosError, ChaosReport, ChaosSpec};
 pub use engine::{
-    campaign_digest, evaluate_batch, point_key, CacheMode, Failpoint, QuarantineEntry,
-    QuarantineReport, SweepEngine, SweepError, SweepOutcome, SweepSpec, Telemetry,
+    campaign_digest, evaluate_batch, point_key, Axis, CacheMode, Failpoint, Memo, QuarantineEntry,
+    QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome, SweepSpec, Swept,
+    Telemetry,
 };
 pub use pareto::{frontier_indices, pareto_frontier, FrontierPoint};
-pub use pool::{map_chunks, map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
+pub use pool::{map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
 
 pub use ena_testkit::chaos::{ChaosConfig, ChaosFs, RealFs, Vfs};

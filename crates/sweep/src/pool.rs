@@ -15,9 +15,8 @@
 //! chaos kill, a transient resource fault), and a chunk that fails every
 //! attempt is *quarantined* — reported, with its panic message and the
 //! modeled backoff it consumed, instead of aborting the sweep. A
-//! quarantine-free supervised run executes exactly the same evaluations
-//! as the unsupervised pool, so its output is byte-identical to the
-//! sequential oracle.
+//! quarantine-free run evaluates every item exactly once, so its output
+//! is byte-identical to the sequential oracle.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -105,53 +104,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Maps `f` over every item of every chunk on `jobs` worker threads.
-///
-/// `on_chunk` runs on the calling thread, once per completed chunk in
-/// completion order (suitable for streaming checkpoints and progress).
-/// The returned chunk results are ordered by chunk index regardless of
-/// which worker computed them or when.
-///
-/// A panicking `f` does not kill the worker thread: the chunk is
-/// reported lost (no retries at this layer — use
-/// [`map_chunks_supervised`] for retry/quarantine semantics).
-///
-/// # Errors
-///
-/// Returns [`PoolError::WorkerLost`] if any chunk failed to complete
-/// (the remaining results are discarded rather than silently returned
-/// incomplete).
-pub fn map_chunks<T, R, F, C>(
-    jobs: usize,
-    chunks: Vec<Vec<T>>,
-    f: F,
-    on_chunk: C,
-) -> Result<(Vec<Vec<R>>, Vec<WorkerStats>), PoolError>
-where
-    T: Send,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-    C: FnMut(usize, &[R]),
-{
-    let no_retries = RetryPolicy {
-        max_retries: 0,
-        backoff_us: 0.0,
-    };
-    let (results, stats) = map_chunks_supervised(jobs, chunks, &no_retries, f, on_chunk)?;
-    let mut merged = Vec::with_capacity(results.len());
-    let mut missing = 0usize;
-    for slot in results {
-        match slot {
-            Ok(chunk) => merged.push(chunk),
-            Err(_) => missing += 1,
-        }
-    }
-    if missing > 0 {
-        return Err(PoolError::WorkerLost { missing });
-    }
-    Ok((merged, stats))
-}
-
 /// Maps `f` over every item of every chunk on `jobs` worker threads,
 /// supervising each chunk: a panic is caught, the chunk is retried up to
 /// `retry.max_retries` times (charging `retry`'s modeled backoff), and a
@@ -159,8 +111,10 @@ where
 /// `Err(`[`QuarantinedChunk`]`)` in its result slot while the rest of
 /// the sweep completes normally.
 ///
-/// `on_chunk` runs on the calling thread for *completed* chunks only —
-/// quarantined chunks are never checkpointed.
+/// `on_chunk` runs on the calling thread, once per *completed* chunk in
+/// completion order (suitable for streaming checkpoints) — quarantined
+/// chunks are never checkpointed. The returned verdicts are ordered by
+/// chunk index regardless of which worker computed them or when.
 ///
 /// # Errors
 ///
@@ -326,6 +280,19 @@ mod tests {
             .collect()
     }
 
+    /// Runs the supervised pool with no panics expected, unwrapping
+    /// every verdict.
+    fn map_all(
+        jobs: usize,
+        chunks: Vec<Vec<u64>>,
+        f: impl Fn(&u64) -> u64 + Sync,
+        on_chunk: impl FnMut(usize, &[u64]),
+    ) -> (Vec<Vec<u64>>, Vec<WorkerStats>) {
+        let (verdicts, stats) =
+            map_chunks_supervised(jobs, chunks, &RetryPolicy::default(), f, on_chunk).unwrap();
+        (verdicts.into_iter().map(Result::unwrap).collect(), stats)
+    }
+
     #[test]
     fn merge_is_index_ordered_for_any_job_count() {
         let input = chunks();
@@ -334,18 +301,19 @@ mod tests {
             .map(|c| c.iter().map(|x| x * 3).collect())
             .collect();
         for jobs in [1, 2, 7, 32] {
-            let (got, stats) = map_chunks(jobs, input.clone(), |x| x * 3, |_, _| {}).unwrap();
+            let (got, stats) = map_all(jobs, input.clone(), |x| x * 3, |_, _| {});
             assert_eq!(got, expect, "jobs = {jobs}");
             assert_eq!(stats.len(), jobs);
             assert_eq!(stats.iter().map(|s| s.points).sum::<u64>(), 65);
             assert_eq!(stats.iter().map(|s| s.chunks).sum::<u64>(), 13);
+            assert_eq!(stats.iter().map(|s| s.retries).sum::<u64>(), 0);
         }
     }
 
     #[test]
     fn on_chunk_streams_every_chunk_exactly_once() {
         let mut seen = vec![0u32; 13];
-        map_chunks(
+        map_all(
             3,
             chunks(),
             |x| *x,
@@ -353,14 +321,13 @@ mod tests {
                 assert_eq!(results.len(), 5);
                 seen[index] += 1;
             },
-        )
-        .unwrap();
+        );
         assert!(seen.iter().all(|&n| n == 1));
     }
 
     #[test]
     fn zero_jobs_clamps_to_one_and_empty_input_is_fine() {
-        let (got, stats) = map_chunks(0, Vec::<Vec<u64>>::new(), |x| *x, |_, _| {}).unwrap();
+        let (got, stats) = map_all(0, Vec::new(), |x| *x, |_, _| {});
         assert!(got.is_empty());
         assert_eq!(stats.len(), 1);
     }
@@ -392,30 +359,5 @@ mod tests {
             }
         }
         assert_eq!(stats.iter().map(|s| s.retries).sum::<u64>(), 3);
-    }
-
-    #[test]
-    fn unsupervised_map_chunks_reports_a_panicking_chunk_as_lost() {
-        let err = map_chunks(
-            2,
-            chunks(),
-            |x| {
-                assert!(*x != 62, "injected failure");
-                *x
-            },
-            |_, _| {},
-        )
-        .unwrap_err();
-        assert_eq!(err, PoolError::WorkerLost { missing: 1 });
-    }
-
-    #[test]
-    fn quarantine_free_supervised_run_matches_the_unsupervised_pool() {
-        let input = chunks();
-        let (plain, _) = map_chunks(3, input.clone(), |x| x * 7, |_, _| {}).unwrap();
-        let (supervised, _) =
-            map_chunks_supervised(3, input, &RetryPolicy::default(), |x| x * 7, |_, _| {}).unwrap();
-        let supervised: Vec<Vec<u64>> = supervised.into_iter().map(|r| r.unwrap()).collect();
-        assert_eq!(plain, supervised);
     }
 }

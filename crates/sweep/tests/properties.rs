@@ -40,11 +40,10 @@ fn parallel_equals_sequential_for_every_job_count() {
             .unwrap(),
     );
     for jobs in [1, 2, 7] {
+        let mut spec = spec.clone();
+        spec.run.jobs = jobs;
         let outcome = SweepEngine::new(Explorer::default())
-            .run(&SweepSpec {
-                jobs,
-                ..spec.clone()
-            })
+            .run(&spec)
             .expect("sweep completes");
         assert_eq!(render(&outcome.result), oracle, "jobs = {jobs}");
     }
@@ -60,14 +59,12 @@ proptest! {
         chunk_points in 1u32..64,
         jobs in 1u32..8,
     ) {
-        let spec = coarse_spec();
+        let mut spec = coarse_spec();
+        spec.run.jobs = jobs as usize;
+        spec.run.chunk_points = chunk_points as usize;
         let oracle = render(&Explorer::default().explore(&spec.space, &spec.profiles).unwrap());
         let outcome = SweepEngine::new(Explorer::default())
-            .run(&SweepSpec {
-                jobs: jobs as usize,
-                chunk_points: chunk_points as usize,
-                ..spec
-            })
+            .run(&spec)
             .expect("sweep completes");
         prop_assert!(render(&outcome.result) == oracle);
     }
@@ -77,17 +74,14 @@ proptest! {
     #[test]
     fn resumed_sweep_equals_uninterrupted(k in 1u32..489) {
         let dir = scratch(&format!("resume-{k}"));
-        let spec = SweepSpec {
-            jobs: 2,
-            cache: CacheMode::Disk(dir.clone()),
-            ..coarse_spec()
-        };
+        let mut spec = coarse_spec();
+        spec.run.jobs = 2;
+        spec.run.cache = CacheMode::Disk(dir.clone());
         let total = spec.space.len();
 
-        let interrupted = SweepEngine::new(Explorer::default()).run(&SweepSpec {
-            fresh_limit: Some(k as usize),
-            ..spec.clone()
-        });
+        let mut limited = spec.clone();
+        limited.run.fresh_limit = Some(k as usize);
+        let interrupted = SweepEngine::new(Explorer::default()).run(&limited);
         match interrupted {
             Err(SweepError::Interrupted { completed, remaining }) => {
                 prop_assert!(completed == k as usize);
@@ -115,7 +109,8 @@ proptest! {
             budget: Watts::new(f64::from(budget_w)),
             ..Explorer::default()
         };
-        let spec = SweepSpec { jobs: 7, ..coarse_spec() };
+        let mut spec = coarse_spec();
+        spec.run.jobs = 7;
         let oracle = render(&explorer.explore(&spec.space, &spec.profiles).unwrap());
         let outcome = SweepEngine::new(explorer)
             .run(&spec)
@@ -299,12 +294,9 @@ fn pareto_frontier_contains_the_best_mean_point() {
 
 #[test]
 fn disk_cache_round_trips_bit_exactly() {
-    let dir = scratch("roundtrip");
-    let spec = SweepSpec {
-        jobs: 2,
-        cache: CacheMode::Disk(dir),
-        ..coarse_spec()
-    };
+    let mut spec = coarse_spec();
+    spec.run.jobs = 2;
+    spec.run.cache = CacheMode::Disk(scratch("roundtrip"));
     let cold = SweepEngine::new(Explorer::default())
         .run(&spec)
         .expect("cold sweep completes");
@@ -325,11 +317,8 @@ fn disk_cache_round_trips_bit_exactly() {
 
 #[test]
 fn bumping_the_model_version_forces_full_reevaluation() {
-    let dir = scratch("version-bump");
-    let spec = SweepSpec {
-        cache: CacheMode::Disk(dir),
-        ..coarse_spec()
-    };
+    let mut spec = coarse_spec();
+    spec.run.cache = CacheMode::Disk(scratch("version-bump"));
     let total = spec.space.len();
 
     let v1 = SweepEngine::new(Explorer::default())
@@ -352,11 +341,9 @@ fn bumping_the_model_version_forces_full_reevaluation() {
 
 #[test]
 fn worker_telemetry_accounts_for_every_point() {
-    let spec = SweepSpec {
-        jobs: 4,
-        chunk_points: 8,
-        ..coarse_spec()
-    };
+    let mut spec = coarse_spec();
+    spec.run.jobs = 4;
+    spec.run.chunk_points = 8;
     let outcome = SweepEngine::new(Explorer::default())
         .run(&spec)
         .expect("sweep completes");

@@ -9,8 +9,17 @@
 //!
 //! Environment knobs: `ENA_BENCH_SAMPLES` (default 20) and
 //! `ENA_BENCH_SAMPLE_MS` (default 20 ms per sample).
+//!
+//! [`Harness::record`] keeps a group's ledger: a small JSON file of
+//! per-bench medians that the next run of the group is regression-guarded
+//! against (`ENA_BENCH_NO_GUARD=1` bypasses the guard, e.g. after changing
+//! machines).
 
+use std::path::Path;
 use std::time::{Duration, Instant};
+
+/// Tolerated median slowdown versus the previous recorded run.
+pub const GUARD_FACTOR: f64 = 4.0;
 
 /// Measurement of one benchmark: nanoseconds per iteration across samples.
 #[derive(Clone, Debug)]
@@ -154,6 +163,87 @@ impl Harness {
     pub fn results(&self) -> &[Measurement] {
         &self.results
     }
+
+    /// Writes `results` to `path` as this group's ledger, after guarding
+    /// each median against the ledger a previous run left there. Returns
+    /// `Ok(false)` if any median is more than [`GUARD_FACTOR`]x its
+    /// recorded value (each culprit is named on stderr); the guard is
+    /// skipped when `ENA_BENCH_NO_GUARD` is set.
+    ///
+    /// # Errors
+    ///
+    /// Writing the ledger failed.
+    pub fn record(&self, path: &Path, results: &[&Measurement]) -> std::io::Result<bool> {
+        let previous = std::fs::read_to_string(path)
+            .map(|text| ledger_medians(&text))
+            .unwrap_or_default();
+        std::fs::write(path, ledger_json(&self.group, self.samples, results))?;
+        println!("wrote {}", path.display());
+        if std::env::var_os("ENA_BENCH_NO_GUARD").is_some() {
+            return Ok(true);
+        }
+        let mut clean = true;
+        for m in results {
+            if let Some((_, old)) = previous.iter().find(|(l, _)| *l == m.label) {
+                let ratio = m.median_ns() / old.max(1e-9);
+                if ratio > GUARD_FACTOR {
+                    eprintln!(
+                        "REGRESSION: {} median {:.0} ns is {ratio:.1}x the recorded {:.0} ns",
+                        m.label,
+                        m.median_ns(),
+                        old
+                    );
+                    clean = false;
+                }
+            }
+        }
+        Ok(clean)
+    }
+}
+
+/// A bench group's ledger: JSON naming the group and sample count, and
+/// each bench's median, min and mean ns/iter.
+fn ledger_json(group: &str, samples: usize, results: &[&Measurement]) -> String {
+    use std::fmt::Write as _;
+    let mut out = format!("{{\n  \"group\": \"{group}\",\n");
+    let _ = writeln!(out, "  \"samples\": {samples},");
+    out.push_str("  \"benches\": [\n");
+    for (i, m) in results.iter().enumerate() {
+        let _ = write!(
+            out,
+            "    {{\"label\": \"{}\", \"median_ns\": {:.1}, \"min_ns\": {:.1}, \"mean_ns\": {:.1}}}",
+            m.label,
+            m.median_ns(),
+            m.min_ns(),
+            m.mean_ns()
+        );
+        out.push_str(if i + 1 < results.len() { ",\n" } else { "\n" });
+    }
+    out.push_str("  ]\n}\n");
+    out
+}
+
+/// The `(label, median_ns)` pairs of a ledger [`ledger_json`] wrote,
+/// read without a parser dependency.
+fn ledger_medians(text: &str) -> Vec<(String, f64)> {
+    let mut out = Vec::new();
+    for chunk in text.split("\"label\": \"").skip(1) {
+        let Some(label_end) = chunk.find('"') else {
+            continue;
+        };
+        let Some(at) = chunk.find("\"median_ns\": ") else {
+            continue;
+        };
+        let rest = &chunk[at + "\"median_ns\": ".len()..];
+        let value: String = rest
+            .chars()
+            .take_while(|c| c.is_ascii_digit() || *c == '.')
+            .collect();
+        if let Ok(v) = value.parse::<f64>() {
+            out.push((chunk[..label_end].to_string(), v));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
@@ -182,5 +272,25 @@ mod tests {
         assert_eq!(m.median_ns(), 2.5);
         assert_eq!(m.mean_ns(), 2.5);
         assert_eq!(m.min_ns(), 1.0);
+    }
+
+    #[test]
+    fn the_ledger_reads_back_its_labels_and_medians() {
+        let measure = |label: &str, ns: Vec<f64>| Measurement {
+            label: label.into(),
+            iters_per_sample: 1,
+            ns_per_iter: ns,
+        };
+        let a = measure("append_64", vec![1.0, 2.5, 9.0]);
+        let b = measure("open_warm", vec![1200.25, 1300.75]);
+        let text = ledger_json("cache", 3, &[&a, &b]);
+        assert!(text.starts_with("{\n  \"group\": \"cache\",\n  \"samples\": 3,\n"));
+        assert_eq!(
+            ledger_medians(&text),
+            vec![
+                ("append_64".to_string(), 2.5),
+                ("open_warm".to_string(), 1250.5)
+            ]
+        );
     }
 }

@@ -28,10 +28,8 @@ fn main() {
     );
 
     let mut engine = SweepEngine::new(Explorer::default());
-    let spec = SweepSpec {
-        jobs: 4,
-        ..SweepSpec::new(space, paper_profiles())
-    };
+    let mut spec = SweepSpec::new(space, paper_profiles());
+    spec.run.jobs = 4;
     let outcome = engine.run(&spec).expect("paper sweep completes");
     let result = &outcome.result;
 

@@ -1,8 +1,8 @@
 //! Benchmarks the parallel sweep engine against the sequential oracle
 //! (points/sec on the coarse grid at `jobs = 1` versus `jobs = N`, with
 //! a fresh engine per iteration so memoization never shortcuts the
-//! work) plus the disk-cache hot paths: appends under both sync
-//! policies and a warm open that parses and CRC-checks every line.
+//! work) plus the disk-cache hot paths: fsynced appends and a warm open
+//! that parses and CRC-checks every line.
 //!
 //! Run with `cargo bench -p ena-bench --features timing`. The scaling
 //! summary lands in `artifacts/sweep_scaling.txt`; cache measurements
@@ -12,10 +12,9 @@
 //! `ENA_BENCH_NO_GUARD=1` to bypass, e.g. when changing machines).
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use ena_core::dse::{DesignSpace, Explorer};
-use ena_sweep::{hex_field, CacheRecord, DiskCache, RealFs, SweepEngine, SweepSpec, SyncPolicy};
+use ena_sweep::{hex_field, CacheRecord, DiskCache, SweepEngine, SweepSpec};
 use ena_testkit::golden::artifacts_dir;
 use ena_testkit::timing::Harness;
 use ena_workloads::paper_profiles;
@@ -49,12 +48,11 @@ fn bench_dir(name: &str) -> PathBuf {
     dir
 }
 
-/// Opens a fresh cache and appends [`APPENDS`] records under `sync`.
-fn append_run(dir: &PathBuf, sync: SyncPolicy) -> u64 {
+/// Opens a fresh cache and appends [`APPENDS`] records.
+fn append_run(dir: &PathBuf) -> u64 {
     let _removed = std::fs::remove_dir_all(dir);
     let (mut cache, _) =
-        DiskCache::<BenchRecord>::open_with(Arc::new(RealFs), sync, dir, 0xBE9C, "bench-v1")
-            .expect("open cache");
+        DiskCache::<BenchRecord>::open(dir, 0xBE9C, "bench-v1").expect("open cache");
     for i in 0..APPENDS as u64 {
         let rec = BenchRecord {
             value: 0.25 + i as f64,
@@ -105,33 +103,21 @@ fn main() {
     std::fs::write(&path, summary).expect("write sweep_scaling.txt");
     println!("wrote {}", path.display());
 
-    // Cache hot paths: appends under both durability policies, and a
-    // warm open that re-parses (and CRC-checks) every line.
+    // Cache hot paths: fsynced appends, and a warm open that re-parses
+    // (and CRC-checks) every line.
     let per_record_dir = bench_dir("bench-cache-per-record");
     let per_record = h
         .bench("cache_append_64_per_record", || {
-            std::hint::black_box(append_run(&per_record_dir, SyncPolicy::PerRecord))
-        })
-        .clone();
-    let flush_dir = bench_dir("bench-cache-flush");
-    let flush = h
-        .bench("cache_append_64_flush", || {
-            std::hint::black_box(append_run(&flush_dir, SyncPolicy::Flush))
+            std::hint::black_box(append_run(&per_record_dir))
         })
         .clone();
 
     let warm_dir = bench_dir("bench-cache-warm");
-    append_run(&warm_dir, SyncPolicy::Flush);
+    append_run(&warm_dir);
     let warm = h
         .bench("cache_open_warm_64", || {
-            let (_, loaded) = DiskCache::<BenchRecord>::open_with(
-                Arc::new(RealFs),
-                SyncPolicy::Flush,
-                &warm_dir,
-                0xBE9C,
-                "bench-v1",
-            )
-            .expect("warm open");
+            let (_, loaded) =
+                DiskCache::<BenchRecord>::open(&warm_dir, 0xBE9C, "bench-v1").expect("warm open");
             assert_eq!(loaded.len(), APPENDS, "warm open must hit every record");
             std::hint::black_box(loaded.len())
         })
@@ -139,7 +125,7 @@ fn main() {
 
     let path = artifacts_dir().join("BENCH_sweep.json");
     let clean = h
-        .record(&path, &[&per_record, &flush, &warm])
+        .record(&path, &[&per_record, &warm])
         .expect("write BENCH_sweep.json");
     if !clean {
         std::process::exit(1);

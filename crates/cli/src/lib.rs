@@ -11,8 +11,9 @@
 //! ena faults   [--seed N] [--app CoMD] [--transient]
 //! ena multinode [--nodes N] [--fabric-topology T] [--seed N] [--app CoMD]
 //!               [--mtbf HOURS] [--checkpoint-cost MIN]
-//! ena multinode --sweep [--jobs N] [--resume] [--frontier] [--mtbf H] [--checkpoint-cost MIN]
-//! ena chaos    [--seed N] [--runs N] [--jobs N] # chaos-test the sweep substrate
+//! ena multinode --sweep [--jobs N] [--resume] [--frontier]
+//!               [--mtbf H] [--checkpoint-cost MIN] [--fabric-topology T]
+//! ena chaos    [--seed N] [--runs N] [--jobs N] # chaos-test every sweep axis
 //! ena serve    [--addr HOST] [--port N] [--workers N] [--queue N] [--batch N]
 //!              [--cache DIR] [--port-file PATH] [--budget W]
 //! ena client   (--port N | --port-file PATH) --script "CMD; CMD; ..."
@@ -43,8 +44,8 @@ use ena_model::units::{GigabytesPerSec, Megahertz, Watts};
 use ena_power::opts::PowerOptimization;
 use ena_serve::{Client as ServeClient, ServeConfig, Server};
 use ena_sweep::{
-    read_file_info, run_chaos_campaign, verify_file, CacheMode, CacheRecord, ChaosSpec,
-    SweepEngine, SweepSpec,
+    read_file_info, run_chaos_campaign, verify_file, CacheMode, CacheRecord, ChaosSpec, NodeAxis,
+    RunOptions, SweepEngine, SweepSpec, Swept, Telemetry,
 };
 use ena_workloads::{paper_profiles, profile_for};
 
@@ -107,7 +108,7 @@ pub enum Command {
     Multinode {
         /// Fleet size (campaign mode).
         nodes: u32,
-        /// Cabinet topology (campaign mode).
+        /// Cabinet topology (campaign and recovery-sweep modes).
         topology: FabricKind,
         /// Campaign seed.
         seed: u64,
@@ -117,7 +118,7 @@ pub enum Command {
         sweep: bool,
         /// Worker thread count (sweep mode).
         jobs: usize,
-        /// Use the persistent cache under `artifacts/multinode-cache/`.
+        /// Use the persistent cache under `artifacts/sweep-cache/`.
         resume: bool,
         /// Print the Pareto frontier (sweep mode).
         frontier: bool,
@@ -129,9 +130,9 @@ pub enum Command {
         /// given alone).
         checkpoint_cost: Option<f64>,
     },
-    /// Run a seeded chaos campaign against the sweep substrate: injected
-    /// I/O faults + worker kills, with crash-consistency invariants
-    /// checked after every run.
+    /// Run a seeded chaos campaign on every sweep axis (node, multinode,
+    /// recovery): injected I/O faults + worker kills, with
+    /// crash-consistency invariants checked after every run.
     Chaos {
         /// Campaign seed.
         seed: u64,
@@ -261,6 +262,45 @@ fn parse_point(args: &mut Vec<String>) -> Result<Point, String> {
 /// Default sweep worker count: one per available hardware thread.
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Points a sweep at `jobs` workers and, with `resume`, at the one
+/// persistent cache directory every axis shares: each campaign has its
+/// own file there, and the file header's record tag keeps the axes apart.
+fn sweep_options(run: &mut RunOptions, jobs: usize, resume: bool) {
+    run.jobs = jobs;
+    if resume {
+        run.cache = CacheMode::Disk(artifacts_dir().join("sweep-cache"));
+    }
+}
+
+/// The `cache:` line of every sweep report.
+fn cache_line(t: &Telemetry) -> String {
+    format!(
+        "cache: {} hits / {} points ({:.1}% hit rate)\n",
+        t.cache_hits,
+        t.total_points,
+        100.0 * t.hit_rate()
+    )
+}
+
+/// The Pareto frontier table of a fabric sweep, whose frontier indexes
+/// its records: `header` names the columns, `row` renders one record.
+fn index_frontier<R>(
+    swept: &Swept<R, Vec<usize>>,
+    header: &str,
+    row: impl Fn(&R) -> String,
+) -> String {
+    let mut out = format!(
+        "\nPareto frontier ({} of {} points):\n{header}\n",
+        swept.frontier.len(),
+        swept.total_points
+    );
+    for &i in &swept.frontier {
+        out.push_str(&row(&swept.records[i]));
+        out.push('\n');
+    }
+    out
 }
 
 /// Locates the repository `artifacts/` directory by walking up from the
@@ -560,7 +600,7 @@ commands:
   multinode [--nodes N] [--fabric-topology T] [--seed N] [--app NAME]
            [--mtbf HOURS] [--checkpoint-cost MIN]
   multinode --sweep [--jobs N] [--app NAME] [--resume] [--frontier]
-           [--mtbf HOURS] [--checkpoint-cost MIN]
+           [--mtbf HOURS] [--checkpoint-cost MIN] [--fabric-topology T]
   chaos    [--seed N] [--runs N] [--jobs N]
   serve    [--addr HOST] [--port N] [--workers N] [--queue N] [--batch N]
            [--cache DIR] [--port-file PATH] [--budget W]
@@ -573,9 +613,11 @@ apps: MaxFlops, CoMD, CoMD-LJ, HPGMG, LULESH, MiniAMR, XSBench, SNAP
 fabric topologies: fat-tree, torus, dragonfly
 defaults: 320 CUs / 1000 MHz / 3 TB/s (the paper baseline); 64-node dragonfly cabinet
 --transient runs the ECC/retry/rollback campaign; --mtbf/--checkpoint-cost add a
-Young/Daly checkpoint/restart section (sweep mode: checkpoint-interval x nodes grid)
-chaos injects seeded I/O faults + worker kills into the sweep cache paths and
-verifies crash-consistency invariants (exits nonzero on any violation)
+Young/Daly checkpoint/restart section (sweep mode: checkpoint-interval x nodes grid
+on one topology); every --resume shares the cache under artifacts/sweep-cache/
+chaos injects seeded I/O faults + worker kills into the node, multinode and
+recovery sweeps' cache paths and verifies crash-consistency invariants (exits
+nonzero on any violation)
 serve runs a persistent evaluation service (EVAL / SWEEP coarse|fine / FRONTIER /
 STATS / SNAPSHOT / SHUTDOWN) with single-flight memoization; client pipelines a
 ';'-separated script against it; cache verify audits any sweep cache file";
@@ -696,14 +738,8 @@ pub fn execute(command: Command) -> Result<String, String> {
             } else {
                 DesignSpace::coarse()
             };
-            let cache = if resume {
-                CacheMode::Disk(artifacts_dir().join("sweep-cache"))
-            } else {
-                CacheMode::Memory
-            };
             let mut spec = SweepSpec::new(space, paper_profiles());
-            spec.run.jobs = jobs;
-            spec.run.cache = cache;
+            sweep_options(&mut spec.run, jobs, resume);
             let outcome = SweepEngine::new(explorer)
                 .run(&spec)
                 .map_err(|e| e.to_string())?;
@@ -711,19 +747,13 @@ pub fn execute(command: Command) -> Result<String, String> {
             let result = &outcome.result;
             let mut out = format!(
                 "swept {} configurations on {} jobs, {} feasible under {budget} W\n\
-                 best-mean: {}\n\
-                 cache: {} hits / {} points ({:.1}% hit rate)\n\
-                 throughput: {:.0} points/sec in {:.1} ms\n",
+                 best-mean: {}\n",
                 result.evaluated,
                 t.jobs,
                 result.feasible,
                 result.best_mean.label(),
-                t.cache_hits,
-                t.total_points,
-                100.0 * t.hit_rate(),
-                t.points_per_sec(),
-                t.elapsed.as_secs_f64() * 1e3,
             );
+            out.push_str(&cache_line(t));
             let utilization: Vec<String> = t
                 .workers
                 .iter()
@@ -797,20 +827,13 @@ pub fn execute(command: Command) -> Result<String, String> {
                 ),
             };
             if sweep {
+                let scaleout = ScaleOutSpec::standard(app.clone());
                 if let Some(model) = recovery {
-                    let cache = if resume {
-                        CacheMode::Disk(artifacts_dir().join("recovery-cache"))
-                    } else {
-                        CacheMode::Memory
-                    };
-                    let mut spec = RecoverySweepSpec::new(
-                        RecoverySpace::standard(),
-                        ScaleOutSpec::standard(app.clone()),
-                        model,
-                    );
+                    let mut spec =
+                        RecoverySweepSpec::new(RecoverySpace::standard(), scaleout, model);
+                    spec.kind = topology;
                     spec.seed = seed;
-                    spec.run.jobs = jobs;
-                    spec.run.cache = cache;
+                    sweep_options(&mut spec.run, jobs, resume);
                     let outcome = RecoverySweep::new().run(&spec).map_err(|e| e.to_string())?;
                     let best = outcome
                         .records
@@ -821,54 +844,34 @@ pub fn execute(command: Command) -> Result<String, String> {
                         "recovery sweep: {} points (checkpoint-interval x nodes) for {app} \
                          on {jobs} jobs ({model})\n\
                          best recovered throughput: {} at {:.3} EF \
-                         (interval {:.3} h, {:.1}% efficient)\n\
-                         cache: {} hits / {} points ({:.1}% hit rate)\n",
+                         (interval {:.3} h, {:.1}% efficient)\n",
                         outcome.total_points,
                         best.point.label(),
                         best.recovered_exaflops,
                         best.interval_hours,
                         100.0 * best.simulated,
-                        outcome.cache_hits,
-                        outcome.total_points,
-                        100.0 * outcome.hit_rate(),
                     );
+                    out.push_str(&cache_line(&outcome));
                     if frontier {
-                        out.push_str(&format!(
-                            "\nPareto frontier ({} of {} points):\n\
-                             {:<12} {:>10} {:>12} {:>10} {:>10}\n",
-                            outcome.frontier.len(),
-                            outcome.total_points,
-                            "point",
-                            "interval h",
-                            "recovered EF",
-                            "analytic",
-                            "simulated"
-                        ));
-                        for &i in &outcome.frontier {
-                            let r = &outcome.records[i];
-                            out.push_str(&format!(
-                                "{:<12} {:>10.3} {:>12.3} {:>10.4} {:>10.4}\n",
+                        let header = format!(
+                            "{:<12} {:>10} {:>12} {:>10} {:>10}",
+                            "point", "interval h", "recovered EF", "analytic", "simulated"
+                        );
+                        out.push_str(&index_frontier(&outcome, &header, |r| {
+                            format!(
+                                "{:<12} {:>10.3} {:>12.3} {:>10.4} {:>10.4}",
                                 r.point.label(),
                                 r.interval_hours,
                                 r.recovered_exaflops,
                                 r.analytic,
                                 r.simulated
-                            ));
-                        }
+                            )
+                        }));
                     }
                     return Ok(out);
                 }
-                let cache = if resume {
-                    CacheMode::Disk(artifacts_dir().join("multinode-cache"))
-                } else {
-                    CacheMode::Memory
-                };
-                let mut spec = MultiNodeSweepSpec::new(
-                    MultiNodeSpace::cabinet(),
-                    ScaleOutSpec::standard(app.clone()),
-                );
-                spec.run.jobs = jobs;
-                spec.run.cache = cache;
+                let mut spec = MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), scaleout);
+                sweep_options(&mut spec.run, jobs, resume);
                 let outcome = MultiNodeSweep::new()
                     .run(&spec)
                     .map_err(|e| e.to_string())?;
@@ -879,39 +882,29 @@ pub fn execute(command: Command) -> Result<String, String> {
                     .ok_or("empty multi-node sweep")?;
                 let mut out = format!(
                     "multi-node sweep: {} points (nodes x topology) for {app} on {jobs} jobs\n\
-                     best throughput: {} at {:.3} EF ({:.1}% efficient, {:.2} MW)\n\
-                     cache: {} hits / {} points ({:.1}% hit rate)\n",
+                     best throughput: {} at {:.3} EF ({:.1}% efficient, {:.2} MW)\n",
                     outcome.total_points,
                     best.point.label(),
                     best.exaflops,
                     100.0 * best.efficiency,
                     best.power_mw,
-                    outcome.cache_hits,
-                    outcome.total_points,
-                    100.0 * outcome.hit_rate(),
                 );
+                out.push_str(&cache_line(&outcome));
                 if frontier {
-                    out.push_str(&format!(
-                        "\nPareto frontier ({} of {} points):\n{:<16} {:>9} {:>8} {:>10} {:>10}\n",
-                        outcome.frontier.len(),
-                        outcome.total_points,
-                        "point",
-                        "EF",
-                        "MW",
-                        "eff %",
-                        "comm us"
-                    ));
-                    for &i in &outcome.frontier {
-                        let r = &outcome.records[i];
-                        out.push_str(&format!(
-                            "{:<16} {:>9.3} {:>8.2} {:>10.2} {:>10.1}\n",
+                    let header = format!(
+                        "{:<16} {:>9} {:>8} {:>10} {:>10}",
+                        "point", "EF", "MW", "eff %", "comm us"
+                    );
+                    out.push_str(&index_frontier(&outcome, &header, |r| {
+                        format!(
+                            "{:<16} {:>9.3} {:>8.2} {:>10.2} {:>10.1}",
                             r.point.label(),
                             r.exaflops,
                             r.power_mw,
                             100.0 * r.efficiency,
                             r.comm_us
-                        ));
-                    }
+                        )
+                    }));
                 }
                 Ok(out)
             } else {
@@ -942,18 +935,37 @@ pub fn execute(command: Command) -> Result<String, String> {
             let spec = ChaosSpec {
                 seed,
                 runs,
-                jobs,
-                ..ChaosSpec::new(artifacts_dir().join("chaos-cache"), space, paper_profiles())
+                ..ChaosSpec::new(artifacts_dir().join("chaos-cache"))
             };
+            let mut node = NodeAxis {
+                explorer: Explorer::default(),
+                spec: SweepSpec::new(space, paper_profiles()),
+            };
+            node.spec.run.chunk_points = 4;
+            let mut multinode =
+                MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
+            let mut recovery = RecoverySweepSpec::new(
+                RecoverySpace::standard(),
+                ScaleOutSpec::standard("CoMD"),
+                RecoveryModel::new(96.0, 3.0),
+            );
+            for run in [&mut node.spec.run, &mut multinode.run, &mut recovery.run] {
+                run.jobs = jobs;
+            }
             // Injected worker kills are caught by the supervised pool;
             // silence the default per-panic stderr backtrace while the
-            // campaign runs so the report stays readable.
+            // campaigns run so the reports stay readable.
             let hook = std::panic::take_hook();
             std::panic::set_hook(Box::new(|_| {}));
-            let result = run_chaos_campaign(&Explorer::default(), &spec);
+            let reports = [
+                run_chaos_campaign(&node, &spec).map_err(|e| e.to_string()),
+                run_chaos_campaign(&multinode, &spec).map_err(|e| e.to_string()),
+                run_chaos_campaign(&recovery, &spec).map_err(|e| e.to_string()),
+            ];
             std::panic::set_hook(hook);
-            let report = result.map_err(|e| e.to_string())?;
-            Ok(report.render())
+            let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
+            let rendered: Vec<String> = reports.iter().map(|r| r.render()).collect();
+            Ok(rendered.join("\n"))
         }
         Command::Serve {
             addr,
@@ -1096,6 +1108,8 @@ pub fn execute(command: Command) -> Result<String, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ena_model::hash::MODEL_VERSION;
+    use ena_sweep::{Axis, DiskCache};
 
     fn parse_str(s: &str) -> Result<Command, String> {
         parse(s.split_whitespace().map(String::from).collect())
@@ -1210,7 +1224,6 @@ mod tests {
         let out = execute(parse_str("sweep --jobs 2 --frontier").unwrap()).unwrap();
         assert!(out.contains("best-mean"), "{out}");
         assert!(out.contains("hit rate"), "{out}");
-        assert!(out.contains("points/sec"), "{out}");
         assert!(out.contains("per-app oracle"), "{out}");
         assert!(out.contains("Pareto frontier"), "{out}");
         // The engine and the sequential dse agree on the headline line.
@@ -1428,10 +1441,30 @@ mod tests {
     #[test]
     fn chaos_campaign_reports_held_invariants() {
         let out = execute(parse_str("chaos --seed 11 --runs 2").unwrap()).unwrap();
-        assert!(out.contains("chaos campaign seed=0xb"), "{out}");
-        assert!(out.contains("invariants: all hold"), "{out}");
-        assert!(out.contains("run 0:"), "{out}");
-        assert!(out.contains("run 1:"), "{out}");
+        let campaigns: Vec<&str> = out.split("\n\n").collect();
+        assert_eq!(campaigns.len(), 3, "{out}");
+        for (campaign, (tag, points)) in
+            campaigns
+                .iter()
+                .zip([("dse-point/1", 18), ("multinode/1", 18), ("recovery/1", 30)])
+        {
+            assert!(
+                campaign.starts_with(&format!(
+                    "chaos campaign seed=0xb points={points} runs=2 record={tag}\n"
+                )),
+                "{campaign}"
+            );
+            assert!(campaign.contains("\n  run 0:"), "{campaign}");
+            assert!(campaign.contains("\n  run 1:"), "{campaign}");
+            assert!(
+                campaign
+                    .trim_end()
+                    .lines()
+                    .last()
+                    .is_some_and(|l| l.starts_with("invariants: all hold")),
+                "{campaign}"
+            );
+        }
     }
 
     #[test]
@@ -1482,6 +1515,50 @@ mod tests {
         assert!(out.contains("recovery sweep: 30 points"), "{out}");
         assert!(out.contains("best recovered throughput"), "{out}");
         assert!(out.contains("Pareto frontier"), "{out}");
+    }
+
+    #[test]
+    fn the_recovery_sweep_runs_on_the_requested_topology() {
+        // The printed EF columns round the cabinet-scale figures away, so
+        // the topology is observed through the campaign's cache file: the
+        // torus campaign has its own digest, and `--resume` must write it.
+        let torus = RecoverySweepSpec {
+            kind: FabricKind::Torus,
+            ..RecoverySweepSpec::new(
+                RecoverySpace::standard(),
+                ScaleOutSpec::standard("CoMD"),
+                RecoveryModel::new(96.0, 3.0),
+            )
+        };
+        let campaign = torus.campaign_digest();
+        let file = artifacts_dir()
+            .join("sweep-cache")
+            .join(DiskCache::<RecoveryRecord>::file_name(campaign));
+        match std::fs::remove_file(&file) {
+            Ok(()) => {}
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
+        }
+        let out = execute(
+            parse_str(
+                "multinode --sweep --jobs 2 --mtbf 96 --checkpoint-cost 3 \
+                 --fabric-topology torus --resume",
+            )
+            .unwrap(),
+        )
+        .unwrap();
+        assert!(out.contains("recovery sweep: 30 points"), "{out}");
+        let report = verify_file::<RecoveryRecord>(&file, campaign, MODEL_VERSION)
+            .unwrap_or_else(|e| panic!("no torus campaign cache at {}: {e}", file.display()));
+        assert_eq!(report.keys.len(), 30);
+        assert_ne!(
+            campaign,
+            RecoverySweepSpec {
+                kind: FabricKind::DragonflyLite,
+                ..torus
+            }
+            .campaign_digest(),
+            "the topology is part of the campaign"
+        );
     }
 
     #[test]

@@ -208,6 +208,10 @@ impl Axis for MultiNodeSweepSpec {
         &self.run
     }
 
+    fn options_mut(&mut self) -> &mut RunOptions {
+        &mut self.run
+    }
+
     fn points(&self) -> Vec<MultiNodePoint> {
         self.space.points()
     }
@@ -398,6 +402,10 @@ impl Axis for RecoverySweepSpec {
 
     fn options(&self) -> &RunOptions {
         &self.run
+    }
+
+    fn options_mut(&mut self) -> &mut RunOptions {
+        &mut self.run
     }
 
     fn points(&self) -> Vec<RecoveryPoint> {

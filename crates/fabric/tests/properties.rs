@@ -15,6 +15,8 @@
 //! 3. **Parallel == sequential** — the multi-node sweep's records and
 //!    Pareto frontier are bit-identical to the sequential oracle for any
 //!    job count and cache temperature.
+//! 4. **Crash consistency** — seeded chaos campaigns (I/O faults plus
+//!    worker kills) hold every cache invariant on both fabric axes.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -26,7 +28,9 @@ use ena_fabric::{
     RecoverySpace, RecoverySweep, RecoverySweepSpec, ScaleOutSpec,
 };
 use ena_model::hash::StableHasher;
-use ena_sweep::{Axis, CacheMode, Failpoint, SweepError};
+use ena_sweep::{
+    run_chaos_campaign, Axis, CacheMode, ChaosReport, ChaosSpec, Failpoint, SweepError,
+};
 use ena_testkit::prelude::*;
 
 fn any_kind() -> impl Strategy<Value = FabricKind> {
@@ -191,6 +195,80 @@ proptest! {
         prop_assert_eq!(&resumed.frontier, &uninterrupted.frontier);
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Runs the seeded chaos campaign on `axis`; `Ok` means every invariant
+/// held (parseable caches, no acknowledged record lost, a clean resume
+/// that reproduces the fault-free frontier).
+fn chaos<A>(axis: &A, spec: &ChaosSpec) -> ChaosReport
+where
+    A: Axis + Clone,
+    A::Error: std::fmt::Display,
+    A::Frontier: std::fmt::Debug,
+{
+    let report = run_chaos_campaign(axis, spec)
+        .unwrap_or_else(|e| panic!("seed {:#x}: invariant violated: {e}", spec.seed));
+    assert_eq!(report.runs.len(), 3);
+    assert!(report.final_recovered <= report.total_points);
+    assert!(report.render().ends_with(
+        "invariants: all hold (caches parseable, no acknowledged record lost, \
+         frontier == fault-free)\n"
+    ));
+    report
+}
+
+/// Both fabric axes get the node axis's chaos campaign: across seeds and
+/// job counts every invariant holds, and a single-worker campaign
+/// replays its report exactly.
+#[test]
+fn chaos_campaigns_hold_every_invariant_on_both_fabric_axes() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fabric-chaos");
+    let multinode =
+        MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
+    let recovery = RecoverySweepSpec::new(
+        RecoverySpace::standard(),
+        ScaleOutSpec::standard("CoMD"),
+        RecoveryModel::new(96.0, 3.0),
+    );
+    let mut reports = Vec::new();
+    for seed in [0xC0FFEE, 1, 2, 3, 4, 5, 6, 7] {
+        let spec = ChaosSpec {
+            seed,
+            runs: 3,
+            ..ChaosSpec::new(dir.clone())
+        };
+        for jobs in [1, 2] {
+            let mut m = multinode.clone();
+            m.run.jobs = jobs;
+            let mut r = recovery.clone();
+            r.run.jobs = jobs;
+            let (m_report, r_report) = (chaos(&m, &spec), chaos(&r, &spec));
+            assert_eq!(
+                (m_report.record, m_report.total_points),
+                ("multinode/1", 18)
+            );
+            assert_eq!((r_report.record, r_report.total_points), ("recovery/1", 30));
+            if jobs == 1 {
+                assert_eq!(
+                    chaos(&m, &spec),
+                    m_report,
+                    "seed {seed:#x}: multinode replay"
+                );
+                assert_eq!(
+                    chaos(&r, &spec),
+                    r_report,
+                    "seed {seed:#x}: recovery replay"
+                );
+            }
+            reports.extend([m_report, r_report]);
+        }
+    }
+    // The campaigns are not vacuous: faults landed, runs failed, and the
+    // supervisor quarantined chunks somewhere along the way.
+    let runs = || reports.iter().flat_map(|r| &r.runs);
+    assert!(runs().any(|run| run.fs_faults_injected > 0));
+    assert!(runs().any(|run| run.outcome.starts_with("failed")));
+    assert!(runs().any(|run| run.outcome.contains("quarantined")));
 }
 
 /// Digest of the route tables and collective schedules of every shipped

@@ -14,6 +14,8 @@
 
 use core::fmt;
 
+use ena_testkit::rng::SplitMix64;
+
 /// One injectable node-level failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeFaultKind {
@@ -69,25 +71,6 @@ pub struct NodeFaultPlan {
     events: Vec<NodeFaultEvent>,
 }
 
-/// The same deterministic mixer the intra-node plans use (SplitMix64),
-/// private so the crate stays free of RNG dependencies.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 impl NodeFaultPlan {
     /// An empty plan carrying `seed`.
     pub fn new(seed: u64) -> Self {
@@ -133,7 +116,7 @@ impl NodeFaultPlan {
     /// route-degradation leg needs four distinct nodes, the straggler
     /// two, so a 2-node machine draws only the loss and the straggler.
     pub fn scaleout_campaign(seed: u64, nodes: u32) -> Self {
-        let mut rng = SplitMix64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut plan = Self::new(seed);
         if nodes < 2 {
             return plan;
@@ -145,7 +128,7 @@ impl NodeFaultPlan {
                 return None;
             }
             loop {
-                let v = rng.below(n) as u32;
+                let v = (rng.next_u64() % n) as u32;
                 if !used.contains(&v) {
                     used.push(v);
                     return Some(v);
@@ -156,13 +139,13 @@ impl NodeFaultPlan {
         let loss = draw(&mut rng, &mut used);
         let straggler = draw(&mut rng, &mut used);
         let route = match (draw(&mut rng, &mut used), draw(&mut rng, &mut used)) {
-            (Some(a), Some(b)) => Some((a, b, 50 + rng.below(41) as u32)),
+            (Some(a), Some(b)) => Some((a, b, 50 + (rng.next_u64() % 41) as u32)),
             _ => None,
         };
 
         let mut t = 0.0;
         let mut advance = |rng: &mut SplitMix64| {
-            t += 90.0 + rng.below(180) as f64;
+            t += 90.0 + (rng.next_u64() % 180) as f64;
             t
         };
         if let Some(v) = loss {

@@ -10,6 +10,8 @@
 
 use core::fmt;
 
+use ena_testkit::rng::SplitMix64;
+
 /// One injectable component failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultKind {
@@ -82,25 +84,6 @@ pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
 
-/// A deterministic 64-bit mixer (SplitMix64), private so the engine crate
-/// stays free of RNG dependencies while remaining reproducible.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 impl FaultPlan {
     /// An empty plan carrying `seed`.
     pub fn new(seed: u64) -> Self {
@@ -142,14 +125,14 @@ impl FaultPlan {
     /// the chiplet orphans), and two distinct interposer ring segments,
     /// with victims and times fixed entirely by `seed`.
     pub fn standard_campaign(seed: u64) -> Self {
-        let mut rng = SplitMix64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut plan = Self::new(seed);
 
-        let gpu = rng.below(8) as u32;
+        let gpu = (rng.next_u64() % 8) as u32;
         // The chiplet takes HbmStack(gpu) down with it; aim the direct
         // stack fault elsewhere so the campaign kills two distinct stacks.
         let stack = {
-            let r = rng.below(7) as u32;
+            let r = (rng.next_u64() % 7) as u32;
             if r >= gpu {
                 r + 1
             } else {
@@ -166,8 +149,8 @@ impl FaultPlan {
             matches!((lo, hi), (1, 3) | (0, 3) | (1, 4))
         };
         let (seg_a, seg_b) = loop {
-            let a = rng.below(6) as u32;
-            let b = rng.below(6) as u32;
+            let a = (rng.next_u64() % 6) as u32;
+            let b = (rng.next_u64() % 6) as u32;
             if a != b && !fatal(a, b) {
                 break (a, b);
             }
@@ -175,7 +158,7 @@ impl FaultPlan {
 
         let mut t = 0.0;
         let mut advance = |rng: &mut SplitMix64| {
-            t += 60.0 + rng.below(120) as f64;
+            t += 60.0 + (rng.next_u64() % 120) as f64;
             t
         };
         plan.push(advance(&mut rng), FaultKind::GpuChiplet(gpu));
@@ -191,10 +174,11 @@ impl FaultPlan {
     /// fault leg of sweep x fault studies: small enough to run against
     /// any design point, severe enough to exercise every cascade path.
     pub fn single_chiplet_loss(seed: u64) -> Self {
-        let mut rng = SplitMix64(seed);
+        let mut rng = SplitMix64::new(seed);
         let mut plan = Self::new(seed);
-        let gpu = rng.below(8) as u32;
-        plan.push(60.0 + rng.below(120) as f64, FaultKind::GpuChiplet(gpu));
+        let gpu = (rng.next_u64() % 8) as u32;
+        let at = 60.0 + (rng.next_u64() % 120) as f64;
+        plan.push(at, FaultKind::GpuChiplet(gpu));
         plan
     }
 }

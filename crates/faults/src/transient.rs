@@ -30,6 +30,7 @@ use core::fmt;
 use ena_hsa::runtime::RetryPolicy;
 use ena_memory::ecc::{EccModel, EccOutcome, EccScheme};
 use ena_model::hash::StableHasher;
+use ena_testkit::rng::{unit_f64, SplitMix64};
 
 use crate::plan::{FaultEvent, FaultPlan};
 
@@ -172,32 +173,9 @@ impl TransientRates {
     }
 }
 
-/// A deterministic 64-bit mixer (SplitMix64), private so the engine crate
-/// stays free of RNG dependencies while remaining reproducible.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// One exponential inter-arrival with mean `mtbf_us`.
-    fn exponential(&mut self, mtbf_us: f64) -> f64 {
-        -mtbf_us * self.unit().max(1e-18).ln()
-    }
+/// One exponential inter-arrival with mean `mtbf_us`.
+fn exponential(rng: &mut SplitMix64, mtbf_us: f64) -> f64 {
+    -mtbf_us * unit_f64(rng.next_u64()).max(1e-18).ln()
 }
 
 /// A deterministic, seeded schedule of transient faults over a horizon.
@@ -222,42 +200,42 @@ impl TransientSchedule {
 
         // Raw HBM errors, classified through the seeded ECC model the
         // memory system uses, so the schedule records the post-ECC kind.
-        let mut rng = SplitMix64(seed ^ 0x4842_4D00);
+        let mut rng = SplitMix64::new(seed ^ 0x4842_4D00);
         let mut ecc = EccModel::new(rates.scheme, seed ^ 0x0ECC_0DE5);
-        let mut t = rng.exponential(rates.hbm_mtbf_us);
+        let mut t = exponential(&mut rng, rates.hbm_mtbf_us);
         while t < horizon_us {
-            let stack = rng.below(8) as u32;
+            let stack = (rng.next_u64() % 8) as u32;
             let kind = match ecc.classify() {
                 EccOutcome::Corrected => TransientFaultKind::CorrectableHbm { stack },
                 EccOutcome::DetectedUncorrectable => TransientFaultKind::UncorrectableHbm { stack },
                 EccOutcome::Silent => TransientFaultKind::SilentHbm { stack },
             };
             events.push(TransientEvent { at_us: t, kind });
-            t += rng.exponential(rates.hbm_mtbf_us);
+            t += exponential(&mut rng, rates.hbm_mtbf_us);
         }
 
         // Link CRC failures.
-        let mut rng = SplitMix64(seed ^ 0x4352_4300);
-        let mut t = rng.exponential(rates.crc_mtbf_us);
+        let mut rng = SplitMix64::new(seed ^ 0x4352_4300);
+        let mut t = exponential(&mut rng, rates.crc_mtbf_us);
         while t < horizon_us {
-            let link = rng.below(6) as u32;
+            let link = (rng.next_u64() % 6) as u32;
             events.push(TransientEvent {
                 at_us: t,
                 kind: TransientFaultKind::LinkCrcRetransmit { link },
             });
-            t += rng.exponential(rates.crc_mtbf_us);
+            t += exponential(&mut rng, rates.crc_mtbf_us);
         }
 
         // Agent soft-hangs.
-        let mut rng = SplitMix64(seed ^ 0x4841_4E47);
-        let mut t = rng.exponential(rates.hang_mtbf_us);
+        let mut rng = SplitMix64::new(seed ^ 0x4841_4E47);
+        let mut t = exponential(&mut rng, rates.hang_mtbf_us);
         while t < horizon_us {
-            let agent = rng.below(8) as u32;
+            let agent = (rng.next_u64() % 8) as u32;
             events.push(TransientEvent {
                 at_us: t,
                 kind: TransientFaultKind::AgentSoftHang { agent },
             });
-            t += rng.exponential(rates.hang_mtbf_us);
+            t += exponential(&mut rng, rates.hang_mtbf_us);
         }
 
         // Stable merge: ties keep class order (HBM, CRC, hang).

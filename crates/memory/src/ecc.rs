@@ -20,6 +20,8 @@
 
 use core::fmt;
 
+use ena_testkit::rng::{unit_f64, SplitMix64};
+
 /// ECC scheme strength on the DRAM arrays.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EccScheme {
@@ -100,25 +102,6 @@ impl fmt::Display for EccOutcome {
     }
 }
 
-/// A deterministic 64-bit mixer (SplitMix64), private so the memory crate
-/// stays free of RNG dependencies while remaining reproducible.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-}
-
 /// A seeded ECC classifier: same seed, same sequence of outcomes.
 #[derive(Clone, Copy, Debug)]
 pub struct EccModel {
@@ -131,7 +114,7 @@ impl EccModel {
     pub fn new(scheme: EccScheme, seed: u64) -> Self {
         Self {
             scheme,
-            rng: SplitMix64(seed),
+            rng: SplitMix64::new(seed),
         }
     }
 
@@ -142,7 +125,7 @@ impl EccModel {
 
     /// Classifies one raw transient error.
     pub fn classify(&mut self) -> EccOutcome {
-        let u = self.rng.unit();
+        let u = unit_f64(self.rng.next_u64());
         if u < self.scheme.correct_fraction() {
             EccOutcome::Corrected
         } else if u < self.scheme.correct_fraction() + self.scheme.detect_fraction() {

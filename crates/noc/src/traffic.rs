@@ -11,34 +11,10 @@
 
 use ena_model::error::DegradeError;
 use ena_model::kernel::KernelProfile;
+use ena_testkit::rng::{unit_f64, SplitMix64};
 
 use crate::sim::Packet;
 use crate::topology::{NodeId, NodeKind, Topology};
-
-/// A deterministic 64-bit mixer (SplitMix64); keeps this crate free of RNG
-/// dependencies while giving reproducible streams.
-#[derive(Clone, Copy, Debug)]
-struct SplitMix64(u64);
-
-impl SplitMix64 {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E3779B97F4A7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform value in `[0, 1)`.
-    fn unit(&mut self) -> f64 {
-        (self.next() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    /// Uniform integer in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
 
 /// Synthesizes memory-request traffic matching a kernel's locality.
 #[derive(Clone, Debug)]
@@ -99,13 +75,14 @@ impl WorkloadTraffic {
         };
         let mut packets = Vec::new();
         for &(g, gpu) in &gpus {
-            let mut rng = SplitMix64(self.seed ^ (u64::from(g) << 32));
+            let mut rng = SplitMix64::new(self.seed ^ (u64::from(g) << 32));
             let mut cycle = 0u64;
             for _ in 0..count_per_chiplet {
-                cycle += 1 + (rng.unit() * 2.0 * self.cycles_per_request) as u64;
-                let dst_stack = if rng.unit() < self.remote_fraction && stacks.len() > 1 {
+                cycle += 1 + (unit_f64(rng.next_u64()) * 2.0 * self.cycles_per_request) as u64;
+                let remote = unit_f64(rng.next_u64()) < self.remote_fraction;
+                let dst_stack = if remote && stacks.len() > 1 {
                     // Uniform over the *other* stacks.
-                    let mut pick = rng.below(stacks.len() as u64 - 1) as usize;
+                    let mut pick = (rng.next_u64() % (stacks.len() as u64 - 1)) as usize;
                     if stacks[pick].0 == g {
                         pick = stacks.len() - 1;
                     }

@@ -20,8 +20,8 @@
 //!   cost exactly one engine evaluation; all K responses are
 //!   byte-identical.
 //! - **Ack implies durable**: with a cache directory configured, a
-//!   record is appended (and under `SyncPolicy::PerRecord`, fsynced)
-//!   before any `OK` carrying it is written to a client.
+//!   record is appended and fsynced before any `OK` carrying it is
+//!   written to a client.
 //! - **Warm restart**: a restarted server reloads every intact record
 //!   of the campaign's cache file; `SNAPSHOT` compacts the file
 //!   atomically (write-temp → fsync → rename) while serving.

@@ -37,7 +37,7 @@ use ena_model::hash::MODEL_VERSION;
 use ena_model::kernel::KernelProfile;
 use ena_sweep::{
     campaign_digest, evaluate_batch, pareto_frontier, point_key, CacheError, CacheRecord as _,
-    Failpoint, SyncPolicy, Vfs,
+    Failpoint, Vfs,
 };
 
 use crate::protocol::{write_frame, FrameReader, Request, BUSY};
@@ -160,8 +160,6 @@ pub struct ServeConfig {
     pub cache_dir: Option<std::path::PathBuf>,
     /// Filesystem the cache goes through (fault-injectable in tests).
     pub fs: Arc<dyn Vfs>,
-    /// Durability policy for cache appends.
-    pub sync: SyncPolicy,
     /// Test hook invoked with the memoization key once per fresh engine
     /// evaluation — the observable the single-flight property counts.
     pub probe: Option<Failpoint>,
@@ -179,7 +177,6 @@ impl ServeConfig {
             max_batch: 64,
             cache_dir: None,
             fs: Arc::new(ena_sweep::RealFs),
-            sync: SyncPolicy::default(),
             probe: None,
         }
     }
@@ -248,7 +245,6 @@ impl Server {
         let (store, restored) = ShardStore::open(
             config.cache_dir.as_deref(),
             config.fs,
-            config.sync,
             campaign,
             MODEL_VERSION,
         )?;

@@ -27,8 +27,8 @@
 //! With a cache directory configured, every publish appends to the same
 //! `ena-sweep-cache/2` file a batch sweep of the same campaign would
 //! write — the append happens *before* the record is acknowledged to
-//! any client, so an `OK` response implies the record survives a crash
-//! (under [`SyncPolicy::PerRecord`], power loss too). [`ShardStore::snapshot`]
+//! any client, and every append is fsynced, so an `OK` response implies
+//! the record survives a crash or power loss. [`ShardStore::snapshot`]
 //! additionally rewrites the whole file from the in-memory store through
 //! the write-temp → fsync → atomic-rename path, compacting repair
 //! lineage and healing a poisoned append handle.
@@ -38,7 +38,7 @@ use std::path::Path;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use ena_core::dse::PointRecord;
-use ena_sweep::{CacheError, DiskCache, SyncPolicy, Vfs};
+use ena_sweep::{CacheError, DiskCache, Vfs};
 
 /// Number of shards. A small power of two: enough to decorrelate the
 /// worker pool's lock traffic, cheap to scan for snapshots.
@@ -131,7 +131,7 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 
 impl ShardStore {
     /// Opens the store. With `dir` set, the campaign's v2 cache file is
-    /// opened (creating or repairing as needed) through `fs`/`sync` and
+    /// opened (creating or repairing as needed) through `fs` and
     /// every intact on-disk record is loaded into the shards — the
     /// warm-start path a restarted server takes. Returns the store and
     /// the number of records restored.
@@ -143,7 +143,6 @@ impl ShardStore {
     pub fn open(
         dir: Option<&Path>,
         fs: Arc<dyn Vfs>,
-        sync: SyncPolicy,
         campaign: u64,
         version: &str,
     ) -> Result<(Self, usize), CacheError> {
@@ -155,7 +154,7 @@ impl ShardStore {
         let Some(dir) = dir else {
             return Ok((store, 0));
         };
-        let (cache, entries) = DiskCache::open_with(fs, sync, dir, campaign, version)?;
+        let (cache, entries) = DiskCache::open_with(fs, dir, campaign, version)?;
         let restored = entries.len();
         for (key, record) in entries {
             lock(&store.shards[Self::shard_of(key)]).insert(key, Slot::Ready(Arc::new(record)));
@@ -364,9 +363,7 @@ mod tests {
     }
 
     fn memory_store() -> ShardStore {
-        ShardStore::open(None, Arc::new(RealFs), SyncPolicy::default(), 0, "v1")
-            .unwrap()
-            .0
+        ShardStore::open(None, Arc::new(RealFs), 0, "v1").unwrap().0
     }
 
     #[test]
@@ -432,8 +429,7 @@ mod tests {
     fn persistent_store_round_trips_and_restores() {
         let dir = std::env::temp_dir().join("ena-serve-store-roundtrip");
         let _removed = std::fs::remove_dir_all(&dir);
-        let (store, restored) =
-            ShardStore::open(Some(&dir), Arc::new(RealFs), SyncPolicy::Flush, 0xC0, "v1").unwrap();
+        let (store, restored) = ShardStore::open(Some(&dir), Arc::new(RealFs), 0xC0, "v1").unwrap();
         assert_eq!(restored, 0);
         let Claim::Leader(token) = store.claim(7) else {
             panic!("lead");
@@ -444,8 +440,7 @@ mod tests {
         assert_eq!(generation, 1);
         drop(store);
 
-        let (warm, restored) =
-            ShardStore::open(Some(&dir), Arc::new(RealFs), SyncPolicy::Flush, 0xC0, "v1").unwrap();
+        let (warm, restored) = ShardStore::open(Some(&dir), Arc::new(RealFs), 0xC0, "v1").unwrap();
         assert_eq!(restored, 1);
         let Claim::Ready(rec) = warm.claim(7) else {
             panic!("restored record must be ready");

@@ -9,7 +9,6 @@ use std::sync::{Arc, Barrier};
 
 use ena_core::dse::Explorer;
 use ena_serve::{Client, ServeConfig, Server};
-use ena_sweep::SyncPolicy;
 use ena_testkit::prelude::*;
 use ena_testkit::transport::pair;
 use ena_workloads::profile_for;
@@ -99,7 +98,6 @@ proptest! {
         let evals = Arc::new(AtomicU64::new(0));
         let mut config = counted_config(&evals);
         config.cache_dir = Some(dir.clone());
-        config.sync = SyncPolicy::Flush;
         let (cold, restored) = Server::new(config.clone()).expect("cold open");
         prop_assert!(restored == 0);
         let (client_end, server_end) = pair();

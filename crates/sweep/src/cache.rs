@@ -19,10 +19,10 @@
 //!   file to its intact prefix instead of silently decoding to a wrong
 //!   number. Non-UTF-8 garbage is handled the same way: parsing is
 //!   byte-level, so foreign bytes at the tail only cost the tail.
-//! - **Explicit sync policy.** Every acknowledged append is flushed to
-//!   the OS; under [`SyncPolicy::PerRecord`] (the default) it is also
-//!   fsynced, so an `Ok` from [`DiskCache::append`] means the record
-//!   survives power loss. Only acknowledged records are promised.
+//! - **One durability policy.** Every append is flushed to the OS and
+//!   fsynced before it returns, so an `Ok` from [`DiskCache::append`]
+//!   means the record survives power loss. Only acknowledged records
+//!   are promised.
 //! - **Atomic repair.** Evicting a stale file or truncating a torn tail
 //!   never overwrites the live file in place: the repaired image is
 //!   written to a temp file, fsynced, and atomically renamed over the
@@ -67,21 +67,6 @@ pub trait CacheRecord: Sized + Clone {
     /// key. Returns `None` for damaged input; the caller treats the line
     /// (and everything after it) as a torn tail.
     fn decode(fields: &mut std::str::Split<'_, char>) -> Option<Self>;
-}
-
-/// When appended records are pushed toward stable storage.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SyncPolicy {
-    /// Flush to the OS after every record: a process crash loses
-    /// nothing, but records the OS has not yet written back may be lost
-    /// to a power failure.
-    Flush,
-    /// Flush *and* fsync after every record: an acknowledged append is
-    /// durable across power loss. The default — sweeps checkpoint once
-    /// per evaluated point, and evaluation dominates the fsync cost
-    /// (see `BENCH_sweep.json` for the measured gap).
-    #[default]
-    PerRecord,
 }
 
 /// A cache I/O failure, tagged with the operation and the file or
@@ -135,7 +120,6 @@ pub struct DiskCache<R: CacheRecord = PointRecord> {
     fs: Arc<dyn Vfs>,
     path: PathBuf,
     writer: Box<dyn VfsFile>,
-    sync: SyncPolicy,
     campaign: u64,
     version: String,
     generation: u64,
@@ -152,7 +136,6 @@ impl<R: CacheRecord> std::fmt::Debug for DiskCache<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DiskCache")
             .field("path", &self.path)
-            .field("sync", &self.sync)
             .field("generation", &self.generation)
             .finish_non_exhaustive()
     }
@@ -175,8 +158,8 @@ impl<R: CacheRecord> DiskCache<R> {
     }
 
     /// Opens (creating if needed) the cache for `campaign` on the real
-    /// filesystem with the default [`SyncPolicy`], returning the handle
-    /// plus every intact record already on disk.
+    /// filesystem, returning the handle plus every intact record already
+    /// on disk.
     ///
     /// # Errors
     ///
@@ -187,17 +170,11 @@ impl<R: CacheRecord> DiskCache<R> {
         campaign: u64,
         version: &str,
     ) -> Result<(Self, Vec<(u64, R)>), CacheError> {
-        Self::open_with(
-            Arc::new(RealFs),
-            SyncPolicy::default(),
-            dir,
-            campaign,
-            version,
-        )
+        Self::open_with(Arc::new(RealFs), dir, campaign, version)
     }
 
     /// Opens (creating if needed) the cache for `campaign` through an
-    /// explicit filesystem and sync policy.
+    /// explicit filesystem.
     ///
     /// A file with a foreign or damaged header — including a mismatched
     /// record tag or model-version stamp — is replaced by a fresh one
@@ -213,7 +190,6 @@ impl<R: CacheRecord> DiskCache<R> {
     /// to cache misses.
     pub fn open_with(
         fs: Arc<dyn Vfs>,
-        sync: SyncPolicy,
         dir: &Path,
         campaign: u64,
         version: &str,
@@ -241,7 +217,6 @@ impl<R: CacheRecord> DiskCache<R> {
                 fs,
                 path,
                 writer,
-                sync,
                 campaign,
                 version: version.to_string(),
                 generation: loaded.generation,
@@ -397,8 +372,8 @@ impl<R: CacheRecord> DiskCache<R> {
         Ok(())
     }
 
-    /// Appends one evaluated record and pushes it toward stable storage
-    /// per the [`SyncPolicy`] (each record is a checkpoint).
+    /// Appends one evaluated record, then flushes and fsyncs it (each
+    /// record is a checkpoint).
     ///
     /// # Errors
     ///
@@ -430,12 +405,9 @@ impl<R: CacheRecord> DiskCache<R> {
         self.writer
             .flush()
             .map_err(|e| CacheError::new("flush append", &self.path, e))?;
-        if self.sync == SyncPolicy::PerRecord {
-            self.writer
-                .sync_all()
-                .map_err(|e| CacheError::new("sync append", &self.path, e))?;
-        }
-        Ok(())
+        self.writer
+            .sync_all()
+            .map_err(|e| CacheError::new("sync append", &self.path, e))
     }
 
     /// Path of the backing file.
@@ -1032,8 +1004,7 @@ mod tests {
                 torn_permille: 0,
             },
         ));
-        let err = DiskCache::<PointRecord>::open_with(chaos, SyncPolicy::PerRecord, &dir, 7, "v1")
-            .unwrap_err();
+        let err = DiskCache::<PointRecord>::open_with(chaos, &dir, 7, "v1").unwrap_err();
         assert!(err.to_string().contains("chaos"), "{err}");
         assert_eq!(
             fs::read(&path).unwrap(),
@@ -1057,8 +1028,7 @@ mod tests {
         let mut acknowledged: Vec<u64> = Vec::new();
         for round in 0..8u64 {
             let chaos = Arc::new(ChaosFs::new(round, ChaosConfig::default_rates()));
-            let opened =
-                DiskCache::<PointRecord>::open_with(chaos, SyncPolicy::PerRecord, &dir, 7, "v1");
+            let opened = DiskCache::<PointRecord>::open_with(chaos, &dir, 7, "v1");
             let Ok((mut cache, loaded)) = opened else {
                 continue; // injected open failure: nothing acknowledged
             };
@@ -1224,14 +1194,8 @@ mod tests {
                 RealFs.remove_file(path)
             }
         }
-        let (mut cache, _) = DiskCache::<PointRecord>::open_with(
-            Arc::new(NoCreate),
-            SyncPolicy::PerRecord,
-            &dir,
-            7,
-            "v1",
-        )
-        .unwrap();
+        let (mut cache, _) =
+            DiskCache::<PointRecord>::open_with(Arc::new(NoCreate), &dir, 7, "v1").unwrap();
         let err = cache.snapshot(&[(99, record(9.0))]).unwrap_err();
         assert!(err.to_string().contains("injected create failure"), "{err}");
         assert_eq!(fs::read(&path).unwrap(), before);

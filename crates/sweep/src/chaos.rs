@@ -1,6 +1,6 @@
 //! Seeded chaos campaigns over the sweep engine's own execution paths.
 //!
-//! A campaign runs the same sweep many times against a hostile
+//! A campaign runs one sweep [`Axis`] many times against a hostile
 //! substrate — a [`ChaosFs`] injecting I/O faults into every cache
 //! operation, plus a [`Failpoint`](crate::engine::Failpoint) injecting
 //! worker kills (panics) at seeded points — and asserts the three
@@ -20,36 +20,35 @@
 //!    oracle run — cached partial progress plus re-evaluation of the
 //!    missing points reconstructs the exact result.
 //!
+//! The campaign is generic over the axis: it re-points only the axis's
+//! cache and filesystem, so the node sweep and both fabric axes are
+//! exercised through the same [`Memo::run`] they run on in production.
 //! Everything is a pure function of the campaign seed, so a failing
 //! campaign replays exactly.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::convert::Infallible;
 use std::io;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
-use ena_core::dse::DesignSpace;
-use ena_core::Explorer;
-use ena_model::kernel::KernelProfile;
+use ena_model::hash::MODEL_VERSION;
 use ena_testkit::chaos::{ChaosConfig, ChaosFs};
 use ena_testkit::rng::SplitMix64;
 
-use crate::cache::{verify_file, DiskCache};
-use crate::engine::{CacheMode, Failpoint, SweepEngine, SweepError, SweepSpec};
-use ena_core::dse::PointRecord;
+use crate::cache::{verify_file, CacheRecord, DiskCache};
+use crate::engine::{Axis, CacheMode, Failpoint, Memo, SweepError};
 
-/// One chaos campaign request.
+/// One chaos campaign request; the swept axis brings its own grid,
+/// worker count and chunk size.
 #[derive(Clone, Debug)]
 pub struct ChaosSpec {
     /// Master seed: every injected fault and kill derives from it.
     pub seed: u64,
     /// Faulted runs before the final clean run.
     pub runs: u32,
-    /// Worker threads per sweep.
-    pub jobs: usize,
-    /// Points per work-stealing chunk.
-    pub chunk_points: usize,
-    /// Directory holding the campaign's disk cache.
+    /// Directory holding the campaign's disk cache. Campaigns over
+    /// different axes can share it: each owns only its own file.
     pub dir: PathBuf,
     /// Filesystem fault rates for the faulted runs.
     pub fs_faults: ChaosConfig,
@@ -59,27 +58,19 @@ pub struct ChaosSpec {
     /// Chance (per mille, per point) that evaluation panics on its
     /// first attempt only — the supervised retry succeeds.
     pub kill_transient_permille: u16,
-    /// The design space to sweep.
-    pub space: DesignSpace,
-    /// Application profiles evaluated at every point.
-    pub profiles: Vec<KernelProfile>,
 }
 
 impl ChaosSpec {
-    /// A small default campaign over `space`/`profiles`, caching under
-    /// `dir`: 3 faulted runs, 2 workers, moderate fault rates.
-    pub fn new(dir: PathBuf, space: DesignSpace, profiles: Vec<KernelProfile>) -> Self {
+    /// A small default campaign caching under `dir`: 3 faulted runs,
+    /// moderate fault rates.
+    pub fn new(dir: PathBuf) -> Self {
         Self {
             seed: 0xC0FFEE,
             runs: 3,
-            jobs: 2,
-            chunk_points: 4,
             dir,
             fs_faults: ChaosConfig::default_rates(),
             kill_persistent_permille: 40,
             kill_transient_permille: 80,
-            space,
-            profiles,
         }
     }
 }
@@ -106,6 +97,8 @@ pub struct RunSummary {
 /// invariant checks. Produced only when every invariant held.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ChaosReport {
+    /// Record tag of the swept axis (its cache files carry the same).
+    pub record: &'static str,
     /// Campaign seed.
     pub seed: u64,
     /// Points in the swept space.
@@ -126,10 +119,11 @@ impl ChaosReport {
         // fmt::Write to a String is infallible; discard the Ok values.
         let _ = writeln!(
             out,
-            "chaos campaign seed={:#x} points={} runs={}",
+            "chaos campaign seed={:#x} points={} runs={} record={}",
             self.seed,
             self.total_points,
-            self.runs.len()
+            self.runs.len(),
+            self.record
         );
         for r in &self.runs {
             let _ = writeln!(
@@ -156,20 +150,21 @@ impl ChaosReport {
     }
 }
 
-/// A violated invariant (or a campaign that could not run at all).
+/// A violated invariant (or a campaign that could not run at all); `E`
+/// is the axis's point-evaluation error.
 #[derive(Debug)]
-pub enum ChaosError {
-    /// Clearing or probing the cache directory failed.
+pub enum ChaosError<E = Infallible> {
+    /// Clearing or probing the campaign's cache file failed.
     Setup {
-        /// The file or directory the setup step touched.
+        /// The file the setup step touched.
         path: std::path::PathBuf,
         /// The underlying I/O error.
         source: io::Error,
     },
     /// The fault-free oracle run failed — the campaign has no baseline.
-    Oracle(SweepError),
+    Oracle(SweepError<E>),
     /// The final clean run failed outright.
-    FinalRun(SweepError),
+    FinalRun(SweepError<E>),
     /// Invariant 1 violated: a faulted run left an unparseable cache
     /// file behind.
     UnparseableCache {
@@ -219,7 +214,7 @@ pub enum ChaosError {
     },
 }
 
-impl std::fmt::Display for ChaosError {
+impl<E: std::fmt::Display> std::fmt::Display for ChaosError<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Self::Setup { path, source } => {
@@ -263,7 +258,7 @@ impl std::fmt::Display for ChaosError {
     }
 }
 
-impl std::error::Error for ChaosError {
+impl<E: std::error::Error + 'static> std::error::Error for ChaosError<E> {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Setup { source, .. } => Some(source),
@@ -303,18 +298,20 @@ fn kill_failpoint(run_seed: u64, persistent_permille: u16, transient_permille: u
 }
 
 /// Renders a frontier for byte-exact comparison.
-fn render_frontier(frontier: &[crate::pareto::FrontierPoint]) -> String {
+fn render_frontier(frontier: &impl std::fmt::Debug) -> String {
     format!("{frontier:#?}")
 }
 
-/// Runs a seeded chaos campaign and checks every invariant.
+/// Runs a seeded chaos campaign along `axis` and checks every invariant.
 ///
 /// The sequence: one fault-free oracle run (memory cache) to fix the
 /// expected frontier; `spec.runs` faulted runs against the disk cache
 /// with injected I/O faults and worker kills, each followed by strict
 /// verification of the surviving cache file; then one clean run that
 /// must resume from the survivors and reproduce the oracle frontier
-/// byte-for-byte.
+/// byte-for-byte. The axis keeps its own grid, worker count and chunk
+/// size; the campaign overrides only its cache (and, for the faulted
+/// runs, its filesystem).
 ///
 /// # Errors
 ///
@@ -322,48 +319,52 @@ fn render_frontier(frontier: &[crate::pareto::FrontierPoint]) -> String {
 /// failure that kept the campaign from running). A faulted run *failing*
 /// is not an error — injected faults are supposed to hurt — but the
 /// state it leaves behind must still verify.
-pub fn run_chaos_campaign(
-    explorer: &Explorer,
+pub fn run_chaos_campaign<A>(
+    axis: &A,
     spec: &ChaosSpec,
-) -> Result<ChaosReport, ChaosError> {
+) -> Result<ChaosReport, ChaosError<A::Error>>
+where
+    A: Axis + Clone,
+    A::Error: std::fmt::Display,
+    A::Frontier: std::fmt::Debug,
+{
     // Fault-free oracle: fixes the expected frontier.
-    let mut oracle = SweepEngine::new(explorer.clone());
-    let mut sweep = SweepSpec::new(spec.space.clone(), spec.profiles.clone());
-    sweep.run.jobs = spec.jobs;
-    sweep.run.chunk_points = spec.chunk_points;
-    let baseline = oracle.run(&sweep).map_err(ChaosError::Oracle)?;
+    let mut oracle = axis.clone();
+    oracle.options_mut().cache = CacheMode::Memory;
+    let baseline = Memo::new().run(&oracle).map_err(ChaosError::Oracle)?;
     let expected_frontier = render_frontier(&baseline.frontier);
-    let total_points = baseline.telemetry.total_points;
-    let campaign = oracle.campaign_digest(&spec.profiles);
-    let version = ena_model::hash::MODEL_VERSION;
-    let cache_path = spec.dir.join(DiskCache::<PointRecord>::file_name(campaign));
+    let total_points = baseline.total_points;
+    let campaign = axis.campaign_digest();
+    let cache_path = spec.dir.join(DiskCache::<A::Record>::file_name(campaign));
 
-    // Fresh directory: the campaign owns `spec.dir`.
-    match std::fs::remove_dir_all(&spec.dir) {
+    // Fresh file: the campaign owns its cache file inside `spec.dir`.
+    match std::fs::remove_file(&cache_path) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => {
             return Err(ChaosError::Setup {
-                path: spec.dir.clone(),
+                path: cache_path,
                 source: e,
             })
         }
     }
 
+    let mut on_disk_axis = axis.clone();
+    on_disk_axis.options_mut().cache = CacheMode::Disk(spec.dir.clone());
     let mut runs = Vec::new();
     let mut seen_keys: BTreeSet<u64> = BTreeSet::new();
     for run in 0..spec.runs {
         let run_seed = SplitMix64::new(spec.seed.wrapping_add(u64::from(run))).next_u64();
         let chaos = ChaosFs::new(run_seed, spec.fs_faults);
-        let mut engine = SweepEngine::new(explorer.clone()).with_failpoint(kill_failpoint(
-            run_seed,
-            spec.kill_persistent_permille,
-            spec.kill_transient_permille,
-        ));
-        let mut run_spec = sweep.clone();
-        run_spec.run.cache = CacheMode::Disk(spec.dir.clone());
-        run_spec.run.fs = Arc::new(chaos.clone());
-        let result = engine.run(&run_spec);
+        let mut faulted = on_disk_axis.clone();
+        faulted.options_mut().fs = Arc::new(chaos.clone());
+        let result = Memo::new()
+            .with_failpoint(kill_failpoint(
+                run_seed,
+                spec.kill_persistent_permille,
+                spec.kill_transient_permille,
+            ))
+            .run(&faulted);
         let counts = chaos.counts();
 
         // Invariant 1: whatever survived must parse cleanly.
@@ -375,7 +376,7 @@ pub fn run_chaos_campaign(
                     source: e,
                 })
             }
-            Ok(_) => match verify_file::<PointRecord>(&cache_path, campaign, version) {
+            Ok(_) => match verify_file::<A::Record>(&cache_path, campaign, MODEL_VERSION) {
                 Ok(report) => (report.keys, report.torn_tail),
                 Err(e) => {
                     return Err(ChaosError::UnparseableCache {
@@ -429,18 +430,18 @@ pub fn run_chaos_campaign(
     }
 
     // Final clean run: resume from the survivors, no faults, no kills.
-    let mut engine = SweepEngine::new(explorer.clone());
-    sweep.run.cache = CacheMode::Disk(spec.dir.clone());
-    let outcome = engine.run(&sweep).map_err(ChaosError::FinalRun)?;
+    let outcome = Memo::new()
+        .run(&on_disk_axis)
+        .map_err(ChaosError::FinalRun)?;
     if !outcome.quarantine.is_empty() {
         return Err(ChaosError::FinalQuarantine {
             points: outcome.quarantine.points(),
         });
     }
-    if outcome.telemetry.cache_hits != seen_keys.len() {
+    if outcome.cache_hits != seen_keys.len() {
         return Err(ChaosError::ResumeMismatch {
             on_disk: seen_keys.len(),
-            cache_hits: outcome.telemetry.cache_hits,
+            cache_hits: outcome.cache_hits,
         });
     }
     let got_frontier = render_frontier(&outcome.frontier);
@@ -450,14 +451,16 @@ pub fn run_chaos_campaign(
             got: got_frontier,
         });
     }
-    let final_report = verify_file::<PointRecord>(&cache_path, campaign, version).map_err(|e| {
-        ChaosError::UnparseableCache {
-            run: spec.runs,
-            error: e.to_string(),
-        }
-    })?;
+    let final_report =
+        verify_file::<A::Record>(&cache_path, campaign, MODEL_VERSION).map_err(|e| {
+            ChaosError::UnparseableCache {
+                run: spec.runs,
+                error: e.to_string(),
+            }
+        })?;
 
     Ok(ChaosReport {
+        record: <A::Record as CacheRecord>::TAG,
         seed: spec.seed,
         total_points,
         runs,
@@ -469,7 +472,10 @@ pub fn run_chaos_campaign(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ena_model::kernel::KernelCategory;
+    use crate::engine::{NodeAxis, SweepSpec};
+    use ena_core::dse::DesignSpace;
+    use ena_core::Explorer;
+    use ena_model::kernel::{KernelCategory, KernelProfile};
     use ena_model::units::{GigabytesPerSec, Megahertz};
 
     fn small_space() -> DesignSpace {
@@ -515,16 +521,27 @@ mod tests {
         std::env::temp_dir().join(format!("ena-chaos-campaign-{name}"))
     }
 
+    fn node_axis(jobs: usize) -> NodeAxis {
+        let mut spec = SweepSpec::new(small_space(), profiles());
+        spec.run.jobs = jobs;
+        spec.run.chunk_points = 4;
+        NodeAxis {
+            explorer: Explorer::default(),
+            spec,
+        }
+    }
+
     #[test]
     fn campaign_invariants_hold_across_seeds() {
         for seed in [0xC0FFEE, 1, 2] {
             let spec = ChaosSpec {
                 seed,
                 runs: 3,
-                ..ChaosSpec::new(scratch("invariants"), small_space(), profiles())
+                ..ChaosSpec::new(scratch("invariants"))
             };
-            let report = run_chaos_campaign(&Explorer::default(), &spec)
+            let report = run_chaos_campaign(&node_axis(2), &spec)
                 .unwrap_or_else(|e| panic!("seed {seed:#x}: {e}"));
+            assert_eq!(report.record, "dse-point/1");
             assert_eq!(report.total_points, 12);
             assert_eq!(report.runs.len(), 3);
             assert_eq!(
@@ -538,12 +555,11 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_for_a_fixed_seed_single_job() {
         let spec = ChaosSpec {
-            jobs: 1,
             runs: 2,
-            ..ChaosSpec::new(scratch("determinism"), small_space(), profiles())
+            ..ChaosSpec::new(scratch("determinism"))
         };
-        let a = run_chaos_campaign(&Explorer::default(), &spec).unwrap();
-        let b = run_chaos_campaign(&Explorer::default(), &spec).unwrap();
+        let a = run_chaos_campaign(&node_axis(1), &spec).unwrap();
+        let b = run_chaos_campaign(&node_axis(1), &spec).unwrap();
         assert_eq!(a, b, "same seed, same campaign, byte-identical report");
         assert!(
             a.runs.iter().any(|r| r.fs_faults_injected > 0),

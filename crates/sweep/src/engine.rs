@@ -37,7 +37,7 @@ use ena_model::hash::{StableHash, StableHasher, MODEL_VERSION};
 use ena_model::kernel::KernelProfile;
 use ena_testkit::chaos::{RealFs, Vfs};
 
-use crate::cache::{CacheError, CacheRecord, DiskCache, SyncPolicy};
+use crate::cache::{CacheError, CacheRecord, DiskCache};
 use crate::pareto::{pareto_frontier, FrontierPoint};
 use crate::pool::{map_chunks_supervised, PoolError, RetryPolicy, WorkerStats};
 
@@ -90,8 +90,8 @@ pub enum CacheMode {
 }
 
 /// How a sweep runs, whatever its axis: every axis's spec carries one.
-/// Appends are fsynced per record ([`SyncPolicy::PerRecord`]) and a
-/// panicking chunk gets the default [`RetryPolicy`] before quarantine.
+/// Every append is flushed and fsynced, and a panicking chunk gets the
+/// default [`RetryPolicy`] before quarantine.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Worker thread count (clamped to at least 1).
@@ -138,6 +138,10 @@ pub trait Axis: Sync {
 
     /// How this sweep runs.
     fn options(&self) -> &RunOptions;
+
+    /// How this sweep runs, for callers that re-point it (a chaos
+    /// campaign swaps in its own cache and filesystem).
+    fn options_mut(&mut self) -> &mut RunOptions;
 
     /// Every point, in the order records are merged and reported.
     fn points(&self) -> Vec<Self::Point>;
@@ -449,13 +453,8 @@ impl<R: CacheRecord + Send> Memo<R> {
         let mut disk = match &opts.cache {
             CacheMode::Memory => None,
             CacheMode::Disk(dir) => {
-                let (cache, entries) = DiskCache::open_with(
-                    opts.fs.clone(),
-                    SyncPolicy::default(),
-                    dir,
-                    campaign,
-                    &self.version,
-                )?;
+                let (cache, entries) =
+                    DiskCache::open_with(opts.fs.clone(), dir, campaign, &self.version)?;
                 self.memo.extend(entries);
                 Some(cache)
             }
@@ -667,12 +666,15 @@ pub fn evaluate_batch(
 
 /// The node-configuration axis: a [`SweepSpec`] evaluated through an
 /// [`Explorer`].
-struct NodeAxis<'a> {
-    explorer: &'a Explorer,
-    spec: &'a SweepSpec,
+#[derive(Clone, Debug)]
+pub struct NodeAxis {
+    /// Evaluates every point and ranks the records.
+    pub explorer: Explorer,
+    /// The grid, the profiles and how the sweep runs.
+    pub spec: SweepSpec,
 }
 
-impl Axis for NodeAxis<'_> {
+impl Axis for NodeAxis {
     type Point = ConfigPoint;
     type Record = PointRecord;
     type Error = Infallible;
@@ -682,12 +684,16 @@ impl Axis for NodeAxis<'_> {
         &self.spec.run
     }
 
+    fn options_mut(&mut self) -> &mut RunOptions {
+        &mut self.spec.run
+    }
+
     fn points(&self) -> Vec<ConfigPoint> {
         self.spec.space.points()
     }
 
     fn campaign_digest(&self) -> u64 {
-        campaign_digest(self.explorer, &self.spec.profiles)
+        campaign_digest(&self.explorer, &self.spec.profiles)
     }
 
     fn point_key(&self, campaign: u64, point: &ConfigPoint) -> u64 {
@@ -699,7 +705,7 @@ impl Axis for NodeAxis<'_> {
     }
 
     fn frontier(&self, records: &[PointRecord]) -> Vec<FrontierPoint> {
-        pareto_frontier(self.explorer, records, self.spec.profiles.len())
+        pareto_frontier(&self.explorer, records, self.spec.profiles.len())
     }
 }
 
@@ -759,8 +765,8 @@ impl SweepEngine {
             return Err(SweepError::EmptyProfiles);
         }
         let swept = self.memo.run(&NodeAxis {
-            explorer: &self.explorer,
-            spec,
+            explorer: self.explorer.clone(),
+            spec: spec.clone(),
         })?;
         Ok(SweepOutcome {
             result: self.explorer.reduce(&swept.records, &spec.profiles)?,

@@ -9,9 +9,9 @@
 //!   order-independent, index-keyed merge and per-chunk supervision
 //!   (caught panics, bounded retries, deterministic quarantine).
 //! - [`cache`] — content-addressed memoization with a crash-consistent
-//!   on-disk layer (bit-exact round-trip, per-line CRC32, explicit
-//!   flush+fsync policy, atomic temp-and-rename repair, generation
-//!   header) enabling checkpoint/resume, all behind the injectable
+//!   on-disk layer (bit-exact round-trip, per-line CRC32, flush+fsync
+//!   per record, atomic temp-and-rename repair, generation header)
+//!   enabling checkpoint/resume, all behind the injectable
 //!   [`Vfs`](ena_testkit::chaos::Vfs) filesystem trait.
 //! - [`pareto`] — frontier extraction over (mean perf, peak power, peak
 //!   DRAM temperature).
@@ -21,12 +21,13 @@
 //!   `fresh_limit`, chunking, the supervised pool, streaming appends,
 //!   quarantine and the grid-order merge, and reports [`Telemetry`]
 //!   (cache hit rate, points/sec, per-worker utilization). The node axis
-//!   runs through [`SweepEngine`]; `ena-fabric`'s multi-node and
-//!   recovery axes are two more impls, sharing one [`RunOptions`].
-//! - [`chaos`] — seeded chaos campaigns that drive the whole stack
-//!   through injected I/O faults and worker kills and assert the
-//!   serving invariants (parseable caches, no lost acknowledged
-//!   records, fault-free frontier).
+//!   ([`NodeAxis`]) runs through [`SweepEngine`]; `ena-fabric`'s
+//!   multi-node and recovery axes are two more impls, sharing one
+//!   [`RunOptions`].
+//! - [`chaos`] — seeded chaos campaigns that drive any axis through
+//!   injected I/O faults and worker kills and assert the serving
+//!   invariants (parseable caches, no lost acknowledged records,
+//!   fault-free frontier).
 //!
 //! The headline property: a sweep along any axis is **byte-identical**
 //! to its sequential oracle (for the node axis, the
@@ -68,13 +69,13 @@ pub mod pool;
 
 pub use cache::{
     crc32, hex_field, read_file_info, verify_file, CacheError, CacheFileInfo, CacheRecord,
-    DiskCache, SyncPolicy, VerifyError, VerifyReport,
+    DiskCache, VerifyError, VerifyReport,
 };
 pub use chaos::{run_chaos_campaign, ChaosError, ChaosReport, ChaosSpec};
 pub use engine::{
-    campaign_digest, evaluate_batch, point_key, Axis, CacheMode, Failpoint, Memo, QuarantineEntry,
-    QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome, SweepSpec, Swept,
-    Telemetry,
+    campaign_digest, evaluate_batch, point_key, Axis, CacheMode, Failpoint, Memo, NodeAxis,
+    QuarantineEntry, QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome,
+    SweepSpec, Swept, Telemetry,
 };
 pub use pareto::{frontier_indices, pareto_frontier, FrontierPoint};
 pub use pool::{map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};

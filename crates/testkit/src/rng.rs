@@ -16,8 +16,9 @@ use std::ops::{Range, RangeInclusive};
 /// SplitMix64: Steele, Lea & Flood's 64-bit mixing generator.
 ///
 /// Passes BigCrush with 64 bits of state; its main roles here are seeding
-/// [`Xoshiro256pp`] and splitting one seed into many independent streams.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// [`Xoshiro256pp`], splitting one seed into many independent streams,
+/// and the small seeded draws of the fault, ECC and traffic models.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SplitMix64 {
     state: u64,
 }

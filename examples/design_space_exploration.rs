@@ -56,11 +56,9 @@ fn main() {
 
     let t = &outcome.telemetry;
     println!(
-        "\ntelemetry: {} points on {} jobs in {:.0} ms ({:.0} points/sec, {:.0}% cache hits)",
+        "\ntelemetry: {} points on {} jobs ({:.0}% cache hits)",
         t.total_points,
         t.jobs,
-        t.elapsed.as_secs_f64() * 1e3,
-        t.points_per_sec(),
         100.0 * t.hit_rate(),
     );
     for (i, w) in t.workers.iter().enumerate() {

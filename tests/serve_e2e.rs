@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use ena::core::dse::Explorer;
 use ena::core::dse::PointRecord;
 use ena::serve::{Client, EvalPoint, ServeConfig, Server};
-use ena::sweep::{campaign_digest, point_key, verify_file, CacheRecord, DiskCache, SyncPolicy};
+use ena::sweep::{campaign_digest, point_key, verify_file, CacheRecord, DiskCache};
 use ena::workloads::paper_profiles;
 
 fn scratch(name: &str) -> PathBuf {
@@ -119,7 +119,6 @@ fn restart_without_snapshot_loses_no_acknowledged_record() {
 
     let mut config = ServeConfig::new(explorer.clone(), profiles.clone());
     config.cache_dir = Some(dir.clone());
-    config.sync = SyncPolicy::Flush;
     let (acked, _) = with_tcp_server(config.clone(), |client| {
         client.pipeline(&lines).expect("responses")
     });
@@ -147,7 +146,6 @@ fn restart_without_snapshot_loses_no_acknowledged_record() {
 
     let mut config = ServeConfig::new(explorer, profiles);
     config.cache_dir = Some(dir);
-    config.sync = SyncPolicy::Flush;
     let (responses, stats) = with_tcp_server(config, |client| {
         client.pipeline(&lines).expect("warm responses")
     });
@@ -164,7 +162,6 @@ fn snapshot_compacts_while_serving_over_tcp() {
     let profiles = paper_profiles();
     let mut config = ServeConfig::new(Explorer::default(), profiles);
     config.cache_dir = Some(dir);
-    config.sync = SyncPolicy::Flush;
     let (out, _) = with_tcp_server(config, |client| {
         let first = client.request("EVAL 320 1000 3").expect("eval");
         assert!(first.starts_with("OK "), "{first}");

@@ -10,9 +10,6 @@ export CARGO_NET_OFFLINE=true
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q"
-cargo test -q
-
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 

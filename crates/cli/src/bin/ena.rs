@@ -6,14 +6,23 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match ena_cli::parse(args).and_then(ena_cli::execute) {
+    // Usage helps only when the command line itself is wrong; a command
+    // that parsed but failed prints just its cause.
+    let command = match ena_cli::parse(args) {
+        Ok(command) => command,
+        Err(message) => {
+            eprintln!("error: {message}");
+            eprintln!("{}", ena_cli::USAGE);
+            return ExitCode::FAILURE;
+        }
+    };
+    match ena_cli::execute(command) {
         Ok(report) => {
             println!("{report}");
             ExitCode::SUCCESS
         }
         Err(message) => {
             eprintln!("error: {message}");
-            eprintln!("{}", ena_cli::USAGE);
             ExitCode::FAILURE
         }
     }

@@ -27,6 +27,8 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+use std::str::FromStr;
+
 use ena_core::chiplet::chiplet_study;
 use ena_core::dse::{DesignSpace, Explorer};
 use ena_core::node::{EvalOptions, NodeSimulator};
@@ -245,18 +247,35 @@ fn take_flag(args: &mut Vec<String>, name: &str) -> bool {
     }
 }
 
+/// Extracts `--name value` parsed as `T`; a value that does not parse
+/// is `bad --name: value`.
+fn take_parsed<T: FromStr>(args: &mut Vec<String>, name: &str) -> Result<Option<T>, String> {
+    take_value(args, name)?
+        .map(|v| v.parse().map_err(|_| format!("bad {name}: {v}")))
+        .transpose()
+}
+
+/// Extracts a count `--name value` that must be at least 1 (`T::default()`
+/// is zero), defaulting to `default`.
+fn take_count<T: FromStr + Default + PartialEq>(
+    args: &mut Vec<String>,
+    name: &str,
+    default: T,
+) -> Result<T, String> {
+    let n = take_parsed(args, name)?.unwrap_or(default);
+    if n == T::default() {
+        return Err(format!("{name} must be at least 1"));
+    }
+    Ok(n)
+}
+
 fn parse_point(args: &mut Vec<String>) -> Result<Point, String> {
-    let mut p = Point::default();
-    if let Some(v) = take_value(args, "--cus")? {
-        p.cus = v.parse().map_err(|_| format!("bad --cus: {v}"))?;
-    }
-    if let Some(v) = take_value(args, "--mhz")? {
-        p.mhz = v.parse().map_err(|_| format!("bad --mhz: {v}"))?;
-    }
-    if let Some(v) = take_value(args, "--tbps")? {
-        p.tbps = v.parse().map_err(|_| format!("bad --tbps: {v}"))?;
-    }
-    Ok(p)
+    let d = Point::default();
+    Ok(Point {
+        cus: take_parsed(args, "--cus")?.unwrap_or(d.cus),
+        mhz: take_parsed(args, "--mhz")?.unwrap_or(d.mhz),
+        tbps: take_parsed(args, "--tbps")?.unwrap_or(d.tbps),
+    })
 }
 
 /// Default sweep worker count: one per available hardware thread.
@@ -273,6 +292,12 @@ fn sweep_options(run: &mut RunOptions, jobs: usize, resume: bool) {
         run.cache = CacheMode::Disk(artifacts_dir().join("sweep-cache"));
     }
 }
+
+/// Teraflops per exaflop and kilowatts per megawatt. A fabric sweep's
+/// cabinets deliver hundreds of teraflops on a few kilowatts, so its
+/// reports print TF and kW: in EF and MW nearly every cell rounds to zero.
+const TF_PER_EF: f64 = 1e6;
+const KW_PER_MW: f64 = 1e3;
 
 /// The `cache:` line of every sweep report.
 fn cache_line(t: &Telemetry) -> String {
@@ -339,6 +364,15 @@ fn require_app(args: &mut Vec<String>) -> Result<String, String> {
     Ok(app)
 }
 
+/// Extracts an optional `--app`, defaulting to CoMD.
+fn take_app_or_comd(args: &mut Vec<String>) -> Result<String, String> {
+    match take_value(args, "--app")? {
+        Some(a) if profile_for(&a).is_none() => Err(format!("unknown app '{a}'")),
+        Some(a) => Ok(a),
+        None => Ok("CoMD".to_string()),
+    }
+}
+
 /// Parses a full argument vector (without the program name).
 ///
 /// # Errors
@@ -353,9 +387,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
         "evaluate" => {
             let app = require_app(&mut args)?;
             let point = parse_point(&mut args)?;
-            let miss = take_value(&mut args, "--miss")?
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --miss: {v}")))
-                .transpose()?;
+            let miss = take_parsed::<f64>(&mut args, "--miss")?;
             if let Some(m) = miss {
                 if !(0.0..=1.0).contains(&m) {
                     return Err(format!("--miss must be in [0,1], got {m}"));
@@ -373,25 +405,13 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
             point: parse_point(&mut args)?,
         },
         "dse" => {
-            let budget = take_value(&mut args, "--budget")?
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --budget: {v}")))
-                .transpose()?
-                .unwrap_or(160.0);
+            let budget = take_parsed(&mut args, "--budget")?.unwrap_or(160.0);
             let fine = take_flag(&mut args, "--fine");
             Command::Dse { budget, fine }
         }
         "sweep" => {
-            let budget = take_value(&mut args, "--budget")?
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --budget: {v}")))
-                .transpose()?
-                .unwrap_or(160.0);
-            let jobs = take_value(&mut args, "--jobs")?
-                .map(|v| v.parse::<usize>().map_err(|_| format!("bad --jobs: {v}")))
-                .transpose()?
-                .unwrap_or_else(default_jobs);
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".into());
-            }
+            let budget = take_parsed(&mut args, "--budget")?.unwrap_or(160.0);
+            let jobs = take_count(&mut args, "--jobs", default_jobs())?;
             Command::Sweep {
                 budget,
                 fine: take_flag(&mut args, "--fine"),
@@ -405,15 +425,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
         },
         "faults" => {
             let seed = take_seed(&mut args)?;
-            let app = match take_value(&mut args, "--app")? {
-                Some(a) => {
-                    if profile_for(&a).is_none() {
-                        return Err(format!("unknown app '{a}'"));
-                    }
-                    a
-                }
-                None => "CoMD".to_string(),
-            };
+            let app = take_app_or_comd(&mut args)?;
             Command::Faults {
                 seed,
                 app,
@@ -421,10 +433,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
             }
         }
         "multinode" => {
-            let nodes = take_value(&mut args, "--nodes")?
-                .map(|v| v.parse::<u32>().map_err(|_| format!("bad --nodes: {v}")))
-                .transpose()?
-                .unwrap_or(64);
+            let nodes = take_parsed(&mut args, "--nodes")?.unwrap_or(64);
             if nodes < 2 {
                 return Err("--nodes must be at least 2".into());
             }
@@ -433,36 +442,15 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
                 None => FabricKind::DragonflyLite,
             };
             let seed = take_seed(&mut args)?;
-            let app = match take_value(&mut args, "--app")? {
-                Some(a) => {
-                    if profile_for(&a).is_none() {
-                        return Err(format!("unknown app '{a}'"));
-                    }
-                    a
-                }
-                None => "CoMD".to_string(),
-            };
-            let jobs = take_value(&mut args, "--jobs")?
-                .map(|v| v.parse::<usize>().map_err(|_| format!("bad --jobs: {v}")))
-                .transpose()?
-                .unwrap_or_else(default_jobs);
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".into());
-            }
-            let mtbf = take_value(&mut args, "--mtbf")?
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --mtbf: {v}")))
-                .transpose()?;
+            let app = take_app_or_comd(&mut args)?;
+            let jobs = take_count(&mut args, "--jobs", default_jobs())?;
+            let mtbf = take_parsed::<f64>(&mut args, "--mtbf")?;
             if let Some(m) = mtbf {
                 if !(m > 0.0) {
                     return Err(format!("--mtbf must be positive, got {m}"));
                 }
             }
-            let checkpoint_cost = take_value(&mut args, "--checkpoint-cost")?
-                .map(|v| {
-                    v.parse::<f64>()
-                        .map_err(|_| format!("bad --checkpoint-cost: {v}"))
-                })
-                .transpose()?;
+            let checkpoint_cost = take_parsed::<f64>(&mut args, "--checkpoint-cost")?;
             if let Some(c) = checkpoint_cost {
                 if !(c > 0.0) {
                     return Err(format!("--checkpoint-cost must be positive, got {c}"));
@@ -483,56 +471,17 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
         }
         "chaos" => {
             let seed = take_seed(&mut args)?;
-            let runs = take_value(&mut args, "--runs")?
-                .map(|v| v.parse::<u32>().map_err(|_| format!("bad --runs: {v}")))
-                .transpose()?
-                .unwrap_or(3);
-            if runs == 0 {
-                return Err("--runs must be at least 1".into());
-            }
-            let jobs = take_value(&mut args, "--jobs")?
-                .map(|v| v.parse::<usize>().map_err(|_| format!("bad --jobs: {v}")))
-                .transpose()?
-                .unwrap_or(2);
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".into());
-            }
+            let runs = take_count(&mut args, "--runs", 3)?;
+            let jobs = take_count(&mut args, "--jobs", 2)?;
             Command::Chaos { seed, runs, jobs }
         }
         "serve" => {
             let addr = take_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1".into());
-            let port = take_value(&mut args, "--port")?
-                .map(|v| v.parse::<u16>().map_err(|_| format!("bad --port: {v}")))
-                .transpose()?
-                .unwrap_or(0);
-            let workers = take_value(&mut args, "--workers")?
-                .map(|v| {
-                    v.parse::<usize>()
-                        .map_err(|_| format!("bad --workers: {v}"))
-                })
-                .transpose()?
-                .unwrap_or(4);
-            if workers == 0 {
-                return Err("--workers must be at least 1".into());
-            }
-            let queue = take_value(&mut args, "--queue")?
-                .map(|v| v.parse::<usize>().map_err(|_| format!("bad --queue: {v}")))
-                .transpose()?
-                .unwrap_or(16);
-            if queue == 0 {
-                return Err("--queue must be at least 1".into());
-            }
-            let batch = take_value(&mut args, "--batch")?
-                .map(|v| v.parse::<usize>().map_err(|_| format!("bad --batch: {v}")))
-                .transpose()?
-                .unwrap_or(64);
-            if batch == 0 {
-                return Err("--batch must be at least 1".into());
-            }
-            let budget = take_value(&mut args, "--budget")?
-                .map(|v| v.parse::<f64>().map_err(|_| format!("bad --budget: {v}")))
-                .transpose()?
-                .unwrap_or(160.0);
+            let port = take_parsed(&mut args, "--port")?.unwrap_or(0);
+            let workers = take_count(&mut args, "--workers", 4)?;
+            let queue = take_count(&mut args, "--queue", 16)?;
+            let batch = take_count(&mut args, "--batch", 64)?;
+            let budget = take_parsed(&mut args, "--budget")?.unwrap_or(160.0);
             Command::Serve {
                 addr,
                 port,
@@ -546,9 +495,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
         }
         "client" => {
             let addr = take_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1".into());
-            let port = take_value(&mut args, "--port")?
-                .map(|v| v.parse::<u16>().map_err(|_| format!("bad --port: {v}")))
-                .transpose()?;
+            let port = take_parsed(&mut args, "--port")?;
             let port_file = take_value(&mut args, "--port-file")?.map(std::path::PathBuf::from);
             if port.is_none() && port_file.is_none() {
                 return Err("client needs --port or --port-file".into());
@@ -843,11 +790,11 @@ pub fn execute(command: Command) -> Result<String, String> {
                     let mut out = format!(
                         "recovery sweep: {} points (checkpoint-interval x nodes) for {app} \
                          on {jobs} jobs ({model})\n\
-                         best recovered throughput: {} at {:.3} EF \
+                         best recovered throughput: {} at {:.1} TF \
                          (interval {:.3} h, {:.1}% efficient)\n",
                         outcome.total_points,
                         best.point.label(),
-                        best.recovered_exaflops,
+                        TF_PER_EF * best.recovered_exaflops,
                         best.interval_hours,
                         100.0 * best.simulated,
                     );
@@ -855,14 +802,14 @@ pub fn execute(command: Command) -> Result<String, String> {
                     if frontier {
                         let header = format!(
                             "{:<12} {:>10} {:>12} {:>10} {:>10}",
-                            "point", "interval h", "recovered EF", "analytic", "simulated"
+                            "point", "interval h", "recovered TF", "analytic", "simulated"
                         );
                         out.push_str(&index_frontier(&outcome, &header, |r| {
                             format!(
-                                "{:<12} {:>10.3} {:>12.3} {:>10.4} {:>10.4}",
+                                "{:<12} {:>10.3} {:>12.1} {:>10.4} {:>10.4}",
                                 r.point.label(),
                                 r.interval_hours,
-                                r.recovered_exaflops,
+                                TF_PER_EF * r.recovered_exaflops,
                                 r.analytic,
                                 r.simulated
                             )
@@ -882,25 +829,25 @@ pub fn execute(command: Command) -> Result<String, String> {
                     .ok_or("empty multi-node sweep")?;
                 let mut out = format!(
                     "multi-node sweep: {} points (nodes x topology) for {app} on {jobs} jobs\n\
-                     best throughput: {} at {:.3} EF ({:.1}% efficient, {:.2} MW)\n",
+                     best throughput: {} at {:.1} TF ({:.1}% efficient, {:.2} kW)\n",
                     outcome.total_points,
                     best.point.label(),
-                    best.exaflops,
+                    TF_PER_EF * best.exaflops,
                     100.0 * best.efficiency,
-                    best.power_mw,
+                    KW_PER_MW * best.power_mw,
                 );
                 out.push_str(&cache_line(&outcome));
                 if frontier {
                     let header = format!(
                         "{:<16} {:>9} {:>8} {:>10} {:>10}",
-                        "point", "EF", "MW", "eff %", "comm us"
+                        "point", "TF", "kW", "eff %", "comm us"
                     );
                     out.push_str(&index_frontier(&outcome, &header, |r| {
                         format!(
-                            "{:<16} {:>9.3} {:>8.2} {:>10.2} {:>10.1}",
+                            "{:<16} {:>9.1} {:>8.2} {:>10.2} {:>10.1}",
                             r.point.label(),
-                            r.exaflops,
-                            r.power_mw,
+                            TF_PER_EF * r.exaflops,
+                            KW_PER_MW * r.power_mw,
                             100.0 * r.efficiency,
                             r.comm_us
                         )
@@ -1519,9 +1466,8 @@ mod tests {
 
     #[test]
     fn the_recovery_sweep_runs_on_the_requested_topology() {
-        // The printed EF columns round the cabinet-scale figures away, so
-        // the topology is observed through the campaign's cache file: the
-        // torus campaign has its own digest, and `--resume` must write it.
+        // The torus campaign has its own digest, and `--resume` must write
+        // its cache file.
         let torus = RecoverySweepSpec {
             kind: FabricKind::Torus,
             ..RecoverySweepSpec::new(
@@ -1559,6 +1505,52 @@ mod tests {
             .campaign_digest(),
             "the topology is part of the campaign"
         );
+    }
+
+    #[test]
+    fn fabric_sweep_reports_resolve_cabinet_scale_figures() {
+        let recovery = |topology: &str| {
+            let args = format!(
+                "multinode --sweep --jobs 1 --mtbf 96 --checkpoint-cost 3 --frontier \
+                 --fabric-topology {topology}"
+            );
+            execute(parse_str(&args).unwrap()).unwrap()
+        };
+        assert_ne!(recovery("torus"), recovery("dragonfly"));
+
+        let out = execute(parse_str("multinode --sweep --jobs 1 --frontier").unwrap()).unwrap();
+        let (_, frontier) = out.split_once("Pareto frontier").expect("frontier table");
+        let rows: Vec<&str> = frontier.lines().skip(2).collect();
+        assert!(!rows.is_empty(), "{out}");
+        for row in rows {
+            // Every throughput (TF) and power (kW) cell is above zero.
+            for cell in row.split_whitespace().skip(1).take(2) {
+                let value: f64 = cell.parse().unwrap_or_else(|_| panic!("{row}"));
+                assert!(value > 0.0, "{row}");
+            }
+        }
+    }
+
+    #[test]
+    fn count_flags_reject_zero_and_non_numbers() {
+        for (command, flag) in [
+            ("sweep", "--jobs"),
+            ("multinode", "--jobs"),
+            ("chaos", "--jobs"),
+            ("chaos", "--runs"),
+            ("serve", "--workers"),
+            ("serve", "--queue"),
+            ("serve", "--batch"),
+        ] {
+            assert_eq!(
+                parse_str(&format!("{command} {flag} 0")),
+                Err(format!("{flag} must be at least 1"))
+            );
+            assert_eq!(
+                parse_str(&format!("{command} {flag} x")),
+                Err(format!("bad {flag}: x"))
+            );
+        }
     }
 
     #[test]

@@ -29,7 +29,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use ena_core::dse::{ConfigPoint, DesignSpace, DseError, DseResult, PointRecord};
 use ena_core::Explorer;
@@ -40,44 +39,6 @@ use ena_testkit::chaos::{RealFs, Vfs};
 use crate::cache::{CacheError, CacheRecord, DiskCache};
 use crate::pareto::{pareto_frontier, FrontierPoint};
 use crate::pool::{map_chunks_supervised, PoolError, RetryPolicy, WorkerStats};
-
-#[cfg(feature = "timing")]
-mod clock {
-    /// Wall-clock run timer, available only under the `timing` feature:
-    /// everything outside telemetry stays wall-clock-free so results are
-    /// a pure function of inputs.
-    #[derive(Clone, Copy, Debug)]
-    pub struct RunClock(std::time::Instant);
-
-    impl RunClock {
-        pub fn start() -> Self {
-            Self(std::time::Instant::now())
-        }
-
-        pub fn elapsed(&self) -> std::time::Duration {
-            self.0.elapsed()
-        }
-    }
-}
-
-#[cfg(not(feature = "timing"))]
-mod clock {
-    /// Deterministic stand-in: without the `timing` feature every run
-    /// reports zero elapsed time, keeping the default build free of
-    /// wall-clock reads.
-    #[derive(Clone, Copy, Debug)]
-    pub struct RunClock;
-
-    impl RunClock {
-        pub fn start() -> Self {
-            Self
-        }
-
-        pub fn elapsed(&self) -> std::time::Duration {
-            std::time::Duration::ZERO
-        }
-    }
-}
 
 /// Where memoized evaluations live between runs.
 #[derive(Clone, Debug)]
@@ -175,8 +136,6 @@ pub struct Telemetry {
     pub chunks: usize,
     /// Worker threads used.
     pub jobs: usize,
-    /// Wall-clock time of the run.
-    pub elapsed: Duration,
     /// Per-worker execution counters (utilization).
     pub workers: Vec<WorkerStats>,
 }
@@ -188,16 +147,6 @@ impl Telemetry {
             0.0
         } else {
             self.cache_hits as f64 / self.total_points as f64
-        }
-    }
-
-    /// Overall points per second (cached and fresh).
-    pub fn points_per_sec(&self) -> f64 {
-        let secs = self.elapsed.as_secs_f64();
-        if secs <= 0.0 {
-            f64::INFINITY
-        } else {
-            self.total_points as f64 / secs
         }
     }
 }
@@ -443,7 +392,6 @@ impl<R: CacheRecord + Send> Memo<R> {
         &mut self,
         axis: &A,
     ) -> Result<Swept<R, A::Frontier>, SweepError<A::Error>> {
-        let started = clock::RunClock::start();
         let points = axis.points();
         if points.is_empty() {
             return Err(SweepError::EmptySpace);
@@ -566,7 +514,6 @@ impl<R: CacheRecord + Send> Memo<R> {
             fresh_evals: scheduled - quarantine.points(),
             chunks: n_chunks,
             jobs: opts.jobs.max(1),
-            elapsed: started.elapsed(),
             workers,
         };
         Ok(Swept {
@@ -808,10 +755,8 @@ mod tests {
             fresh_evals: 10,
             chunks: 2,
             jobs: 2,
-            elapsed: Duration::from_millis(500),
             workers: vec![],
         };
         assert!((t.hit_rate() - 0.9).abs() < 1e-12);
-        assert!((t.points_per_sec() - 200.0).abs() < 1e-9);
     }
 }

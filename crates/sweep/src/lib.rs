@@ -20,7 +20,7 @@
 //!   frontier; [`Memo::run`] owns the cache open, hit resolution,
 //!   `fresh_limit`, chunking, the supervised pool, streaming appends,
 //!   quarantine and the grid-order merge, and reports [`Telemetry`]
-//!   (cache hit rate, points/sec, per-worker utilization). The node axis
+//!   (cache hit rate, chunks, per-worker utilization). The node axis
 //!   ([`NodeAxis`]) runs through [`SweepEngine`]; `ena-fabric`'s
 //!   multi-node and recovery axes are two more impls, sharing one
 //!   [`RunOptions`].

@@ -353,6 +353,5 @@ fn worker_telemetry_accounts_for_every_point() {
         t.workers.iter().map(|w| w.points).sum::<u64>(),
         spec.space.len() as u64
     );
-    assert!(t.points_per_sec() > 0.0);
     assert_eq!(t.hit_rate(), 0.0);
 }

@@ -10,7 +10,6 @@
 //! | [`rng`] | `rand` | Seedable SplitMix64 / xoshiro256++ PRNG |
 //! | [`prop`] (+ [`collection`], [`sample`]) | `proptest` | Property harness with pinned seeds |
 //! | [`golden`] | — | Figure/table regression against `artifacts/` |
-//! | [`timing`] | `criterion` | Wall-clock micro-benchmark harness (feature `timing`) |
 //!
 //! # Seed policy
 //!
@@ -32,6 +31,4 @@ pub mod prelude;
 pub mod prop;
 pub mod rng;
 pub mod sample;
-#[cfg(feature = "timing")]
-pub mod timing;
 pub mod transport;

@@ -17,6 +17,7 @@ echo "==> example smoke runs"
 cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign
 cargo run --release --example thermal_headroom
+cargo run --release --example heterogeneous_dag
 
 echo "==> figures smoke: every report must reproduce its golden byte for byte"
 figures_dir=$(mktemp -d)

@@ -5,7 +5,6 @@
 //! ```text
 //! ena evaluate --app LULESH --cus 320 --mhz 1000 --tbps 3 [--miss 0.15] [--optimized]
 //! ena suite    [--cus N --mhz F --tbps B]       # all eight workloads
-//! ena dse      [--budget 160] [--fine]          # design-space exploration
 //! ena sweep    [--jobs N] [--budget 160] [--fine] [--resume] [--frontier]
 //! ena chiplet  --app SNAP                       # chiplet-vs-monolithic study
 //! ena faults   [--seed N] [--app CoMD] [--transient]
@@ -69,13 +68,6 @@ pub enum Command {
     Suite {
         /// Configuration knobs.
         point: Point,
-    },
-    /// Run the design-space exploration.
-    Dse {
-        /// Package power budget in watts.
-        budget: f64,
-        /// Use the full >1000-point sweep instead of the coarse grid.
-        fine: bool,
     },
     /// Run the parallel memoized sweep engine.
     Sweep {
@@ -404,11 +396,6 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
         "suite" => Command::Suite {
             point: parse_point(&mut args)?,
         },
-        "dse" => {
-            let budget = take_parsed(&mut args, "--budget")?.unwrap_or(160.0);
-            let fine = take_flag(&mut args, "--fine");
-            Command::Dse { budget, fine }
-        }
         "sweep" => {
             let budget = take_parsed(&mut args, "--budget")?.unwrap_or(160.0);
             let jobs = take_count(&mut args, "--jobs", default_jobs())?;
@@ -540,7 +527,6 @@ ena — Exascale Node Architecture modeling toolkit
 commands:
   evaluate --app NAME [--cus N] [--mhz F] [--tbps B] [--miss M] [--optimized]
   suite    [--cus N] [--mhz F] [--tbps B]
-  dse      [--budget W] [--fine]
   sweep    [--jobs N] [--budget W] [--fine] [--resume] [--frontier]
   chiplet  --app NAME
   faults   [--seed N] [--app NAME] [--transient]
@@ -635,36 +621,6 @@ pub fn execute(command: Command) -> Result<String, String> {
                     eval.perf.throughput.teraflops(),
                     eval.package_power().value(),
                     eval.efficiency(),
-                ));
-            }
-            Ok(out)
-        }
-        Command::Dse { budget, fine } => {
-            let explorer = Explorer {
-                budget: Watts::new(budget),
-                ..Explorer::default()
-            };
-            let space = if fine {
-                DesignSpace::paper()
-            } else {
-                DesignSpace::coarse()
-            };
-            let result = explorer
-                .explore(&space, &paper_profiles())
-                .map_err(|e| e.to_string())?;
-            let mut out = format!(
-                "swept {} configurations, {} feasible under {budget} W\n\
-                 best-mean: {}\n\nper-app oracle:\n",
-                result.evaluated,
-                result.feasible,
-                result.best_mean.label()
-            );
-            for a in &result.per_app {
-                out.push_str(&format!(
-                    "  {:<10} {:<18} {:+.1}%\n",
-                    a.app,
-                    a.point.label(),
-                    a.benefit_over_mean_pct
                 ));
             }
             Ok(out)
@@ -1105,6 +1061,7 @@ mod tests {
         assert!(parse_str("explode")
             .unwrap_err()
             .contains("unknown command"));
+        assert!(parse_str("dse").unwrap_err().contains("unknown command"));
         assert!(parse_str("suite --what")
             .unwrap_err()
             .contains("unrecognized"));
@@ -1142,13 +1099,6 @@ mod tests {
     }
 
     #[test]
-    fn dse_reports_a_best_mean() {
-        let out = execute(parse_str("dse --budget 150").unwrap()).unwrap();
-        assert!(out.contains("best-mean"));
-        assert!(out.contains("per-app oracle"));
-    }
-
-    #[test]
     fn sweep_parses_all_knobs() {
         assert_eq!(
             parse_str("sweep --jobs 4 --budget 150 --fine --resume --frontier").unwrap(),
@@ -1173,19 +1123,18 @@ mod tests {
         assert!(out.contains("hit rate"), "{out}");
         assert!(out.contains("per-app oracle"), "{out}");
         assert!(out.contains("Pareto frontier"), "{out}");
-        // The engine and the sequential dse agree on the headline line.
-        let dse = execute(parse_str("dse").unwrap()).unwrap();
-        let best = |report: &str| {
-            report
-                .lines()
-                .find(|l| l.starts_with("best-mean"))
-                .expect("best-mean line")
-                .to_string()
-        };
-        assert_eq!(
-            best(&out).replace("best-mean:", ""),
-            best(&dse).replace("best-mean:", "")
-        );
+        // The engine and the sequential explorer agree on the headline line.
+        let dse = Explorer {
+            budget: Watts::new(160.0),
+            ..Explorer::default()
+        }
+        .explore(&DesignSpace::coarse(), &paper_profiles())
+        .unwrap();
+        let best = out
+            .lines()
+            .find(|l| l.starts_with("best-mean"))
+            .expect("best-mean line");
+        assert_eq!(best, format!("best-mean: {}", dse.best_mean.label()));
     }
 
     #[test]

@@ -32,6 +32,7 @@ use ena_sweep::{
     run_chaos_campaign, Axis, CacheMode, ChaosReport, ChaosSpec, Failpoint, SweepError,
 };
 use ena_testkit::prelude::*;
+use ena_testkit::process::assert_same_digest_across_processes;
 
 fn any_kind() -> impl Strategy<Value = FabricKind> {
     prop_oneof![
@@ -292,39 +293,9 @@ fn fabric_digest() -> u64 {
 /// the printed digests with each other and with the in-process value.
 #[test]
 fn route_table_and_schedule_are_identical_across_processes() {
-    const MODE: &str = "ENA_FABRIC_DIGEST_MODE";
-    if std::env::var_os(MODE).is_some() {
-        println!("digest={:016x}", fabric_digest());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let child_digest = || {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "route_table_and_schedule_are_identical_across_processes",
-                "--exact",
-                "--nocapture",
-            ])
-            .env(MODE, "1")
-            .output()
-            .expect("child test process");
-        assert!(out.status.success(), "child run failed: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let at = stdout
-            .find("digest=")
-            .unwrap_or_else(|| panic!("no digest in child output: {stdout}"));
-        stdout[at + "digest=".len()..]
-            .chars()
-            .take_while(char::is_ascii_hexdigit)
-            .collect::<String>()
-    };
-    let first = child_digest();
-    let second = child_digest();
-    assert_eq!(first, second, "fabric digest differs between processes");
-    assert_eq!(
-        first,
-        format!("{:016x}", fabric_digest()),
-        "parent and child disagree"
+    assert_same_digest_across_processes(
+        "route_table_and_schedule_are_identical_across_processes",
+        fabric_digest,
     );
 }
 
@@ -335,18 +306,11 @@ fn route_table_and_schedule_are_identical_across_processes() {
 /// is covered by the same comparison.
 #[test]
 fn acceptance_campaign_is_byte_identical_across_processes() {
-    const MODE: &str = "ENA_FABRIC_CAMPAIGN_MODE";
     let render = || {
         run_multinode_campaign(&MultiNodeCampaignSpec::standard(0xC0FFEE))
             .unwrap()
             .render()
     };
-    if std::env::var_os(MODE).is_some() {
-        let mut h = StableHasher::new();
-        h.write_str(&render());
-        println!("digest={:016x}", h.finish());
-        return;
-    }
 
     // Two in-process runs: byte identity of the full report.
     let first = render();
@@ -354,36 +318,13 @@ fn acceptance_campaign_is_byte_identical_across_processes() {
     assert!(first.contains("ENA fault-injection campaign"));
 
     // Two child processes: digest identity.
-    let exe = std::env::current_exe().expect("test binary path");
-    let child_digest = || {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "acceptance_campaign_is_byte_identical_across_processes",
-                "--exact",
-                "--nocapture",
-            ])
-            .env(MODE, "1")
-            .output()
-            .expect("child test process");
-        assert!(out.status.success(), "child run failed: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let at = stdout
-            .find("digest=")
-            .unwrap_or_else(|| panic!("no digest in child output: {stdout}"));
-        stdout[at + "digest=".len()..]
-            .chars()
-            .take_while(char::is_ascii_hexdigit)
-            .collect::<String>()
-    };
-    let a = child_digest();
-    let b = child_digest();
-    assert_eq!(a, b, "campaign render differs between processes");
-    let mut h = StableHasher::new();
-    h.write_str(&first);
-    assert_eq!(
-        a,
-        format!("{:016x}", h.finish()),
-        "parent and child disagree"
+    assert_same_digest_across_processes(
+        "acceptance_campaign_is_byte_identical_across_processes",
+        || {
+            let mut h = StableHasher::new();
+            h.write_str(&first);
+            h.finish()
+        },
     );
 }
 

@@ -31,8 +31,8 @@
 //!
 //! ## Node-level plans
 //!
-//! [`NodeFaultPlan`](multinode::NodeFaultPlan) lifts the same machinery
-//! one level up, to whole EHP nodes: node loss, stragglers, and degraded
+//! [`NodeFaultPlan`](multinode::NodeFaultPlan) is the same plan type one
+//! level up, over whole EHP nodes: node loss, stragglers, and degraded
 //! inter-node routes. The `ena-fabric` crate consumes these plans and
 //! derives each straggler's slowdown from an intra-node chiplet-loss
 //! campaign, coupling the two fault levels through one cause.

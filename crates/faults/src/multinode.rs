@@ -1,12 +1,12 @@
 //! Node-level fault plans for inter-node (fabric) campaigns.
 //!
-//! The intra-node [`FaultPlan`](crate::plan::FaultPlan) schedules die
-//! failures inside one EHP package. A [`NodeFaultPlan`] lifts the same
-//! idea one level up: whole EHP nodes drop out of the machine, nodes
-//! turn into stragglers, and inter-node routes lose bandwidth. The two
-//! levels compose — a straggler's slowdown factor is *derived* by the
-//! fabric layer from an intra-node chiplet-loss campaign on that node,
-//! so the package-level and cabinet-level fault models share one cause.
+//! The intra-node [`FaultPlan`] schedules die failures inside one EHP
+//! package. A [`NodeFaultPlan`] is the same plan type one level up:
+//! whole EHP nodes drop out of the machine, nodes turn into stragglers,
+//! and inter-node routes lose bandwidth. The two levels compose — a
+//! straggler's slowdown factor is *derived* by the fabric layer from an
+//! intra-node chiplet-loss campaign on that node, so the package-level
+//! and cabinet-level fault models share one cause.
 //!
 //! Plans are sampled from a seed with
 //! [`NodeFaultPlan::scaleout_campaign`] and are deterministic: the same
@@ -15,6 +15,8 @@
 use core::fmt;
 
 use ena_testkit::rng::SplitMix64;
+
+use crate::plan::{FaultEvent, FaultPlan};
 
 /// One injectable node-level failure.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,59 +56,12 @@ impl fmt::Display for NodeFaultKind {
 }
 
 /// A node-level failure at a simulated time.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeFaultEvent {
-    /// Simulated time of the failure, in microseconds.
-    pub at_us: f64,
-    /// What fails.
-    pub kind: NodeFaultKind,
-}
+pub type NodeFaultEvent = FaultEvent<NodeFaultKind>;
 
 /// A deterministic, seeded schedule of node-level failures.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct NodeFaultPlan {
-    /// Seed the plan was sampled from (recorded for reporting; explicit
-    /// plans keep whatever seed they were created with).
-    pub seed: u64,
-    events: Vec<NodeFaultEvent>,
-}
+pub type NodeFaultPlan = FaultPlan<NodeFaultKind>;
 
 impl NodeFaultPlan {
-    /// An empty plan carrying `seed`.
-    pub fn new(seed: u64) -> Self {
-        Self {
-            seed,
-            events: Vec::new(),
-        }
-    }
-
-    /// Adds one failure, keeping events ordered by time (ties keep
-    /// insertion order).
-    pub fn push(&mut self, at_us: f64, kind: NodeFaultKind) -> &mut Self {
-        let pos = self
-            .events
-            .iter()
-            .position(|e| e.at_us > at_us)
-            .unwrap_or(self.events.len());
-        self.events.insert(pos, NodeFaultEvent { at_us, kind });
-        self
-    }
-
-    /// The scheduled events, in time order.
-    pub fn events(&self) -> &[NodeFaultEvent] {
-        &self.events
-    }
-
-    /// Number of scheduled failures.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when nothing is scheduled.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Samples the scale-out acceptance campaign on a `nodes`-node
     /// machine: one node loss, one straggler, and one degraded route
     /// (50–90 % bandwidth cut), with all victims distinct and both
@@ -161,21 +116,6 @@ impl NodeFaultPlan {
             );
         }
         plan
-    }
-}
-
-impl fmt::Display for NodeFaultPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "node fault plan (seed {:#x}, {} events)",
-            self.seed,
-            self.len()
-        )?;
-        for e in &self.events {
-            writeln!(f, "  t={:7.1} us  {}", e.at_us, e.kind)?;
-        }
-        Ok(())
     }
 }
 

@@ -1,12 +1,14 @@
 //! Fault plans: what fails, and when.
 //!
-//! A [`FaultPlan`] is a deterministic schedule of component failures at
-//! simulated timestamps. Plans can be built explicitly (one
-//! [`FaultEvent`] at a time) or sampled from a seed with
-//! [`FaultPlan::standard_campaign`], which draws the acceptance campaign —
-//! one GPU chiplet, one HBM stack, two interposer ring segments — with
-//! times and victims fixed entirely by the seed, so two runs of the same
-//! plan produce byte-identical reports.
+//! A [`FaultPlan`] is a deterministic schedule of failures at simulated
+//! timestamps. Its event kind is a type parameter: package components
+//! ([`FaultKind`], the default) here, whole nodes in
+//! [`NodeFaultPlan`](crate::multinode::NodeFaultPlan). Plans can be
+//! built explicitly (one [`FaultEvent`] at a time) or sampled from a
+//! seed with [`FaultPlan::standard_campaign`], which draws the acceptance
+//! campaign — one GPU chiplet, one HBM stack, two interposer ring
+//! segments — with times and victims fixed entirely by the seed, so two
+//! runs of the same plan produce byte-identical reports.
 
 use core::fmt;
 
@@ -66,25 +68,31 @@ impl fmt::Display for FaultKind {
     }
 }
 
-/// A component failure at a simulated time.
+/// A failure at a simulated time.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct FaultEvent {
+pub struct FaultEvent<K = FaultKind> {
     /// Simulated time of the failure, in microseconds.
     pub at_us: f64,
     /// What fails.
-    pub kind: FaultKind,
+    pub kind: K,
 }
 
 /// A deterministic, seeded schedule of failures.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultPlan {
+#[derive(Clone, Debug, PartialEq)]
+pub struct FaultPlan<K = FaultKind> {
     /// Seed the plan was sampled from (recorded for reporting; explicit
     /// plans keep whatever seed they were created with).
     pub seed: u64,
-    events: Vec<FaultEvent>,
+    events: Vec<FaultEvent<K>>,
 }
 
-impl FaultPlan {
+impl<K> Default for FaultPlan<K> {
+    fn default() -> Self {
+        Self::new(0)
+    }
+}
+
+impl<K> FaultPlan<K> {
     /// An empty plan carrying `seed`.
     pub fn new(seed: u64) -> Self {
         Self {
@@ -95,7 +103,7 @@ impl FaultPlan {
 
     /// Adds one failure, keeping events ordered by time (ties keep
     /// insertion order).
-    pub fn push(&mut self, at_us: f64, kind: FaultKind) -> &mut Self {
+    pub fn push(&mut self, at_us: f64, kind: K) -> &mut Self {
         let pos = self
             .events
             .iter()
@@ -106,7 +114,7 @@ impl FaultPlan {
     }
 
     /// The scheduled events, in time order.
-    pub fn events(&self) -> &[FaultEvent] {
+    pub fn events(&self) -> &[FaultEvent<K>] {
         &self.events
     }
 
@@ -119,7 +127,9 @@ impl FaultPlan {
     pub fn is_empty(&self) -> bool {
         self.events.is_empty()
     }
+}
 
+impl FaultPlan {
     /// Samples the acceptance campaign on the paper's 8-GPU / 8-CPU /
     /// 8-stack ring package: one GPU chiplet, one HBM stack (never the one
     /// the chiplet orphans), and two distinct interposer ring segments,
@@ -183,7 +193,7 @@ impl FaultPlan {
     }
 }
 
-impl fmt::Display for FaultPlan {
+impl<K: fmt::Display> fmt::Display for FaultPlan<K> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,

@@ -9,6 +9,7 @@ use ena_faults::{
 };
 use ena_model::hash::StableHasher;
 use ena_testkit::prelude::*;
+use ena_testkit::process::assert_same_digest_across_processes;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -124,38 +125,8 @@ fn transient_digest() -> u64 {
 /// with each other and with the in-process value.
 #[test]
 fn transient_schedules_are_identical_across_processes() {
-    const MODE: &str = "ENA_FAULTS_TRANSIENT_DIGEST_MODE";
-    if std::env::var_os(MODE).is_some() {
-        println!("digest={:016x}", transient_digest());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let child_digest = || {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "transient_schedules_are_identical_across_processes",
-                "--exact",
-                "--nocapture",
-            ])
-            .env(MODE, "1")
-            .output()
-            .expect("child test process");
-        assert!(out.status.success(), "child run failed: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        let at = stdout
-            .find("digest=")
-            .unwrap_or_else(|| panic!("no digest in child output: {stdout}"));
-        stdout[at + "digest=".len()..]
-            .chars()
-            .take_while(char::is_ascii_hexdigit)
-            .collect::<String>()
-    };
-    let first = child_digest();
-    let second = child_digest();
-    assert_eq!(first, second, "transient digest differs between processes");
-    assert_eq!(
-        first,
-        format!("{:016x}", transient_digest()),
-        "parent and child disagree"
+    assert_same_digest_across_processes(
+        "transient_schedules_are_identical_across_processes",
+        transient_digest,
     );
 }

@@ -11,8 +11,9 @@
 //! - [`task`] — heterogeneous task DAGs with per-agent costs.
 //! - [`sync`] — HRF scoped-synchronization cost models, conventional vs
 //!   QuickRelease.
-//! - [`runtime`] — a list-scheduling runtime executing DAGs over CPU cores
-//!   and GPU queues, accounting dispatch and synchronization overheads.
+//! - [`runtime`] — one list scheduler executing DAGs over CPU cores and
+//!   GPU queues, healthy or with agents dying mid-run, accounting
+//!   dispatch and synchronization overheads.
 //!
 //! # Example: why user-mode dispatch matters
 //!

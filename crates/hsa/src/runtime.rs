@@ -7,6 +7,10 @@
 //! (small for HSA user-mode dispatch, an order of magnitude larger for a
 //! legacy driver path), and pay release/acquire costs per dependency edge
 //! per the active [`SyncModel`].
+//!
+//! There is one list scheduler, [`Runtime::execute_degraded`], which
+//! runs a graph while agents die under it; [`Runtime::execute`] is its
+//! fault-free run.
 
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
@@ -78,7 +82,7 @@ pub struct TaskSpan {
 }
 
 /// The executed schedule.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Schedule {
     /// Per-task placement and timing, in completion order.
     pub spans: Vec<TaskSpan>,
@@ -272,6 +276,36 @@ fn ready_time(task: &Task, placement: &[Option<TaskSpan>], floor: f64) -> f64 {
         .fold(floor, f64::max)
 }
 
+/// The agents of one class during a run.
+struct Agents {
+    kind: AgentKind,
+    /// When each agent can take its next dispatch (infinity once dead).
+    free_us: Vec<f64>,
+    /// When each agent dies (infinity if no fault names it).
+    fail_us: Vec<f64>,
+}
+
+impl Agents {
+    /// `count` idle agents of `kind`, each dying at the earliest of
+    /// `faults` that names it.
+    fn new(kind: AgentKind, count: usize, faults: &[AgentFault]) -> Self {
+        let fail_us = (0..count)
+            .map(|index| {
+                faults
+                    .iter()
+                    .filter(|f| f.agent == kind && f.index == index)
+                    .map(|f| f.at_us)
+                    .fold(f64::INFINITY, f64::min)
+            })
+            .collect();
+        Self {
+            kind,
+            free_us: vec![0.0; count],
+            fail_us,
+        }
+    }
+}
+
 /// The simulated heterogeneous runtime.
 #[derive(Clone, Debug)]
 pub struct Runtime {
@@ -284,133 +318,41 @@ impl Runtime {
         Self { config }
     }
 
-    /// Executes `graph` to completion with greedy earliest-finish list
-    /// scheduling, returning the schedule.
-    ///
-    /// Each step places the ready task (all dependencies placed) with the
-    /// least `(ready time, id)` on the compatible agent where it finishes
-    /// first. A ready queue makes the whole schedule O((n + e) log n) for
-    /// n tasks and e dependency edges, plus O(agents) per placement.
+    /// Executes `graph` to completion on healthy agents: the fault-free
+    /// run of [`Runtime::execute_degraded`].
     ///
     /// # Panics
     ///
-    /// Panics if the graph is empty or the runtime has no agents.
+    /// Panics if the graph is empty, if the runtime has no agents, or if
+    /// a task can run only on an agent class the runtime has none of.
     pub fn execute(&self, graph: &TaskGraph) -> Schedule {
         assert!(!graph.is_empty(), "empty task graph");
         let cfg = &self.config;
         assert!(cfg.cpu_cores + cfg.gpu_queues > 0, "no agents");
-
-        let n = graph.len();
-        let mut signals = SignalPool::new();
-        let completion: Vec<_> = (0..n).map(|_| signals.create(1)).collect();
-        // One dispatch queue per GPU agent, exercised for real.
-        let mut queues: Vec<UserModeQueue> = (0..cfg.gpu_queues)
-            .map(|_| UserModeQueue::new(64))
-            .collect();
-
-        let mut cpu_free = vec![0.0f64; cfg.cpu_cores];
-        let mut gpu_free = vec![0.0f64; cfg.gpu_queues];
-        let mut placement: Vec<Option<TaskSpan>> = vec![None; n];
-        let mut spans = Vec::with_capacity(n);
-        let mut dispatch_total = 0.0;
-        let mut sync_total = 0.0;
-
-        // The ready task whose ready time is earliest (deterministic
-        // tie-break by id). add() admits only acyclic graphs, so the queue
-        // drains only once every task is placed.
-        let mut queue = ReadyQueue::new(graph);
-        while let Some((ready, id)) = queue.pop() {
-            let task = &graph.tasks()[id];
-
-            // Candidate placements: earliest finish across compatible agents.
-            let mut best: Option<(f64, f64, AgentKind, usize, f64)> = None; // (end, start, kind, idx, sync)
-            let consider =
-                |kind: AgentKind,
-                 free: &[f64],
-                 cost: Option<f64>,
-                 best: &mut Option<(f64, f64, AgentKind, usize, f64)>| {
-                    let Some(cost) = cost else { return };
-                    let Some((idx, &agent_free)) =
-                        free.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1))
-                    else {
-                        return;
-                    };
-                    // Sync cost: each dependency edge pays release+acquire at
-                    // the scope its producer placement requires.
-                    let sync: f64 = task
-                        .deps
-                        .iter()
-                        .filter_map(|&d| placement[d])
-                        .map(|producer| cfg.sync.edge_cost(producer.agent != kind))
-                        .sum();
-                    let start = ready.max(agent_free) + cfg.dispatch_overhead_us + sync;
-                    let end = start + cost;
-                    if best.is_none_or(|(e, ..)| end < e) {
-                        *best = Some((end, start, kind, idx, sync));
-                    }
-                };
-            consider(AgentKind::CpuCore, &cpu_free, task.cost.cpu_us, &mut best);
-            consider(AgentKind::GpuQueue, &gpu_free, task.cost.gpu_us, &mut best);
-            // add() rejects unrunnable tasks, so some candidate exists; if
-            // that invariant ever breaks, stop scheduling rather than abort.
-            let Some((end, start, kind, idx, sync)) = best else {
-                break;
-            };
-
-            match kind {
-                AgentKind::CpuCore => cpu_free[idx] = end,
-                AgentKind::GpuQueue => {
-                    gpu_free[idx] = end;
-                    // Exercise the dispatch substrate: packet in, packet
-                    // out. The queue is drained every dispatch, so submit
-                    // cannot reject and consume cannot come up empty.
-                    if queues[idx]
-                        .submit(DispatchPacket {
-                            task: id,
-                            completion: completion[id],
-                        })
-                        .is_ok()
-                    {
-                        if let Some(pkt) = queues[idx].consume() {
-                            debug_assert_eq!(pkt.task, id);
-                        }
-                    }
-                }
-            }
-            signals.decrement(completion[id], end);
-
-            let span = TaskSpan {
-                task: id,
-                agent: kind,
-                agent_index: idx,
-                start_us: start,
-                end_us: end,
-            };
-            placement[id] = Some(span);
-            queue.place(id, graph, &placement);
-            spans.push(span);
-            dispatch_total += cfg.dispatch_overhead_us;
-            sync_total += sync;
-        }
-
-        // Every completion signal fired exactly once.
-        debug_assert!((0..n).all(|id| signals.satisfied(completion[id], 0)));
-
-        let makespan = spans.iter().map(|s| s.end_us).fold(0.0, f64::max);
-        Schedule {
-            spans,
-            makespan_us: makespan,
-            dispatch_overhead_us: dispatch_total,
-            sync_overhead_us: sync_total,
-            retries: 0,
-            lost_work_us: 0.0,
-        }
+        let run = self.execute_degraded(graph, &[], RetryPolicy::default());
+        // With no faults no agent dies, so the one possible error is a
+        // task that no configured agent can run.
+        let error = run.as_ref().err().map(ToString::to_string);
+        assert!(
+            error.is_none(),
+            "unrunnable task graph: {}",
+            error.unwrap_or_default()
+        );
+        run.unwrap_or_default()
     }
 
-    /// Executes `graph` while agents die at the times given in `faults`:
-    /// work in flight on a dying agent is lost, the task is re-queued with
-    /// bounded retry/backoff onto the survivors, and the dead agent never
+    /// Executes `graph` with greedy earliest-finish list scheduling while
+    /// agents die at the times given in `faults`: work in flight on a
+    /// dying agent is lost, the task is re-queued with bounded
+    /// retry/backoff onto the survivors, and the dead agent never
     /// receives another dispatch.
+    ///
+    /// Each step places the ready task (all dependencies placed) with the
+    /// least `(ready time, id)` on the compatible agent where it finishes
+    /// first; a finish-time tie goes to the CPU cores, then to the
+    /// lowest-numbered agent. A ready queue makes the whole schedule
+    /// O((n + e) log n) for n tasks and e dependency edges, plus
+    /// O(agents) per placement.
     ///
     /// The scheduler is fault-*unaware* at dispatch time: it only learns
     /// of a death once it happens, so a task dispatched before the fault
@@ -421,7 +363,7 @@ impl Runtime {
     /// Returns [`DegradeError::RetriesExhausted`] when a task dies more
     /// than `retry.max_retries` times, or
     /// [`DegradeError::NoCompatibleAgent`] when every agent a task could
-    /// run on is dead.
+    /// run on is dead or was never configured.
     pub fn execute_degraded(
         &self,
         graph: &TaskGraph,
@@ -430,40 +372,20 @@ impl Runtime {
     ) -> Result<Schedule, DegradeError> {
         let cfg = &self.config;
         let n = graph.len();
-        if n == 0 {
-            return Ok(Schedule {
-                spans: Vec::new(),
-                makespan_us: 0.0,
-                dispatch_overhead_us: 0.0,
-                sync_overhead_us: 0.0,
-                retries: 0,
-                lost_work_us: 0.0,
-            });
-        }
-
-        // Earliest scheduled death per agent, or infinity.
-        let fail_time = |kind: AgentKind, count: usize| -> Vec<f64> {
-            (0..count)
-                .map(|i| {
-                    faults
-                        .iter()
-                        .filter(|f| f.agent == kind && f.index == i)
-                        .map(|f| f.at_us)
-                        .fold(f64::INFINITY, f64::min)
-                })
-                .collect()
-        };
-        let cpu_fail = fail_time(AgentKind::CpuCore, cfg.cpu_cores);
-        let gpu_fail = fail_time(AgentKind::GpuQueue, cfg.gpu_queues);
+        // CPU cores first: the candidate pass keeps the first of equal
+        // finishes.
+        let mut classes = [
+            Agents::new(AgentKind::CpuCore, cfg.cpu_cores, faults),
+            Agents::new(AgentKind::GpuQueue, cfg.gpu_queues, faults),
+        ];
 
         let mut signals = SignalPool::new();
         let completion: Vec<_> = (0..n).map(|_| signals.create(1)).collect();
+        // One dispatch queue per GPU agent, exercised for real.
         let mut queues: Vec<UserModeQueue> = (0..cfg.gpu_queues)
             .map(|_| UserModeQueue::new(64))
             .collect();
 
-        let mut cpu_free = vec![0.0f64; cfg.cpu_cores];
-        let mut gpu_free = vec![0.0f64; cfg.gpu_queues];
         let mut placement: Vec<Option<TaskSpan>> = vec![None; n];
         let mut attempts = vec![0u32; n];
         let mut spans = Vec::with_capacity(n);
@@ -474,61 +396,48 @@ impl Runtime {
 
         // The ready task whose ready time is earliest (deterministic
         // tie-break by id); a re-queued task returns with its ready time
-        // floored at failure time + backoff.
+        // floored at failure time + backoff. add() admits only acyclic
+        // graphs, so the queue drains only once every task is placed.
         let mut queue = ReadyQueue::new(graph);
         while let Some((ready, id)) = queue.pop() {
             let task = &graph.tasks()[id];
 
-            // Candidate placements over agents not yet known-dead at their
+            // Candidate placements, one pass over both agent classes:
+            // earliest finish over agents not yet known-dead at their
             // candidate start time (the runtime observes deaths only as
-            // they happen).
-            let mut best: Option<(f64, f64, AgentKind, usize, f64)> = None;
-            let consider =
-                |kind: AgentKind,
-                 free: &[f64],
-                 fail: &[f64],
-                 cost: Option<f64>,
-                 best: &mut Option<(f64, f64, AgentKind, usize, f64)>| {
-                    let Some(cost) = cost else { return };
-                    let sync: f64 = task
-                        .deps
-                        .iter()
-                        .filter_map(|&d| placement[d])
-                        .map(|producer| cfg.sync.edge_cost(producer.agent != kind))
-                        .sum();
-                    for (idx, &agent_free) in free.iter().enumerate() {
-                        let start = ready.max(agent_free) + cfg.dispatch_overhead_us + sync;
-                        if fail[idx] <= start {
-                            continue; // known dead by dispatch time
-                        }
-                        let end = start + cost;
-                        if best.is_none_or(|(e, ..)| end < e) {
-                            *best = Some((end, start, kind, idx, sync));
-                        }
-                    }
+            // they happen). Each is (end, start, class, idx, sync).
+            let mut best: Option<(f64, f64, usize, usize, f64)> = None;
+            for (class, agents) in classes.iter().enumerate() {
+                let cost = match agents.kind {
+                    AgentKind::CpuCore => task.cost.cpu_us,
+                    AgentKind::GpuQueue => task.cost.gpu_us,
                 };
-            consider(
-                AgentKind::CpuCore,
-                &cpu_free,
-                &cpu_fail,
-                task.cost.cpu_us,
-                &mut best,
-            );
-            consider(
-                AgentKind::GpuQueue,
-                &gpu_free,
-                &gpu_fail,
-                task.cost.gpu_us,
-                &mut best,
-            );
-            let Some((end, start, kind, idx, sync)) = best else {
+                let Some(cost) = cost else { continue };
+                // Sync cost: each dependency edge pays release+acquire at
+                // the scope its producer placement requires.
+                let sync: f64 = task
+                    .deps
+                    .iter()
+                    .filter_map(|&d| placement[d])
+                    .map(|producer| cfg.sync.edge_cost(producer.agent != agents.kind))
+                    .sum();
+                for (idx, &free) in agents.free_us.iter().enumerate() {
+                    let start = ready.max(free) + cfg.dispatch_overhead_us + sync;
+                    if agents.fail_us[idx] <= start {
+                        continue; // known dead by dispatch time
+                    }
+                    let end = start + cost;
+                    if best.is_none_or(|(e, ..)| end < e) {
+                        best = Some((end, start, class, idx, sync));
+                    }
+                }
+            }
+            let Some((end, start, class, idx, sync)) = best else {
                 return Err(DegradeError::NoCompatibleAgent { task: id });
             };
 
-            let fail_at = match kind {
-                AgentKind::CpuCore => cpu_fail[idx],
-                AgentKind::GpuQueue => gpu_fail[idx],
-            };
+            let agents = &mut classes[class];
+            let fail_at = agents.fail_us[idx];
             if fail_at < end {
                 // The agent dies with this task in flight: the partial work
                 // is lost, the agent is retired, and the task re-queues
@@ -544,29 +453,24 @@ impl Runtime {
                 lost_work += (fail_at - start).max(0.0);
                 let floor = fail_at + retry.backoff_for(attempts[id]);
                 queue.push(ready_time(task, &placement, floor), id);
-                match kind {
-                    AgentKind::CpuCore => cpu_free[idx] = f64::INFINITY,
-                    AgentKind::GpuQueue => gpu_free[idx] = f64::INFINITY,
-                }
+                agents.free_us[idx] = f64::INFINITY;
                 continue;
             }
 
-            match kind {
-                AgentKind::CpuCore => cpu_free[idx] = end,
-                AgentKind::GpuQueue => {
-                    gpu_free[idx] = end;
-                    // Drained every dispatch: submit cannot reject and
-                    // consume cannot come up empty.
-                    if queues[idx]
-                        .submit(DispatchPacket {
-                            task: id,
-                            completion: completion[id],
-                        })
-                        .is_ok()
-                    {
-                        if let Some(pkt) = queues[idx].consume() {
-                            debug_assert_eq!(pkt.task, id);
-                        }
+            agents.free_us[idx] = end;
+            if agents.kind == AgentKind::GpuQueue {
+                // Exercise the dispatch substrate: packet in, packet out.
+                // The queue is drained every dispatch, so submit cannot
+                // reject and consume cannot come up empty.
+                if queues[idx]
+                    .submit(DispatchPacket {
+                        task: id,
+                        completion: completion[id],
+                    })
+                    .is_ok()
+                {
+                    if let Some(pkt) = queues[idx].consume() {
+                        debug_assert_eq!(pkt.task, id);
                     }
                 }
             }
@@ -574,7 +478,7 @@ impl Runtime {
 
             let span = TaskSpan {
                 task: id,
-                agent: kind,
+                agent: agents.kind,
                 agent_index: idx,
                 start_us: start,
                 end_us: end,
@@ -586,6 +490,7 @@ impl Runtime {
             sync_total += sync;
         }
 
+        // Every completion signal fired exactly once.
         debug_assert!((0..n).all(|id| signals.satisfied(completion[id], 0)));
         let makespan = spans.iter().map(|s| s.end_us).fold(0.0, f64::max);
         Ok(Schedule {
@@ -794,6 +699,23 @@ mod tests {
             .execute_degraded(&g, &faults, RetryPolicy::default())
             .unwrap_err();
         assert_eq!(err, DegradeError::NoCompatibleAgent { task: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "can run task 1")]
+    fn execute_names_a_task_no_configured_agent_can_run() {
+        // No CPU cores: the CPU-only middle of a GPU -> CPU -> GPU chain
+        // has nowhere to run, so execute panics naming it instead of
+        // returning a schedule without it.
+        let mut g = TaskGraph::new();
+        let k0 = g.add("k0", TaskCost::gpu(5.0), &[]).unwrap();
+        let host = g.add("host", TaskCost::cpu(2.0), &[k0]).unwrap();
+        g.add("k1", TaskCost::gpu(5.0), &[host]).unwrap();
+        let cfg = RuntimeConfig {
+            cpu_cores: 0,
+            ..RuntimeConfig::hsa()
+        };
+        Runtime::new(cfg).execute(&g);
     }
 
     #[test]

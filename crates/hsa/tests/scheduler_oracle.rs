@@ -1,12 +1,13 @@
 //! The ready-queue list scheduler against the scan it replaced.
 //!
-//! `Runtime::execute` and `Runtime::execute_degraded` pick the ready task
-//! with the least `(ready time, id)` from a priority queue. The reference
-//! implementations below make the same pick the original way, scanning
-//! every task and its dependency list on each step, and the properties
-//! require the two to agree bit for bit over random DAGs: duplicate
-//! dependencies, tie-heavy costs, one to four agents of each kind, both
-//! dispatch paths and, for the degraded runtime, random fault plans.
+//! `Runtime::execute_degraded` picks the ready task with the least
+//! `(ready time, id)` from a priority queue, and `Runtime::execute` is
+//! its fault-free run. The reference implementation below makes the
+//! same pick the original way, scanning every task and its dependency
+//! list on each step, and the properties require the two to agree bit
+//! for bit over random DAGs: duplicate dependencies, tie-heavy costs,
+//! one to four agents of each kind, both dispatch paths and random
+//! fault plans, the empty plan included.
 
 use ena_hsa::runtime::{AgentFault, AgentKind, RetryPolicy, Runtime, RuntimeConfig, Schedule};
 use ena_hsa::sync::SyncModel;
@@ -83,85 +84,9 @@ fn fault_plan(rng: &mut StdRng, cfg: &RuntimeConfig) -> (Vec<AgentFault>, RetryP
     (faults, retry)
 }
 
-/// The original `execute`: scan every task for the least `(ready, id)`.
-fn scan_execute(cfg: &RuntimeConfig, graph: &TaskGraph) -> Schedule {
-    let n = graph.len();
-    let mut cpu_free = vec![0.0f64; cfg.cpu_cores];
-    let mut gpu_free = vec![0.0f64; cfg.gpu_queues];
-    let mut placement: Vec<Option<(f64, AgentKind)>> = vec![None; n];
-    let mut spans = Vec::with_capacity(n);
-    let mut dispatch_total = 0.0;
-    let mut sync_total = 0.0;
-    for _ in 0..n {
-        let mut pick: Option<(f64, TaskId)> = None;
-        for (id, task) in graph.tasks().iter().enumerate() {
-            if placement[id].is_some() || !task.deps.iter().all(|&d| placement[d].is_some()) {
-                continue;
-            }
-            let ready = task
-                .deps
-                .iter()
-                .filter_map(|&d| placement[d])
-                .map(|(end, _)| end)
-                .fold(0.0f64, f64::max);
-            if pick.is_none_or(|(r, i)| (ready, id) < (r, i)) {
-                pick = Some((ready, id));
-            }
-        }
-        let (ready, id) = pick.expect("acyclic graph");
-        let task = &graph.tasks()[id];
-        let mut best: Option<(f64, f64, AgentKind, usize, f64)> = None;
-        for (kind, free, cost) in [
-            (AgentKind::CpuCore, &cpu_free, task.cost.cpu_us),
-            (AgentKind::GpuQueue, &gpu_free, task.cost.gpu_us),
-        ] {
-            let Some(cost) = cost else { continue };
-            let Some((idx, &agent_free)) =
-                free.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1))
-            else {
-                continue;
-            };
-            let sync: f64 = task
-                .deps
-                .iter()
-                .filter_map(|&d| placement[d])
-                .map(|(_, producer)| cfg.sync.edge_cost(producer != kind))
-                .sum();
-            let start = ready.max(agent_free) + cfg.dispatch_overhead_us + sync;
-            let end = start + cost;
-            if best.is_none_or(|(e, ..)| end < e) {
-                best = Some((end, start, kind, idx, sync));
-            }
-        }
-        let (end, start, kind, idx, sync) = best.expect("runnable task");
-        match kind {
-            AgentKind::CpuCore => cpu_free[idx] = end,
-            AgentKind::GpuQueue => gpu_free[idx] = end,
-        }
-        placement[id] = Some((end, kind));
-        spans.push(ena_hsa::runtime::TaskSpan {
-            task: id,
-            agent: kind,
-            agent_index: idx,
-            start_us: start,
-            end_us: end,
-        });
-        dispatch_total += cfg.dispatch_overhead_us;
-        sync_total += sync;
-    }
-    let makespan = spans.iter().map(|s| s.end_us).fold(0.0, f64::max);
-    Schedule {
-        spans,
-        makespan_us: makespan,
-        dispatch_overhead_us: dispatch_total,
-        sync_overhead_us: sync_total,
-        retries: 0,
-        lost_work_us: 0.0,
-    }
-}
-
-/// The original `execute_degraded`: the same scan, with each re-queued
-/// task's ready time floored at its failure time plus backoff.
+/// The original `execute_degraded`: scan every task for the least
+/// `(ready, id)`, with each re-queued task's ready time floored at its
+/// failure time plus backoff.
 fn scan_execute_degraded(
     cfg: &RuntimeConfig,
     graph: &TaskGraph,
@@ -321,8 +246,8 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let (graph, cfg) = case(&mut rng);
         let fast = Runtime::new(cfg).execute(&graph);
-        let scan = scan_execute(&cfg, &graph);
-        prop_assert_eq!(bits(&fast), bits(&scan));
+        let scan = scan_execute_degraded(&cfg, &graph, &[], RetryPolicy::default());
+        prop_assert_eq!(Ok(bits(&fast)), scan.map(|s| bits(&s)));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use ena_noc::sim::{NocSim, Packet};
 use ena_noc::topology::Topology;
 use ena_testkit::prelude::*;
+use ena_testkit::process::assert_same_digest_across_processes;
 
 fn arbitrary_endpoints() -> impl Strategy<Value = (usize, usize)> {
     let topo = Topology::ehp(8, 8);
@@ -107,40 +108,8 @@ fn route_table_digest() -> u64 {
 /// the printed digests with each other and with the in-process value.
 #[test]
 fn route_table_is_identical_across_two_process_runs() {
-    const MODE: &str = "ENA_NOC_DIGEST_MODE";
-    if std::env::var_os(MODE).is_some() {
-        println!("digest={:016x}", route_table_digest());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let child_digest = || {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "route_table_is_identical_across_two_process_runs",
-                "--exact",
-                "--nocapture",
-            ])
-            .env(MODE, "1")
-            .output()
-            .expect("child test process");
-        assert!(out.status.success(), "child run failed: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        // Under `--nocapture` libtest may print the digest on the same
-        // line as the test name, so search by substring.
-        let at = stdout
-            .find("digest=")
-            .unwrap_or_else(|| panic!("no digest in child output: {stdout}"));
-        stdout[at + "digest=".len()..]
-            .chars()
-            .take_while(char::is_ascii_hexdigit)
-            .collect::<String>()
-    };
-    let first = child_digest();
-    let second = child_digest();
-    assert_eq!(first, second, "route table differs between processes");
-    assert_eq!(
-        first,
-        format!("{:016x}", route_table_digest()),
-        "parent and child disagree"
+    assert_same_digest_across_processes(
+        "route_table_is_identical_across_two_process_runs",
+        route_table_digest,
     );
 }

@@ -270,8 +270,7 @@ impl<R: CacheRecord> DiskCache<R> {
     }
 
     /// Reads and validates the on-disk image, degrading damage to the
-    /// intact prefix (byte-level: non-UTF-8 garbage only costs the lines
-    /// it touches).
+    /// intact prefix: a torn tail is truncated under a bumped generation.
     fn load(
         fs: &dyn Vfs,
         path: &Path,
@@ -290,23 +289,7 @@ impl<R: CacheRecord> DiskCache<R> {
             }
             Err(e) => return Err(CacheError::new("read", path, e)),
         };
-
-        // Split into newline-terminated lines; a trailing fragment with
-        // no newline is a torn final line and is dropped up front.
-        let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-        let mut damaged = false;
-        match lines.pop() {
-            Some(last) if last.is_empty() => {}
-            Some(_torn_fragment) => damaged = true,
-            None => {}
-        }
-        let mut lines = lines.into_iter();
-
-        let header = lines
-            .next()
-            .and_then(|raw| std::str::from_utf8(raw).ok())
-            .and_then(|line| parse_header::<R>(line, campaign, version));
-        let Some(generation) = header else {
+        let Some(image) = parse_image::<R>(&bytes, campaign, version) else {
             // Foreign bytes, stale stamp, or wrong record tag: evict
             // wholesale under a bumped generation. The old generation is
             // unreadable, so restart the lineage at 1 to distinguish the
@@ -317,26 +300,10 @@ impl<R: CacheRecord> DiskCache<R> {
                 rewrite: true,
             });
         };
-
-        let mut entries = Vec::new();
-        for raw in lines {
-            let parsed = std::str::from_utf8(raw).ok().and_then(parse_entry::<R>);
-            match parsed {
-                Some(entry) => entries.push(entry),
-                // Torn or corrupt line: drop it and everything after —
-                // with an append-only writer nothing valid follows
-                // damage, and the CRC keeps a half-line from decoding.
-                None => {
-                    damaged = true;
-                    break;
-                }
-            }
-        }
-
         Ok(Loaded {
-            entries,
-            generation: if damaged { generation + 1 } else { generation },
-            rewrite: damaged,
+            entries: image.entries,
+            generation: image.generation + u64::from(image.torn_tail),
+            rewrite: image.torn_tail,
         })
     }
 
@@ -512,35 +479,14 @@ pub fn verify_file<R: CacheRecord>(
             path: path.to_path_buf(),
             error: e.to_string(),
         })?;
-    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
-    let mut torn_tail = false;
-    match lines.pop() {
-        Some(last) if last.is_empty() => {}
-        Some(_torn_fragment) => torn_tail = true,
-        None => {}
-    }
-    let mut lines = lines.into_iter();
-    let generation = lines
-        .next()
-        .and_then(|raw| std::str::from_utf8(raw).ok())
-        .and_then(|line| parse_header::<R>(line, campaign, version))
-        .ok_or_else(|| VerifyError::BadHeader {
+    let image =
+        parse_image::<R>(&bytes, campaign, version).ok_or_else(|| VerifyError::BadHeader {
             path: path.to_path_buf(),
         })?;
-    let mut keys = Vec::new();
-    for raw in lines {
-        match std::str::from_utf8(raw).ok().and_then(parse_entry::<R>) {
-            Some((key, _)) => keys.push(key),
-            None => {
-                torn_tail = true;
-                break;
-            }
-        }
-    }
     Ok(VerifyReport {
-        keys,
-        generation,
-        torn_tail,
+        keys: image.entries.iter().map(|&(key, _)| key).collect(),
+        generation: image.generation,
+        torn_tail: image.torn_tail,
     })
 }
 
@@ -678,6 +624,50 @@ fn header_line<R: CacheRecord>(campaign: u64, version: &str, generation: u64) ->
         "{FORMAT} record={} model={version} campaign={campaign:016x} generation={generation:016x}",
         R::TAG
     )
+}
+
+/// A cache file's bytes, parsed (see [`parse_image`]).
+struct Image<R> {
+    /// Generation counter from the header.
+    generation: u64,
+    /// Every intact entry, in file order.
+    entries: Vec<(u64, R)>,
+    /// True when a torn or corrupt tail was dropped.
+    torn_tail: bool,
+}
+
+/// Parses a cache file's bytes: `None` when the header is missing or
+/// does not match this record type, campaign, and version; otherwise
+/// every entry up to the first damaged line, byte-level (non-UTF-8
+/// garbage only costs the lines it touches).
+fn parse_image<R: CacheRecord>(bytes: &[u8], campaign: u64, version: &str) -> Option<Image<R>> {
+    // Split into newline-terminated lines; a trailing fragment with no
+    // newline is a torn final line and is dropped up front.
+    let mut lines: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+    let mut torn_tail = lines.pop().is_some_and(|last| !last.is_empty());
+    let mut lines = lines.into_iter();
+    let generation = lines
+        .next()
+        .and_then(|raw| std::str::from_utf8(raw).ok())
+        .and_then(|line| parse_header::<R>(line, campaign, version))?;
+    let mut entries = Vec::new();
+    for raw in lines {
+        match std::str::from_utf8(raw).ok().and_then(parse_entry::<R>) {
+            Some(entry) => entries.push(entry),
+            // Torn or corrupt line: drop it and everything after — with
+            // an append-only writer nothing valid follows damage, and the
+            // CRC keeps a half-line from decoding.
+            None => {
+                torn_tail = true;
+                break;
+            }
+        }
+    }
+    Some(Image {
+        generation,
+        entries,
+        torn_tail,
+    })
 }
 
 fn parse_header<R: CacheRecord>(line: &str, campaign: u64, version: &str) -> Option<u64> {

@@ -10,6 +10,7 @@
 //! | [`rng`] | `rand` | Seedable SplitMix64 / xoshiro256++ PRNG |
 //! | [`prop`] (+ [`collection`], [`sample`]) | `proptest` | Property harness with pinned seeds |
 //! | [`golden`] | — | Figure/table regression against `artifacts/` |
+//! | [`process`] | — | Cross-process determinism: one digest in two child processes and the parent |
 //!
 //! # Seed policy
 //!
@@ -28,6 +29,7 @@ pub mod collection;
 pub mod golden;
 mod macros;
 pub mod prelude;
+pub mod process;
 pub mod prop;
 pub mod rng;
 pub mod sample;

@@ -1,6 +1,7 @@
 //! Property-based tests for the tracing infrastructure.
 
 use ena_testkit::prelude::*;
+use ena_testkit::process::assert_same_digest_across_processes;
 use ena_workloads::trace::{Tracer, LINE_BYTES};
 
 proptest! {
@@ -105,40 +106,8 @@ fn characterization_digest() -> u64 {
 /// other and with the in-process value.
 #[test]
 fn characterization_is_identical_across_two_process_runs() {
-    const MODE: &str = "ENA_WORKLOADS_DIGEST_MODE";
-    if std::env::var_os(MODE).is_some() {
-        println!("digest={:016x}", characterization_digest());
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let child_digest = || {
-        let out = std::process::Command::new(&exe)
-            .args([
-                "characterization_is_identical_across_two_process_runs",
-                "--exact",
-                "--nocapture",
-            ])
-            .env(MODE, "1")
-            .output()
-            .expect("child test process");
-        assert!(out.status.success(), "child run failed: {out:?}");
-        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
-        // Under `--nocapture` libtest may print the digest on the same
-        // line as the test name, so search by substring.
-        let at = stdout
-            .find("digest=")
-            .unwrap_or_else(|| panic!("no digest in child output: {stdout}"));
-        stdout[at + "digest=".len()..]
-            .chars()
-            .take_while(char::is_ascii_hexdigit)
-            .collect::<String>()
-    };
-    let first = child_digest();
-    let second = child_digest();
-    assert_eq!(first, second, "characterization differs between processes");
-    assert_eq!(
-        first,
-        format!("{:016x}", characterization_digest()),
-        "parent and child disagree"
+    assert_same_digest_across_processes(
+        "characterization_is_identical_across_two_process_runs",
+        characterization_digest,
     );
 }

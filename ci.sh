@@ -41,7 +41,8 @@ rm -rf "$figures_dir"
 # Runs one sweep axis cold, then warm from a fresh artifacts/sweep-cache
 # (the one cache directory every axis shares): the warm run must hit the
 # cache for >= 90% of its points and print the cold run's report,
-# frontier included (only the cache and worker lines may differ).
+# frontier included (only the cache and worker lines may differ). Leaves
+# the cold report without those lines in $smoke_report.
 sweep_smoke() {
   rm -rf artifacts/sweep-cache
   local cold warm warm_line hit_rate
@@ -54,30 +55,52 @@ sweep_smoke() {
     echo "ci.sh: warm '$*' hit rate ${hit_rate}% is below 90%" >&2
     exit 1
   fi
-  if ! diff <(echo "$cold" | grep -v '^cache:\|^workers:') \
-    <(echo "$warm" | grep -v '^cache:\|^workers:'); then
+  smoke_report=$(echo "$cold" | grep -v '^cache:\|^workers:')
+  if ! diff <(echo "$smoke_report") <(echo "$warm" | grep -v '^cache:\|^workers:'); then
     echo "ci.sh: warm '$*' did not replay the cold report" >&2
     exit 1
   fi
 }
 
 echo "==> sweep smokes: every axis cold, then warm from its cache"
+sweep_smoke sweep --jobs 1
+one_job_report=$smoke_report
 sweep_smoke sweep --jobs 2
+# The caller-only pool (--jobs 1) and the threaded one must agree on
+# every line but the job count the header names.
+if ! diff <(echo "$one_job_report" | sed 's/ on 1 jobs,/ on N jobs,/') \
+  <(echo "$smoke_report" | sed 's/ on 2 jobs,/ on N jobs,/'); then
+  echo "ci.sh: 'sweep --jobs 1' and 'sweep --jobs 2' reports differ" >&2
+  exit 1
+fi
 sweep_smoke multinode --sweep --jobs 2
 sweep_smoke multinode --sweep --jobs 2 --mtbf 96 --checkpoint-cost 3
 
-echo "==> multinode campaign smoke"
+echo "==> multinode campaign smoke: the seeded campaign must match the golden report"
 cargo run --release -p ena-cli --bin ena -- multinode --nodes 8 --seed 0xC0FFEE >/dev/null
-
-echo "==> chaos smoke: seeded fault campaigns must hold every invariant on every axis"
-rm -rf artifacts/chaos-cache
-chaos_out=$(cargo run --release -p ena-cli --bin ena -- chaos --seed 0xC0FFEE --runs 2 --jobs 2)
-echo "$chaos_out" | grep '^chaos campaign\|^invariants:'
-held=$(echo "$chaos_out" | grep -c '^invariants: all hold' || true)
-if [ "$held" -ne 3 ]; then
-  echo "ci.sh: chaos campaigns held their invariants on $held of 3 axes" >&2
+multinode_out=$(cargo run --release -p ena-cli --bin ena -- multinode --seed 0xC0FFEE)
+if ! diff <(echo "$multinode_out") artifacts/multinode_campaign.txt; then
+  echo "ci.sh: multinode campaign diverged from artifacts/multinode_campaign.txt" >&2
   exit 1
 fi
+
+# Runs the seeded chaos campaign on every axis with the given pool
+# options: all three must hold every invariant.
+chaos_smoke() {
+  rm -rf artifacts/chaos-cache
+  local out held
+  out=$(cargo run --release -p ena-cli --bin ena -- chaos --seed 0xC0FFEE --runs 2 "$@")
+  echo "$out" | grep '^chaos campaign\|^invariants:'
+  held=$(echo "$out" | grep -c '^invariants: all hold' || true)
+  if [ "$held" -ne 3 ]; then
+    echo "ci.sh: chaos campaigns ($*) held their invariants on $held of 3 axes" >&2
+    exit 1
+  fi
+}
+
+echo "==> chaos smokes: seeded fault campaigns must hold every invariant on every axis"
+chaos_smoke --jobs 2
+chaos_smoke --jobs 1
 
 echo "==> transient smoke: seeded campaign must match the golden report"
 transient_out=$(cargo run --release -p ena-cli --bin ena -- faults --seed 0xC0FFEE --transient)

@@ -358,6 +358,35 @@ mod tests {
     }
 
     #[test]
+    fn unknown_endpoints_are_dropped_or_reported_unreachable() {
+        let topo = ehp();
+        let gpu = topo.find(NodeKind::GpuChiplet(0)).unwrap();
+        let hbm = topo.find(NodeKind::HbmStack(0)).unwrap();
+        let unknown = topo.node_count();
+        let packet = |src, dst| Packet {
+            src,
+            dst,
+            bytes: 64,
+            inject_cycle: 0,
+        };
+        let packets = [
+            packet(unknown, hbm),
+            packet(gpu, hbm),
+            packet(gpu, unknown + 7),
+        ];
+        let stats = NocSim::new(&topo).run(&packets);
+        assert_eq!((stats.delivered, stats.dropped), (1, 2));
+        let err = NocSim::new(&topo).try_run(&packets).unwrap_err();
+        assert_eq!(
+            err,
+            DegradeError::Unreachable {
+                src: unknown,
+                dst: hbm
+            }
+        );
+    }
+
+    #[test]
     fn stats_handle_empty_batches() {
         let topo = ehp();
         let mut sim = NocSim::new(&topo);

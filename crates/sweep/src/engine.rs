@@ -55,7 +55,8 @@ pub enum CacheMode {
 /// default [`RetryPolicy`] before quarantine.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
-    /// Worker thread count (clamped to at least 1).
+    /// Worker count including the calling thread, which is worker 0
+    /// (clamped to at least 1; `1` starts no thread).
     pub jobs: usize,
     /// Points per work-stealing chunk.
     pub chunk_points: usize,
@@ -134,7 +135,8 @@ pub struct Telemetry {
     pub fresh_evals: usize,
     /// Chunks handed to the pool.
     pub chunks: usize,
-    /// Worker threads used.
+    /// Workers used, the calling thread included (`1` started no
+    /// thread).
     pub jobs: usize,
     /// Per-worker execution counters (utilization).
     pub workers: Vec<WorkerStats>,

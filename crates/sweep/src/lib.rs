@@ -5,9 +5,10 @@
 //! best-mean design and the Table II per-app oracles. This crate turns
 //! that sweep from a loop into a subsystem:
 //!
-//! - [`pool`] — a std-only work-stealing thread pool with an
-//!   order-independent, index-keyed merge and per-chunk supervision
-//!   (caught panics, bounded retries, deterministic quarantine).
+//! - [`pool`] — a std-only work-stealing pool whose calling thread is
+//!   worker 0 (`jobs = 1` starts no thread), with an order-independent,
+//!   index-keyed merge and per-chunk supervision (caught panics, bounded
+//!   retries, deterministic quarantine).
 //! - [`cache`] — content-addressed memoization with a crash-consistent
 //!   on-disk layer (bit-exact round-trip, per-line CRC32, flush+fsync
 //!   per record, atomic temp-and-rename repair, generation header)

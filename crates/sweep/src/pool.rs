@@ -1,15 +1,19 @@
-//! A std-only work-stealing thread pool for chunked sweeps, with worker
+//! A std-only work-stealing pool for chunked sweeps, with worker
 //! supervision.
 //!
 //! The pool is deliberately small: each worker owns a deque of chunks,
 //! pops its own work from the front, and steals from a sibling's back
-//! when it runs dry. Completed chunks stream back to the caller's thread
-//! (for checkpointing) tagged with their chunk index, and the final
-//! result vector is assembled *by index* — so the merged output is
-//! independent of scheduling order and worker count by construction.
+//! when it runs dry. The calling thread is worker 0 and `jobs - 1`
+//! scoped helper threads join it, so a one-job pool starts no thread and
+//! sends nothing across threads. Completed chunks reach the caller's
+//! `on_chunk` (for checkpointing) tagged with their chunk index — its
+//! own directly, the helpers' over a channel it drains between its own
+//! chunks — and the final result vector is assembled *by index*, so the
+//! merged output is independent of scheduling order and worker count by
+//! construction.
 //!
 //! Supervision ([`map_chunks_supervised`]) catches panics *per chunk*
-//! rather than letting them kill the worker thread: a panicking chunk is
+//! rather than letting them kill the worker: a panicking chunk is
 //! retried under the caller's [`RetryPolicy`] (the evaluation kernel is
 //! deterministic, but the failure may be environmental — an injected
 //! chaos kill, a transient resource fault), and a chunk that fails every
@@ -55,9 +59,14 @@ pub struct QuarantinedChunk {
     pub backoff_us: f64,
 }
 
+/// What one chunk came to: its results, or its quarantine.
+type Verdict<R> = Result<Vec<R>, QuarantinedChunk>;
+
+/// One worker's pending `(chunk index, chunk)` pairs.
+type Queue<T> = VecDeque<(usize, Vec<T>)>;
+
 enum Message<R> {
-    Chunk { index: usize, results: Vec<R> },
-    Quarantined(QuarantinedChunk),
+    Verdict { index: usize, verdict: Verdict<R> },
     Done { worker: usize, stats: WorkerStats },
 }
 
@@ -104,21 +113,90 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Maps `f` over every item of every chunk on `jobs` worker threads,
-/// supervising each chunk: a panic is caught, the chunk is retried up to
-/// `retry.max_retries` times (charging `retry`'s modeled backoff), and a
-/// chunk that fails every attempt comes back as
+/// Runs chunk `index` under supervision: 1 + `retry.max_retries`
+/// attempts, each over the whole chunk (the kernel is deterministic, so
+/// a partial result has no value). Each caught panic but the last counts
+/// in `retries` and charges `retry`'s modeled backoff; the last
+/// quarantines the chunk.
+fn supervise<T, R, F>(
+    index: usize,
+    chunk: &[T],
+    retry: &RetryPolicy,
+    f: &F,
+    retries: &mut u64,
+) -> Verdict<R>
+where
+    F: Fn(&T) -> R,
+{
+    let attempts = retry.max_retries.saturating_add(1);
+    let attempt = || catch_unwind(AssertUnwindSafe(|| chunk.iter().map(f).collect()));
+    let mut backoff_us = 0.0;
+    for failed in 1..attempts {
+        if let Ok(results) = attempt() {
+            return Ok(results);
+        }
+        *retries += 1;
+        backoff_us += retry.backoff_for(failed);
+    }
+    attempt().map_err(|payload| QuarantinedChunk {
+        index,
+        attempts,
+        message: panic_message(payload.as_ref()),
+        backoff_us,
+    })
+}
+
+/// Worker `w`'s loop, the same for the caller and every helper: pop its
+/// own deque's front, else steal a sibling's back (so a victim's
+/// locality-ordered head stays with it), supervise the chunk and hand
+/// the verdict to `deliver`, until no work is left.
+fn work<T, R, F>(
+    w: usize,
+    queues: &[Mutex<Queue<T>>],
+    retry: &RetryPolicy,
+    f: &F,
+    mut deliver: impl FnMut(usize, Verdict<R>),
+) -> WorkerStats
+where
+    F: Fn(&T) -> R,
+{
+    let jobs = queues.len();
+    let mut stats = WorkerStats::default();
+    loop {
+        let mut job = lock_queue(&queues[w]).pop_front();
+        if job.is_none() {
+            job = (1..jobs).find_map(|offset| lock_queue(&queues[(w + offset) % jobs]).pop_back());
+            if job.is_some() {
+                stats.steals += 1;
+            }
+        }
+        let Some((index, chunk)) = job else {
+            return stats;
+        };
+        stats.chunks += 1;
+        stats.points += chunk.len() as u64;
+        let verdict = supervise(index, &chunk, retry, f, &mut stats.retries);
+        deliver(index, verdict);
+    }
+}
+
+/// Maps `f` over every item of every chunk on `jobs` workers — the
+/// calling thread plus `jobs - 1` helper threads, so `jobs = 1` starts
+/// none — supervising each chunk: a panic is caught, the chunk is
+/// retried up to `retry.max_retries` times (charging `retry`'s modeled
+/// backoff), and a chunk that fails every attempt comes back as
 /// `Err(`[`QuarantinedChunk`]`)` in its result slot while the rest of
 /// the sweep completes normally.
 ///
 /// `on_chunk` runs on the calling thread, once per *completed* chunk in
 /// completion order (suitable for streaming checkpoints) — quarantined
 /// chunks are never checkpointed. The returned verdicts are ordered by
-/// chunk index regardless of which worker computed them or when.
+/// chunk index regardless of which worker computed them or when, and
+/// the returned stats hold one entry per worker, the caller's first.
 ///
 /// # Errors
 ///
-/// Returns [`PoolError::WorkerLost`] only if a worker vanished without
+/// Returns [`PoolError::WorkerLost`] only if a helper vanished without
 /// delivering a verdict for its chunks (a bug, not a caught panic —
 /// caught panics become quarantines, not errors).
 pub fn map_chunks_supervised<T, R, F, C>(
@@ -138,121 +216,56 @@ where
     let n_chunks = chunks.len();
 
     // Round-robin initial distribution across per-worker deques.
-    let queues: Vec<Mutex<VecDeque<(usize, Vec<T>)>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
+    let queues: Vec<Mutex<Queue<T>>> = (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
     for (index, chunk) in chunks.into_iter().enumerate() {
         lock_queue(&queues[index % jobs]).push_back((index, chunk));
     }
 
-    let (tx, rx) = mpsc::channel::<Message<R>>();
-    let mut results: Vec<Option<Result<Vec<R>, QuarantinedChunk>>> =
-        (0..n_chunks).map(|_| None).collect();
+    let mut results: Vec<Option<Verdict<R>>> = (0..n_chunks).map(|_| None).collect();
     let mut worker_stats = vec![WorkerStats::default(); jobs];
+    // Every verdict and every worker's stats pass through here, on the
+    // caller's thread, so `on_chunk` needs no synchronization.
+    let mut accept = |message: Message<R>| match message {
+        Message::Verdict { index, verdict } => {
+            if let Ok(chunk_results) = &verdict {
+                on_chunk(index, chunk_results);
+            }
+            results[index] = Some(verdict);
+        }
+        Message::Done { worker, stats } => worker_stats[worker] = stats,
+    };
 
+    let (tx, rx) = mpsc::channel::<Message<R>>();
     std::thread::scope(|scope| {
-        for w in 0..jobs {
+        for w in 1..jobs {
             let tx = tx.clone();
             let queues = &queues;
             let f = &f;
             scope.spawn(move || {
-                let mut stats = WorkerStats::default();
-                loop {
-                    // Own queue first (front), then steal (back) so a
-                    // victim's locality-ordered head stays with it.
-                    let mut job = lock_queue(&queues[w]).pop_front();
-                    let mut stolen = false;
-                    if job.is_none() {
-                        for offset in 1..jobs {
-                            let victim = (w + offset) % jobs;
-                            job = lock_queue(&queues[victim]).pop_back();
-                            if job.is_some() {
-                                stolen = true;
-                                break;
-                            }
-                        }
-                    }
-                    let Some((index, chunk)) = job else { break };
-                    if stolen {
-                        stats.steals += 1;
-                    }
-                    stats.chunks += 1;
-                    stats.points += chunk.len() as u64;
-
-                    // Supervised execution: 1 + max_retries attempts,
-                    // each over the whole chunk (the kernel is
-                    // deterministic, so a partial result has no value).
-                    let attempts = retry.max_retries.saturating_add(1);
-                    let mut backoff_us = 0.0;
-                    let mut verdict = None;
-                    for attempt in 1..=attempts {
-                        match catch_unwind(AssertUnwindSafe(|| {
-                            chunk.iter().map(f).collect::<Vec<R>>()
-                        })) {
-                            Ok(chunk_results) => {
-                                verdict = Some(Ok(chunk_results));
-                                break;
-                            }
-                            Err(payload) => {
-                                let message = panic_message(payload.as_ref());
-                                if attempt < attempts {
-                                    stats.retries += 1;
-                                    backoff_us += retry.backoff_for(attempt);
-                                } else {
-                                    verdict = Some(Err(QuarantinedChunk {
-                                        index,
-                                        attempts,
-                                        message,
-                                        backoff_us,
-                                    }));
-                                }
-                            }
-                        }
-                    }
-                    let message = match verdict {
-                        Some(Ok(results)) => Message::Chunk { index, results },
-                        Some(Err(q)) => Message::Quarantined(q),
-                        // attempts >= 1, so a verdict always exists; keep
-                        // the worker alive regardless.
-                        None => Message::Quarantined(QuarantinedChunk {
-                            index,
-                            attempts,
-                            message: "<no attempt executed>".to_string(),
-                            backoff_us,
-                        }),
-                    };
-                    if tx.send(message).is_err() {
-                        break;
-                    }
-                }
+                // `rx` outlives the scope, so a send cannot fail while
+                // a helper runs.
+                let stats = work(w, queues, retry, f, |index, verdict| {
+                    let _ = tx.send(Message::Verdict { index, verdict });
+                });
                 let _ = tx.send(Message::Done { worker: w, stats });
             });
         }
         drop(tx);
 
-        // Drain on the caller's thread: checkpoint callbacks happen here,
-        // so `on_chunk` needs no synchronization.
-        let mut done = 0;
-        while done < jobs {
-            match rx.recv() {
-                Ok(Message::Chunk {
-                    index,
-                    results: chunk_results,
-                }) => {
-                    on_chunk(index, &chunk_results);
-                    results[index] = Some(Ok(chunk_results));
-                }
-                Ok(Message::Quarantined(q)) => {
-                    let index = q.index;
-                    results[index] = Some(Err(q));
-                }
-                Ok(Message::Done { worker, stats }) => {
-                    worker_stats[worker] = stats;
-                    done += 1;
-                }
-                // Every sender dropped without its Done: workers are gone;
-                // whatever chunks are missing stay None and surface below.
-                Err(_) => break,
+        // The caller works as worker 0, taking in what the helpers have
+        // finished after each of its own chunks, then waits for the
+        // helpers' last verdicts. The channel disconnects once every
+        // helper has gone, with or without its `Done`; chunks a vanished
+        // helper never delivered stay `None` and surface below.
+        let stats = work(0, &queues, retry, &f, |index, verdict| {
+            accept(Message::Verdict { index, verdict });
+            while let Ok(message) = rx.try_recv() {
+                accept(message);
             }
+        });
+        accept(Message::Done { worker: 0, stats });
+        while let Ok(message) = rx.recv() {
+            accept(message);
         }
     });
 
@@ -312,17 +325,43 @@ mod tests {
 
     #[test]
     fn on_chunk_streams_every_chunk_exactly_once() {
-        let mut seen = vec![0u32; 13];
-        map_all(
-            3,
+        for jobs in [1, 2, 3, 8] {
+            let mut seen = vec![0u32; 13];
+            map_all(
+                jobs,
+                chunks(),
+                |x| *x,
+                |index, results| {
+                    assert_eq!(results.len(), 5);
+                    seen[index] += 1;
+                },
+            );
+            assert!(seen.iter().all(|&n| n == 1), "jobs = {jobs}: {seen:?}");
+        }
+    }
+
+    #[test]
+    fn one_job_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let mut order = Vec::new();
+        let (verdicts, stats) = map_chunks_supervised(
+            1,
             chunks(),
-            |x| *x,
-            |index, results| {
-                assert_eq!(results.len(), 5);
-                seen[index] += 1;
+            &RetryPolicy::default(),
+            |x| {
+                assert_eq!(std::thread::current().id(), caller, "f left the caller");
+                *x
             },
-        );
-        assert!(seen.iter().all(|&n| n == 1));
+            |index, _| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.push(index);
+            },
+        )
+        .unwrap();
+        assert_eq!(order, (0..13).collect::<Vec<_>>());
+        assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
+        assert_eq!(stats.len(), 1);
+        assert_eq!((stats[0].chunks, stats[0].steals), (13, 0));
     }
 
     #[test]

@@ -7,12 +7,12 @@
 //!
 //! Run with `cargo run --release --example multinode_campaign`.
 //!
-//! The rendered report is also written to
-//! `artifacts/multinode_campaign.txt`, the golden artifact compared (with
-//! per-metric tolerance) by `tests/end_to_end.rs`.
+//! The rendered report is the one `ena multinode --seed 0xC0FFEE` prints
+//! and `artifacts/multinode_campaign.txt` pins: `ci.sh` compares the CLI's
+//! output with it byte for byte, and `tests/end_to_end.rs` with
+//! per-metric tolerance. The example only prints; it writes no file.
 
 use ena::fabric::{run_multinode_campaign, MultiNodeCampaignSpec};
-use ena_testkit::golden::artifacts_dir;
 
 fn main() {
     let spec = MultiNodeCampaignSpec::standard(0xC0FFEE);
@@ -21,13 +21,8 @@ fn main() {
     match run_multinode_campaign(&spec) {
         Ok(report) => {
             print!("{}", report.render());
-            let path = artifacts_dir().join("multinode_campaign.txt");
-            match std::fs::write(&path, report.render()) {
-                Ok(()) => println!("\ngolden artifact written to {}", path.display()),
-                Err(e) => println!("\ncannot write {}: {e}", path.display()),
-            }
             println!(
-                "same seed, same report: the campaign is deterministic \
+                "\nsame seed, same report: the campaign is deterministic \
                  (seed {:#x})",
                 spec.plan.seed
             );

@@ -243,7 +243,8 @@ fn fault_campaign_matches_golden() {
 }
 
 /// The standard 64-node multi-node campaign's report matches the golden
-/// artifact written by `examples/multinode_campaign.rs`. Same slack
+/// artifact, which `ci.sh` also holds byte for byte against
+/// `ena multinode --seed 0xC0FFEE`. Same slack
 /// rationale as the intra-node golden: the numbers flow through the node
 /// models and are recalibration targets, the structure is not.
 #[test]

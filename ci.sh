@@ -102,6 +102,15 @@ echo "==> chaos smokes: seeded fault campaigns must hold every invariant on ever
 chaos_smoke --jobs 2
 chaos_smoke --jobs 1
 
+echo "==> fault campaign smoke: the seeded campaign must match the golden report"
+# Pins the degraded-ring NoC replay (the delivered / dropped / latency
+# line after every fault) byte for byte.
+faults_out=$(cargo run --release -p ena-cli --bin ena -- faults --seed 0xC0FFEE)
+if ! diff <(echo "$faults_out") artifacts/fault_campaign.txt; then
+  echo "ci.sh: fault campaign diverged from artifacts/fault_campaign.txt" >&2
+  exit 1
+fi
+
 echo "==> transient smoke: seeded campaign must match the golden report"
 transient_out=$(cargo run --release -p ena-cli --bin ena -- faults --seed 0xC0FFEE --transient)
 if ! diff <(echo "$transient_out") artifacts/transient_campaign.txt; then

@@ -11,7 +11,7 @@
 //! in-package?* — and their quality is summarized by the in-package service
 //! fraction, the knob Fig. 8 sweeps.
 
-use std::collections::{BTreeMap, BTreeSet};
+use ena_model::paged::PagedSlots;
 
 /// Page size used by the management policies.
 pub const PAGE_BYTES: u64 = 4096;
@@ -88,13 +88,21 @@ impl PlacementPolicy for StaticPlacement {
 /// HMA-style software-managed migration: per-epoch page access counters;
 /// at each epoch boundary the hottest pages (up to in-package capacity)
 /// are mapped in-package for the next epoch.
+///
+/// Each page gets a dense slot ([`PagedSlots`]), and its count and
+/// residency live in `Vec`s indexed by slot.
 #[derive(Clone, Debug)]
 pub struct SoftwareManaged {
     capacity_pages: usize,
-    /// Pages currently resident in-package.
-    resident: BTreeSet<u64>,
-    /// Access counts this epoch.
-    counts: BTreeMap<u64, u64>,
+    slots: PagedSlots,
+    /// Access count of each slot's page this epoch.
+    counts: Vec<u64>,
+    /// Whether each slot's page is resident in-package.
+    resident: Vec<bool>,
+    /// The resident slots.
+    residents: Vec<usize>,
+    /// Slots counted this epoch, in first-touch order.
+    touched: Vec<usize>,
     /// True until the first epoch ends: pages are first-touch allocated
     /// in-package while space remains (cold start).
     cold_start: bool,
@@ -105,28 +113,37 @@ impl SoftwareManaged {
     pub fn new(capacity_bytes: u64) -> Self {
         Self {
             capacity_pages: (capacity_bytes / PAGE_BYTES) as usize,
-            resident: BTreeSet::new(),
-            counts: BTreeMap::new(),
+            slots: PagedSlots::new(),
+            counts: Vec::new(),
+            resident: Vec::new(),
+            residents: Vec::new(),
+            touched: Vec::new(),
             cold_start: true,
         }
     }
 
     /// Number of pages currently resident in-package.
     pub fn resident_pages(&self) -> usize {
-        self.resident.len()
+        self.residents.len()
     }
 }
 
 impl PlacementPolicy for SoftwareManaged {
     fn access(&mut self, addr: u64, _is_write: bool) -> Placement {
-        let page = addr / PAGE_BYTES;
-        *self.counts.entry(page).or_insert(0) += 1;
-        if self.resident.contains(&page) {
+        let slot = self.slots.slot(addr / PAGE_BYTES);
+        self.counts.resize(self.slots.len(), 0);
+        self.resident.resize(self.slots.len(), false);
+        if self.counts[slot] == 0 {
+            self.touched.push(slot);
+        }
+        self.counts[slot] += 1;
+        if self.resident[slot] {
             Placement::InPackage
-        } else if self.cold_start && self.resident.len() < self.capacity_pages {
+        } else if self.cold_start && self.residents.len() < self.capacity_pages {
             // First-touch fill while in-package space remains; after the
             // first epoch, placement changes only at epoch boundaries.
-            self.resident.insert(page);
+            self.resident[slot] = true;
+            self.residents.push(slot);
             Placement::InPackage
         } else {
             Placement::External
@@ -135,16 +152,28 @@ impl PlacementPolicy for SoftwareManaged {
 
     fn end_epoch(&mut self) -> u64 {
         self.cold_start = false;
-        // Rank pages by epoch count; keep the hottest `capacity_pages`.
-        let mut ranked: Vec<(u64, u64)> = std::mem::take(&mut self.counts).into_iter().collect();
-        ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
-        let new_resident: BTreeSet<u64> = ranked
-            .iter()
-            .take(self.capacity_pages)
-            .map(|&(page, _)| page)
-            .collect();
-        let migrations = new_resident.difference(&self.resident).count() as u64;
-        self.resident = new_resident;
+        // Keep the hottest `capacity_pages` of the pages counted this
+        // epoch, ranked by (count desc, page asc).
+        let mut hottest = std::mem::take(&mut self.touched);
+        if hottest.len() > self.capacity_pages {
+            hottest.select_nth_unstable_by(self.capacity_pages, |&a, &b| {
+                self.counts[b]
+                    .cmp(&self.counts[a])
+                    .then(self.slots.key(a).cmp(&self.slots.key(b)))
+            });
+        }
+        for &slot in &hottest {
+            self.counts[slot] = 0;
+        }
+        hottest.truncate(self.capacity_pages);
+        let migrations = hottest.iter().filter(|&&slot| !self.resident[slot]).count() as u64;
+        for &slot in &self.residents {
+            self.resident[slot] = false;
+        }
+        for &slot in &hottest {
+            self.resident[slot] = true;
+        }
+        self.residents = hottest;
         migrations
     }
 

@@ -17,6 +17,9 @@
 //!   and the [`MODEL_VERSION`](hash::MODEL_VERSION) stamp, the foundation of
 //!   sweep memoization keys.
 //! - [`error`] — validation error types.
+//! - [`paged`] — dense slots for sparse `u64` keys
+//!   ([`PagedSlots`](paged::PagedSlots)), shared by the trace footprint
+//!   counter and the software-managed placement policy.
 //!
 //! # Example
 //!
@@ -48,6 +51,7 @@ pub mod cost;
 pub mod error;
 pub mod hash;
 pub mod kernel;
+pub mod paged;
 pub mod units;
 
 pub use config::EhpConfig;

@@ -112,8 +112,14 @@ impl<'a> NocSim<'a> {
     /// [`NocStats::dropped`]; use [`NocSim::try_run`] to surface the first
     /// such packet as an explicit error instead.
     pub fn run(&mut self, packets: &[Packet]) -> NocStats {
-        let mut order: Vec<usize> = (0..packets.len()).collect();
-        order.sort_by_key(|&i| (packets[i].inject_cycle, i));
+        // A stable sort finds the presorted runs (one per source in
+        // generated traffic) and merges them.
+        let mut order: Vec<(u64, usize)> = packets
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (p.inject_cycle, i))
+            .collect();
+        order.sort();
 
         let mut stats = NocStats {
             link_bytes: vec![0; self.topo.links().len()],
@@ -121,7 +127,7 @@ impl<'a> NocSim<'a> {
         };
         self.link_free.fill(0);
 
-        for &i in &order {
+        for &(_, i) in &order {
             let p = packets[i];
             if p.src == p.dst {
                 continue;

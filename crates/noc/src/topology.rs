@@ -12,7 +12,7 @@
 //! clusters. [`Topology::monolithic`] builds the hypothetical single-die
 //! baseline used by Fig. 7, where all endpoints meet at one crossbar.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use ena_model::error::DegradeError;
 
@@ -417,6 +417,31 @@ impl Topology {
         pred
     }
 
+    /// Appends to `path` the links of the route from `src` to `dst` that
+    /// `pred` (from [`Topology::shortest_from`] at `src`) describes, in
+    /// travel order. Returns false, leaving `path` as it was, if `dst` is
+    /// unreachable.
+    fn push_route(
+        &self,
+        pred: &[Option<usize>],
+        src: NodeId,
+        dst: NodeId,
+        path: &mut Vec<usize>,
+    ) -> bool {
+        let start = path.len();
+        let mut cur = dst;
+        while cur != src {
+            let Some(li) = pred[cur] else {
+                path.truncate(start);
+                return false;
+            };
+            path.push(li);
+            cur = self.links[li].from;
+        }
+        path[start..].reverse();
+        true
+    }
+
     /// Computes the link sequence of the route from `src` to `dst`,
     /// working around failed links and nodes.
     ///
@@ -431,67 +456,56 @@ impl Topology {
                 return Err(DegradeError::UnknownNode(id));
             }
         }
-        if src == dst {
-            return Ok(Vec::new());
-        }
-        let pred = self.shortest_from(src);
         let mut path = Vec::new();
-        let mut cur = dst;
-        while cur != src {
-            let li = pred[cur].ok_or(DegradeError::Unreachable { src, dst })?;
-            path.push(li);
-            cur = self.links[li].from;
+        if src != dst && !self.push_route(&self.shortest_from(src), src, dst, &mut path) {
+            return Err(DegradeError::Unreachable { src, dst });
         }
-        path.reverse();
         Ok(path)
     }
 
-    /// Precomputes routes between all endpoint pairs.
+    /// Precomputes routes between all live endpoint pairs.
     pub fn route_table(&self) -> RouteTable {
+        let nodes = self.nodes.len();
+        let mut table = RouteTable {
+            nodes,
+            spans: vec![(0, 0); nodes * nodes],
+            links: Vec::new(),
+        };
         let endpoints = self.endpoints(|_| true);
-        let mut routes = BTreeMap::new();
         for &src in &endpoints {
             let pred = self.shortest_from(src);
             for &dst in &endpoints {
-                if src == dst {
-                    continue;
-                }
-                let mut path = Vec::new();
-                let mut cur = dst;
-                let mut ok = true;
-                while cur != src {
-                    match pred[cur] {
-                        Some(li) => {
-                            path.push(li);
-                            cur = self.links[li].from;
-                        }
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    }
-                }
-                if ok {
-                    path.reverse();
-                    routes.insert((src, dst), path);
+                let start = table.links.len();
+                if src != dst && self.push_route(&pred, src, dst, &mut table.links) {
+                    table.spans[src * nodes + dst] = (start, table.links.len());
                 }
             }
         }
-        RouteTable { routes }
+        table
     }
 }
 
-/// Precomputed endpoint-to-endpoint routes.
+/// Precomputed endpoint-to-endpoint routes: a dense `src × nodes + dst`
+/// table of spans into one flat list of link indices. An empty span
+/// marks a pair with no route.
 #[derive(Clone, Debug)]
 pub struct RouteTable {
-    routes: BTreeMap<(NodeId, NodeId), Vec<usize>>,
+    /// Node count of the topology the table was built for.
+    nodes: usize,
+    /// `[start, end)` of each pair's route in `links`.
+    spans: Vec<(usize, usize)>,
+    links: Vec<usize>,
 }
 
 impl RouteTable {
-    /// The link sequence from `src` to `dst` (`None` if unreachable or
-    /// `src == dst`).
+    /// The link sequence from `src` to `dst` (`None` if unreachable,
+    /// `src == dst`, or either id is not a node).
     pub fn get(&self, src: NodeId, dst: NodeId) -> Option<&[usize]> {
-        self.routes.get(&(src, dst)).map(Vec::as_slice)
+        if src >= self.nodes || dst >= self.nodes {
+            return None;
+        }
+        let (start, end) = self.spans[src * self.nodes + dst];
+        (start < end).then(|| &self.links[start..end])
     }
 }
 

@@ -9,6 +9,8 @@
 //!   addresses across the DRAM stacks the way the EHP's physical address
 //!   map does.
 
+use std::collections::VecDeque;
+
 use ena_model::error::DegradeError;
 use ena_model::kernel::KernelProfile;
 use ena_testkit::rng::{unit_f64, SplitMix64};
@@ -53,6 +55,11 @@ impl WorkloadTraffic {
     /// stack -> GPU (`line_bytes`). Remote targets are drawn uniformly from
     /// the other stacks, matching the paper's observation of "a fairly even
     /// distribution of accesses across chiplets".
+    ///
+    /// Each GPU's packets are emitted in injection order, a response ahead
+    /// of a request injected in the same cycle, so the stream is one sorted
+    /// run per GPU in the order [`NocSim::run`](crate::sim::NocSim::run)
+    /// processes it.
     pub fn generate(&self, topo: &Topology, count_per_chiplet: u32) -> Vec<Packet> {
         let gpus: Vec<(u32, NodeId)> = topo
             .endpoints(|k| matches!(k, NodeKind::GpuChiplet(_)))
@@ -73,9 +80,17 @@ impl WorkloadTraffic {
         let Some(&(_, fallback_stack)) = stacks.first() else {
             return Vec::new();
         };
-        let mut packets = Vec::new();
+        let mut packets = Vec::with_capacity(2 * gpus.len() * count_per_chiplet as usize);
+        // Responses not yet emitted: each trails its request by two
+        // cycles, so it waits for the next request or two.
+        let mut responses: VecDeque<Packet> = VecDeque::new();
         for &(g, gpu) in &gpus {
             let mut rng = SplitMix64::new(self.seed ^ (u64::from(g) << 32));
+            let local_stack = stacks
+                .iter()
+                .find(|&&(i, _)| i == g)
+                .map(|&(_, id)| id)
+                .unwrap_or(fallback_stack);
             let mut cycle = 0u64;
             for _ in 0..count_per_chiplet {
                 cycle += 1 + (unit_f64(rng.next_u64()) * 2.0 * self.cycles_per_request) as u64;
@@ -88,25 +103,29 @@ impl WorkloadTraffic {
                     }
                     stacks[pick].1
                 } else {
-                    stacks
-                        .iter()
-                        .find(|&&(i, _)| i == g)
-                        .map(|&(_, id)| id)
-                        .unwrap_or(fallback_stack)
+                    local_stack
                 };
+                while let Some(&response) = responses.front() {
+                    if response.inject_cycle > cycle {
+                        break;
+                    }
+                    responses.pop_front();
+                    packets.push(response);
+                }
                 packets.push(Packet {
                     src: gpu,
                     dst: dst_stack,
                     bytes: 16,
                     inject_cycle: cycle,
                 });
-                packets.push(Packet {
+                responses.push_back(Packet {
                     src: dst_stack,
                     dst: gpu,
                     bytes: self.line_bytes,
                     inject_cycle: cycle + 2,
                 });
             }
+            packets.extend(responses.drain(..));
         }
         packets
     }
@@ -248,6 +267,29 @@ mod tests {
         // 1/8 of interleaved addresses land on the local stack.
         let frac = stats.out_of_chiplet_fraction();
         assert!((frac - 0.875).abs() < 0.01, "fraction = {frac}");
+    }
+
+    #[test]
+    fn each_gpu_stream_comes_out_in_processing_order() {
+        let topo = Topology::ehp(8, 8);
+        // The densest injection: a response often shares its cycle with
+        // a later request.
+        let packets = WorkloadTraffic::from_profile(&profile(0.7, 0.5), 3).generate(&topo, 2000);
+        let is_response = |p: &Packet| matches!(topo.kind(p.src), NodeKind::HbmStack(_));
+        let gpu = |p: &Packet| if is_response(p) { p.dst } else { p.src };
+        let mut ties = 0;
+        for pair in packets.windows(2) {
+            let (a, b) = (&pair[0], &pair[1]);
+            if gpu(a) != gpu(b) {
+                continue;
+            }
+            assert!(a.inject_cycle <= b.inject_cycle, "{a:?} before {b:?}");
+            if a.inject_cycle == b.inject_cycle {
+                assert!(is_response(a) && !is_response(b), "{a:?} before {b:?}");
+                ties += 1;
+            }
+        }
+        assert!(ties > 0);
     }
 
     #[test]

@@ -10,6 +10,8 @@
 //! suppression, approximating the request stream a last-level cache would
 //! emit toward DRAM.
 
+use ena_model::paged::PagedSlots;
+
 /// Cache-line size used for trace coalescing (bytes).
 pub const LINE_BYTES: u64 = 64;
 
@@ -228,46 +230,26 @@ impl FilterCache {
     }
 }
 
-/// The distinct lines a trace touched, counted without a tree.
-///
-/// Recorded lines are appended to a buffer that is sorted and deduplicated
-/// in place whenever it has doubled since the last compaction, so it never
-/// holds more than twice the footprint (or `MIN_COMPACT` lines).
-#[derive(Clone, Debug)]
+/// The distinct lines a trace touched: one bit per line, a 64-word bitmap
+/// per chunk of [`CHUNK`](ena_model::paged::CHUNK) lines, so the footprint is
+/// a popcount.
+#[derive(Clone, Debug, Default)]
 struct TouchedLines {
-    lines: Vec<u64>,
-    /// Buffer length that triggers the next compaction.
-    compact_at: usize,
+    slots: PagedSlots,
+    /// One bit per slot of `slots`.
+    bits: Vec<u64>,
 }
 
 impl TouchedLines {
-    /// Smallest buffer worth compacting.
-    const MIN_COMPACT: usize = 1 << 12;
-
-    fn new() -> Self {
-        Self {
-            lines: Vec::new(),
-            compact_at: Self::MIN_COMPACT,
-        }
-    }
-
     fn push(&mut self, line: u64) {
-        self.lines.push(line);
-        if self.lines.len() >= self.compact_at {
-            self.compact();
-            self.compact_at = (2 * self.lines.len()).max(Self::MIN_COMPACT);
-        }
-    }
-
-    fn compact(&mut self) {
-        self.lines.sort_unstable();
-        self.lines.dedup();
+        let slot = self.slots.slot(line);
+        self.bits.resize(self.slots.len() / 64, 0);
+        self.bits[slot / 64] |= 1 << (slot % 64);
     }
 
     /// The number of distinct lines pushed.
-    fn count(mut self) -> u64 {
-        self.compact();
-        self.lines.len() as u64
+    fn count(&self) -> u64 {
+        self.bits.iter().map(|w| u64::from(w.count_ones())).sum()
     }
 }
 
@@ -276,9 +258,8 @@ impl TouchedLines {
 /// With a filter cache attached (the default for
 /// [`Tracer::for_config`]), the recorded trace contains only the accesses
 /// that would miss the on-chip hierarchy and the resulting writebacks.
-/// The footprint is counted by sorting and deduplicating the recorded
-/// lines, a buffer compacted as it grows and counted in
-/// [`Tracer::into_parts`].
+/// The footprint is counted as lines are recorded, one bit per distinct
+/// line.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     trace: MemoryTrace,
@@ -301,7 +282,7 @@ impl Tracer {
             counters: OpCounters::new(),
             coalesce_line: None,
             filter: None,
-            touched: TouchedLines::new(),
+            touched: TouchedLines::default(),
         }
     }
 
@@ -397,8 +378,8 @@ impl Tracer {
     ///
     /// If a filter cache is attached, its remaining dirty lines are flushed
     /// as writebacks first, so the trace accounts for all DRAM write
-    /// traffic the kernel generated. The footprint is then counted by
-    /// sorting and deduplicating the recorded lines.
+    /// traffic the kernel generated. The footprint is then the number of
+    /// distinct lines recorded.
     pub fn into_parts(mut self) -> (MemoryTrace, OpCounters) {
         if let Some(cache) = self.filter.take() {
             let mut dirty: Vec<u64> = cache
@@ -499,22 +480,41 @@ mod tests {
     }
 
     #[test]
-    fn touched_lines_count_distinct_lines_across_compactions() {
-        let mut touched = TouchedLines::new();
-        let mut oracle = std::collections::BTreeSet::new();
+    fn touched_lines_count_distinct_lines_with_one_bitmap_per_chunk() {
+        use ena_model::paged::CHUNK;
+        use std::collections::BTreeSet;
+
+        let chunk = CHUNK as u64;
+        // The highest line a byte address can name.
+        let top = u64::MAX / LINE_BYTES;
+        let regions = [0, 17 * chunk, 1 << 40, top - 3 * chunk];
+        let mut touched = TouchedLines::default();
+        let mut lines = BTreeSet::new();
+        let mut chunks = BTreeSet::new();
         let mut x = 7u64;
-        for _ in 0..50_000 {
+        for i in 0..50_000u64 {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let line = (x >> 33) % 20_000;
+            let base = regions[(x >> 62) as usize];
+            let line = match i % 3 {
+                // Random lines in the three chunks after a region's base.
+                0 => base + (x >> 20) % (3 * chunk),
+                // Either side of a chunk boundary.
+                1 => base + ((x >> 20) % 3 + 1) * chunk - (x >> 40) % 2,
+                // The last few lines of the space.
+                _ => top - (x >> 20) % 8,
+            };
             touched.push(line);
-            oracle.insert(line);
-            // The buffer stays within twice the footprint.
-            let bound = (2 * oracle.len()).max(TouchedLines::MIN_COMPACT);
-            assert!(touched.lines.len() <= bound);
+            lines.insert(line);
+            chunks.insert(line / chunk);
+            if i % 1000 == 999 {
+                assert_eq!(touched.count(), lines.len() as u64);
+                assert_eq!(touched.bits.len(), chunks.len() * 64);
+            }
         }
-        assert_eq!(touched.count(), oracle.len() as u64);
+        assert_eq!(touched.count(), lines.len() as u64);
+        assert_eq!(touched.bits.len(), chunks.len() * 64);
     }
 
     #[test]

@@ -8,13 +8,14 @@
 //!
 //! Run with `cargo run --release --example transient_campaign`.
 //!
-//! The rendered report is also written to
-//! `artifacts/transient_campaign.txt`, the golden artifact compared
-//! (with per-metric tolerance) by `tests/end_to_end.rs`.
+//! The rendered report is the one
+//! `ena faults --seed 0xC0FFEE --transient` prints and
+//! `artifacts/transient_campaign.txt` pins: `ci.sh` compares the CLI's
+//! output with it byte for byte, and `tests/end_to_end.rs` with
+//! per-metric tolerance. The example only prints; it writes no file.
 
 use ena::fabric::RecoveryModel;
 use ena::faults::{run_transient_campaign, TransientCampaignSpec, TransientSchedule};
-use ena_testkit::golden::artifacts_dir;
 
 fn main() {
     let spec = TransientCampaignSpec::standard(0xC0FFEE);
@@ -38,13 +39,8 @@ fn main() {
         );
     }
 
-    let path = artifacts_dir().join("transient_campaign.txt");
-    match std::fs::write(&path, report.render()) {
-        Ok(()) => println!("\ngolden artifact written to {}", path.display()),
-        Err(e) => println!("\ncannot write {}: {e}", path.display()),
-    }
     println!(
-        "same seed, same report: the campaign is deterministic (seed {:#x})",
+        "\nsame seed, same report: the campaign is deterministic (seed {:#x})",
         spec.seed
     );
 }

@@ -261,8 +261,9 @@ fn multinode_campaign_matches_golden() {
     );
 }
 
-/// The standard transient-fault campaign matches the golden artifact
-/// written by `examples/transient_campaign.rs`. Same slack rationale as
+/// The standard transient-fault campaign matches the golden artifact,
+/// which `ci.sh` also holds byte for byte against
+/// `ena faults --seed 0xC0FFEE --transient`. Same slack rationale as
 /// the other campaign goldens: counts and labels exact, latencies and
 /// efficiency within recalibration tolerance.
 #[test]

@@ -62,19 +62,25 @@ sweep_smoke() {
   fi
 }
 
-echo "==> sweep smokes: every axis cold, then warm from its cache"
-sweep_smoke sweep --jobs 1
-one_job_report=$smoke_report
-sweep_smoke sweep --jobs 2
-# The caller-only pool (--jobs 1) and the threaded one must agree on
-# every line but the job count the header names.
-if ! diff <(echo "$one_job_report" | sed 's/ on 1 jobs,/ on N jobs,/') \
-  <(echo "$smoke_report" | sed 's/ on 2 jobs,/ on N jobs,/'); then
-  echo "ci.sh: 'sweep --jobs 1' and 'sweep --jobs 2' reports differ" >&2
-  exit 1
-fi
-sweep_smoke multinode --sweep --jobs 2
-sweep_smoke multinode --sweep --jobs 2 --mtbf 96 --checkpoint-cost 3
+# Runs sweep_smoke for one axis at --jobs 1 (the caller-only pool) and
+# at --jobs 2 (a threaded one): the two reports must agree on every line
+# but the job count the header names.
+sweep_smoke_both_jobs() {
+  local one_job_report
+  sweep_smoke "$@" --jobs 1
+  one_job_report=$smoke_report
+  sweep_smoke "$@" --jobs 2
+  if ! diff <(echo "$one_job_report" | sed 's/ on [0-9]* jobs/ on N jobs/') \
+    <(echo "$smoke_report" | sed 's/ on [0-9]* jobs/ on N jobs/'); then
+    echo "ci.sh: '$* --jobs 1' and '$* --jobs 2' reports differ" >&2
+    exit 1
+  fi
+}
+
+echo "==> sweep smokes: every axis cold, then warm from its cache, at --jobs 1 and 2"
+sweep_smoke_both_jobs sweep
+sweep_smoke_both_jobs multinode --sweep
+sweep_smoke_both_jobs multinode --sweep --mtbf 96 --checkpoint-cost 3
 
 echo "==> multinode campaign smoke: the seeded campaign must match the golden report"
 cargo run --release -p ena-cli --bin ena -- multinode --nodes 8 --seed 0xC0FFEE >/dev/null

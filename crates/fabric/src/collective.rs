@@ -9,12 +9,15 @@
 //! repeat (the all-reduce ring's `2(n-1)` steps) carry a repeat count
 //! instead of being materialized, keeping schedules small at any scale.
 //!
-//! Routes come from [`FabricGraph::route`], which is deterministic, so a
+//! Routes are [`FabricGraph::route`]'s deterministic breadth-first
+//! search, run over one buffer set for the whole collective, so a
 //! schedule (and its [`CollectiveSchedule::digest`]) is a pure function
 //! of the graph state — the second half of the cross-process determinism
-//! guarantee.
-
-use std::collections::BTreeMap;
+//! guarantee. A round's bytes land in one dense per-channel vector,
+//! added in transfer order and then route order; sealing the round
+//! drains it into the serialization time and the round's peak, which
+//! both [`CollectiveSchedule::peak_link_bytes`] and the retransmit
+//! pricing read.
 
 use core::fmt;
 
@@ -22,7 +25,7 @@ use ena_faults::RetryPolicy;
 use ena_model::hash::{StableHash, StableHasher};
 use ena_model::units::Microseconds;
 
-use crate::topology::{FabricError, FabricGraph};
+use crate::topology::{FabricError, FabricGraph, RouteSearch};
 
 /// The shipped collective patterns.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -144,17 +147,19 @@ impl CollectiveSchedule {
     }
 }
 
-/// Routes one message and prices it into the per-channel load map.
+/// Routes one message through the reused `search` and adds its bytes to
+/// the per-channel `loads` of the open round.
 fn transfer(
     graph: &FabricGraph,
-    loads: &mut BTreeMap<usize, f64>,
+    search: &mut RouteSearch,
+    loads: &mut [f64],
     src: usize,
     dst: usize,
     bytes: f64,
 ) -> Result<Transfer, FabricError> {
-    let route = graph.route(src, dst)?;
+    let route = graph.route_with(search, src, dst)?;
     for &li in &route {
-        *loads.entry(li).or_insert(0.0) += bytes;
+        loads[li] += bytes;
     }
     Ok(Transfer {
         src,
@@ -166,19 +171,26 @@ fn transfer(
 
 /// Seals a round: serialization from the loaded channels' *effective*
 /// (degradation-scaled) bandwidth, latency from the longest route.
+/// Draining `loads` back to zero also yields the round's peak channel
+/// bytes, returned beside the round. Unloaded channels hold 0.0, which
+/// moves neither maximum: `f64::max` from 0.0 returns the non-NaN
+/// operand, so the order the channels are visited in does not matter.
 fn seal_round(
     graph: &FabricGraph,
     transfers: Vec<Transfer>,
-    loads: &BTreeMap<usize, f64>,
+    loads: &mut [f64],
     repeat: u64,
-) -> Round {
+) -> (Round, f64) {
     let mut serialization_us: f64 = 0.0;
-    for (&li, &bytes) in loads {
+    let mut peak: f64 = 0.0;
+    for (li, load) in loads.iter_mut().enumerate() {
+        let bytes = std::mem::take(load);
         let gbps = graph.channel_gbps(li);
         if gbps > 0.0 {
             // GB/s is bytes/ns, so bytes / (gbps * 1e3) is microseconds.
             serialization_us = serialization_us.max(bytes / (gbps * 1e3));
         }
+        peak = peak.max(bytes);
     }
     let mut latency_us: f64 = 0.0;
     for t in &transfers {
@@ -190,16 +202,19 @@ fn seal_round(
             .sum();
         latency_us = latency_us.max(route_latency);
     }
-    Round {
+    let round = Round {
         transfers,
         serialization_us,
         latency_us,
         repeat,
-    }
+    };
+    (round, peak)
 }
 
 /// Compiles `kind` moving `bytes_per_node` bytes of application data per
-/// node over the surviving endpoints of `graph`.
+/// node over the surviving endpoints of `graph`. Every transfer routes
+/// through one reused breadth-first search and adds its bytes to one
+/// dense per-channel vector, which each sealed round drains.
 ///
 /// # Errors
 ///
@@ -211,9 +226,21 @@ pub fn schedule(
     kind: CollectiveKind,
     bytes_per_node: f64,
 ) -> Result<CollectiveSchedule, FabricError> {
+    compile(graph, kind, bytes_per_node).map(|(schedule, _)| schedule)
+}
+
+/// [`schedule`], plus each round's peak channel bytes in round order.
+fn compile(
+    graph: &FabricGraph,
+    kind: CollectiveKind,
+    bytes_per_node: f64,
+) -> Result<(CollectiveSchedule, Vec<f64>), FabricError> {
     let alive = graph.alive_ehp();
     let n = alive.len();
-    let mut rounds = Vec::new();
+    let mut search = RouteSearch::default();
+    // Bytes per directed channel in the open round; every seal drains it.
+    let mut loads = vec![0.0; graph.channel_count()];
+    let mut sealed = Vec::new();
     if n >= 2 {
         match kind {
             CollectiveKind::AllReduceRing => {
@@ -222,20 +249,18 @@ pub fn schedule(
                 // successor. All steps are load-isomorphic, so compile
                 // one representative round with a repeat count.
                 let chunk = bytes_per_node / n as f64;
-                let mut loads = BTreeMap::new();
                 let mut transfers = Vec::with_capacity(n);
                 for (i, &src) in alive.iter().enumerate() {
                     let dst = alive[(i + 1) % n];
-                    transfers.push(transfer(graph, &mut loads, src, dst, chunk)?);
+                    transfers.push(transfer(graph, &mut search, &mut loads, src, dst, chunk)?);
                 }
-                rounds.push(seal_round(graph, transfers, &loads, 2 * (n as u64 - 1)));
+                sealed.push(seal_round(graph, transfers, &mut loads, 2 * (n as u64 - 1)));
             }
             CollectiveKind::HaloExchange => {
                 // Right-neighbor shift, then left-neighbor shift: the two
                 // directions use different channels (asymmetric links),
                 // so they are separate rounds.
                 for step in 0..2usize {
-                    let mut loads = BTreeMap::new();
                     let mut transfers = Vec::with_capacity(n);
                     for (i, &src) in alive.iter().enumerate() {
                         let dst = if step == 0 {
@@ -243,49 +268,39 @@ pub fn schedule(
                         } else {
                             alive[(i + n - 1) % n]
                         };
-                        transfers.push(transfer(graph, &mut loads, src, dst, bytes_per_node)?);
+                        let t = transfer(graph, &mut search, &mut loads, src, dst, bytes_per_node)?;
+                        transfers.push(t);
                     }
-                    rounds.push(seal_round(graph, transfers, &loads, 1));
+                    sealed.push(seal_round(graph, transfers, &mut loads, 1));
                 }
             }
             CollectiveKind::AllToAll => {
                 // One dense round: every survivor slices its payload over
                 // the other n-1.
                 let slice = bytes_per_node / (n as f64 - 1.0);
-                let mut loads = BTreeMap::new();
                 let mut transfers = Vec::with_capacity(n * (n - 1));
                 for &src in &alive {
                     for &dst in &alive {
                         if src != dst {
-                            transfers.push(transfer(graph, &mut loads, src, dst, slice)?);
+                            let t = transfer(graph, &mut search, &mut loads, src, dst, slice)?;
+                            transfers.push(t);
                         }
                     }
                 }
-                rounds.push(seal_round(graph, transfers, &loads, 1));
+                sealed.push(seal_round(graph, transfers, &mut loads, 1));
             }
         }
     }
+    let (rounds, round_peaks): (Vec<Round>, Vec<f64>) = sealed.into_iter().unzip();
     let total: f64 = rounds.iter().map(|r| r.step_us() * r.repeat as f64).sum();
-    let peak_link_bytes = rounds
-        .iter()
-        .flat_map(|r| {
-            // Recompute per-round channel loads from the transfers: the
-            // sealed rounds dropped the maps.
-            let mut loads = BTreeMap::new();
-            for t in &r.transfers {
-                for &li in &t.route {
-                    *loads.entry(li).or_insert(0.0) += t.bytes;
-                }
-            }
-            loads.into_values()
-        })
-        .fold(0.0f64, f64::max);
-    Ok(CollectiveSchedule {
+    let peak_link_bytes = round_peaks.iter().copied().fold(0.0f64, f64::max);
+    let schedule = CollectiveSchedule {
         kind,
         rounds,
         total: Microseconds::new(total),
         peak_link_bytes,
-    })
+    };
+    Ok((schedule, round_peaks))
 }
 
 /// Per-link CRC retransmit pricing for collective schedules.
@@ -366,20 +381,13 @@ pub fn schedule_with_retransmits(
     bytes_per_node: f64,
     model: &RetransmitModel,
 ) -> Result<CollectiveSchedule, FabricError> {
-    let base = schedule(graph, kind, bytes_per_node)?;
+    let (base, round_peaks) = compile(graph, kind, bytes_per_node)?;
     if model.errors_per_gb <= 0.0 {
         return Ok(base);
     }
     let peak_link_bytes = base.peak_link_bytes;
     let mut rounds = base.rounds;
-    for round in &mut rounds {
-        let mut loads = BTreeMap::new();
-        for t in &round.transfers {
-            for &li in &t.route {
-                *loads.entry(li).or_insert(0.0) += t.bytes;
-            }
-        }
-        let peak = loads.into_values().fold(0.0f64, f64::max);
+    for (round, &peak) in rounds.iter_mut().zip(&round_peaks) {
         let p = model.failure_probability(peak);
         round.serialization_us *= model.expected_transmissions(p);
         round.latency_us += model.expected_backoff_us(p);

@@ -245,6 +245,21 @@ const GLOBAL_LINK: LinkClass = LinkClass {
     },
 };
 
+/// Predecessor of a vertex the search has not reached.
+const NO_PRED: usize = usize::MAX;
+
+/// Buffers of one breadth-first route search: each vertex's predecessor
+/// channel ([`NO_PRED`] until reached), the seen flags, and the current
+/// and next frontier levels. [`FabricGraph::route_with`] resets them on
+/// every call, so one set serves a whole route table or collective.
+#[derive(Debug, Default)]
+pub(crate) struct RouteSearch {
+    pred: Vec<usize>,
+    seen: Vec<bool>,
+    frontier: Vec<usize>,
+    next: Vec<usize>,
+}
+
 /// The cabinet-level fabric: vertices, paired directed channels, and
 /// liveness/degradation state.
 #[derive(Clone, Debug)]
@@ -576,13 +591,26 @@ impl FabricGraph {
 
     /// Hop-minimal route from `src` to `dst` as directed channel
     /// indices, deterministic via lowest-index tie-breaking. `src ==
-    /// dst` routes over zero channels.
+    /// dst` routes over zero channels. Each call searches with fresh
+    /// buffers; [`FabricGraph::route_table`] and the collective compiler
+    /// run the same search over one reused set.
     ///
     /// # Errors
     ///
     /// [`FabricError::UnknownNode`] / [`FabricError::DeadNode`] for bad
     /// endpoints, [`FabricError::Unreachable`] when no live path exists.
     pub fn route(&self, src: usize, dst: usize) -> Result<Vec<usize>, FabricError> {
+        self.route_with(&mut RouteSearch::default(), src, dst)
+    }
+
+    /// [`FabricGraph::route`] over the caller's search buffers, which it
+    /// resets first, so one set serves any number of searches.
+    pub(crate) fn route_with(
+        &self,
+        search: &mut RouteSearch,
+        src: usize,
+        dst: usize,
+    ) -> Result<Vec<usize>, FabricError> {
         for &v in &[src, dst] {
             if v >= self.nodes.len() {
                 return Err(FabricError::UnknownNode(v));
@@ -594,15 +622,26 @@ impl FabricGraph {
         if src == dst {
             return Ok(Vec::new());
         }
-        // Breadth-first from src; adjacency is (destination, index)
-        // sorted, so the first discovery of each vertex is canonical.
-        let mut pred: Vec<Option<usize>> = vec![None; self.nodes.len()];
-        let mut seen = vec![false; self.nodes.len()];
+        let RouteSearch {
+            pred,
+            seen,
+            frontier,
+            next,
+        } = search;
+        pred.clear();
+        pred.resize(self.nodes.len(), NO_PRED);
+        seen.clear();
+        seen.resize(self.nodes.len(), false);
+        frontier.clear();
+        // Breadth-first from src, one level per pass; adjacency is
+        // (destination, index) sorted, so the first discovery of each
+        // vertex is canonical.
         seen[src] = true;
-        let mut frontier = vec![src];
+        frontier.push(src);
+        let mut hops = 0;
         while !frontier.is_empty() && !seen[dst] {
-            let mut next = Vec::new();
-            for &v in &frontier {
+            next.clear();
+            for &v in frontier.iter() {
                 for &li in &self.adjacency[v] {
                     if !self.link_active[li] {
                         continue;
@@ -612,21 +651,24 @@ impl FabricGraph {
                         continue;
                     }
                     seen[to] = true;
-                    pred[to] = Some(li);
+                    pred[to] = li;
                     next.push(to);
                 }
             }
-            frontier = next;
+            std::mem::swap(frontier, next);
+            hops += 1;
         }
         if !seen[dst] {
             return Err(FabricError::Unreachable { from: src, to: dst });
         }
-        let mut path = Vec::new();
+        // The destination sits `hops` levels out, one channel per level.
+        let mut path = Vec::with_capacity(hops);
         let mut at = dst;
         while at != src {
-            let Some(li) = pred[at] else {
+            let li = pred[at];
+            if li == NO_PRED {
                 return Err(FabricError::Unreachable { from: src, to: dst });
-            };
+            }
             path.push(li);
             at = self.links[li].from;
         }
@@ -634,18 +676,20 @@ impl FabricGraph {
         Ok(path)
     }
 
-    /// Full route table over ordered pairs of surviving EHP endpoints.
+    /// Full route table over ordered pairs of surviving EHP endpoints,
+    /// searched over one reused buffer set.
     ///
     /// # Errors
     ///
     /// [`FabricError::Unreachable`] if any surviving pair is partitioned.
     pub fn route_table(&self) -> Result<BTreeMap<(usize, usize), Vec<usize>>, FabricError> {
         let alive = self.alive_ehp();
+        let mut search = RouteSearch::default();
         let mut table = BTreeMap::new();
         for &src in &alive {
             for &dst in &alive {
                 if src != dst {
-                    table.insert((src, dst), self.route(src, dst)?);
+                    table.insert((src, dst), self.route_with(&mut search, src, dst)?);
                 }
             }
         }
@@ -725,6 +769,7 @@ impl FabricGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ena_testkit::prelude::*;
 
     #[test]
     fn labels_round_trip() {
@@ -821,6 +866,60 @@ mod tests {
             g.degrade_route(0, 9, 100),
             Err(FabricError::BadPercent(100))
         ));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// One search buffer set reused across every ordered vertex pair
+        /// (switches and dead nodes included) routes exactly like fresh
+        /// buffers per search, on graphs after random node losses, link
+        /// cuts and degraded round trips.
+        #[test]
+        fn a_reused_search_routes_like_fresh_buffers(
+            kind in prop_oneof![
+                Just(FabricKind::FatTree),
+                Just(FabricKind::Torus),
+                Just(FabricKind::DragonflyLite),
+            ],
+            nodes in 2u32..41,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut g = FabricGraph::build(kind, nodes).unwrap();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..rng.random_range(0..=3usize) {
+                let alive = g.alive_ehp();
+                let pick = alive[rng.random_range(0..alive.len())];
+                let links = g.physical_links();
+                match rng.random_range(0..3u32) {
+                    // Losing the last survivor or partitioning the fleet
+                    // is refused or leaves unroutable pairs; both are fine.
+                    0 => {
+                        let _ = g.fail_ehp(pick as u32);
+                    }
+                    1 if !links.is_empty() => {
+                        let (a, b) = links[rng.random_range(0..links.len())];
+                        g.fail_link_between(a, b).unwrap();
+                    }
+                    _ => {
+                        let other = alive[rng.random_range(0..alive.len())];
+                        let _ = g.degrade_route(pick as u32, other as u32, 50);
+                    }
+                }
+            }
+            let shown = |r: Result<Vec<usize>, FabricError>| r.map_err(|e| e.to_string());
+            let mut search = RouteSearch::default();
+            for src in 0..g.vertex_count() {
+                for dst in 0..g.vertex_count() {
+                    let reused = shown(g.route_with(&mut search, src, dst));
+                    let fresh = shown(g.route(src, dst));
+                    prop_assert!(
+                        reused == fresh,
+                        "{kind} x{nodes} {src}->{dst}: reused {reused:?}, fresh {fresh:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

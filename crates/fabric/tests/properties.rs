@@ -17,17 +17,23 @@
 //!    job count and cache temperature.
 //! 4. **Crash consistency** — seeded chaos campaigns (I/O faults plus
 //!    worker kills) hold every cache invariant on both fabric axes.
+//! 5. **Dense compile == map compile** — `schedule` and
+//!    `schedule_with_retransmits` equal a per-round `BTreeMap` compile
+//!    over the public `FabricGraph::route`, bit for bit, on degraded
+//!    graphs.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use ena_fabric::{
-    estimate, run_multinode_campaign, schedule, CollectiveKind, FabricGraph, FabricKind,
-    MultiNodeCampaignSpec, MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel,
-    RecoverySpace, RecoverySweep, RecoverySweepSpec, ScaleOutSpec,
+    estimate, run_multinode_campaign, schedule, schedule_with_retransmits, CollectiveKind,
+    CollectiveSchedule, FabricError, FabricGraph, FabricKind, MultiNodeCampaignSpec,
+    MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel, RecoverySpace,
+    RecoverySweep, RecoverySweepSpec, RetransmitModel, Round, ScaleOutSpec, Transfer,
 };
 use ena_model::hash::StableHasher;
+use ena_model::units::Microseconds;
 use ena_sweep::{
     run_chaos_campaign, Axis, CacheMode, ChaosReport, ChaosSpec, Failpoint, SweepError,
 };
@@ -124,6 +130,215 @@ proptest! {
         let parallel = MultiNodeSweep::new().run(&parallel_spec).unwrap();
         prop_assert_eq!(&parallel.records, &sequential.records);
         prop_assert_eq!(&parallel.frontier, &sequential.frontier);
+    }
+}
+
+/// The map compile `schedule` replaced, kept as its oracle: routes from
+/// the public `FabricGraph::route`, each round's bytes per channel in a
+/// `BTreeMap`, and the peak re-summed from the sealed rounds' routes.
+fn oracle_schedule(
+    graph: &FabricGraph,
+    kind: CollectiveKind,
+    bytes_per_node: f64,
+) -> Result<CollectiveSchedule, FabricError> {
+    fn transfer(
+        graph: &FabricGraph,
+        loads: &mut BTreeMap<usize, f64>,
+        src: usize,
+        dst: usize,
+        bytes: f64,
+    ) -> Result<Transfer, FabricError> {
+        let route = graph.route(src, dst)?;
+        for &li in &route {
+            *loads.entry(li).or_insert(0.0) += bytes;
+        }
+        Ok(Transfer {
+            src,
+            dst,
+            bytes,
+            route,
+        })
+    }
+    fn seal(
+        graph: &FabricGraph,
+        transfers: Vec<Transfer>,
+        loads: &BTreeMap<usize, f64>,
+        repeat: u64,
+    ) -> Round {
+        let mut serialization_us: f64 = 0.0;
+        for (&li, &bytes) in loads {
+            let gbps = graph.channel_gbps(li);
+            if gbps > 0.0 {
+                serialization_us = serialization_us.max(bytes / (gbps * 1e3));
+            }
+        }
+        let mut latency_us: f64 = 0.0;
+        for t in &transfers {
+            let route_latency: f64 = t
+                .route
+                .iter()
+                .filter_map(|&li| graph.links().get(li))
+                .map(|l| l.latency.value())
+                .sum();
+            latency_us = latency_us.max(route_latency);
+        }
+        Round {
+            transfers,
+            serialization_us,
+            latency_us,
+            repeat,
+        }
+    }
+    let alive = graph.alive_ehp();
+    let n = alive.len();
+    let mut rounds = Vec::new();
+    if n >= 2 {
+        match kind {
+            CollectiveKind::AllReduceRing => {
+                let chunk = bytes_per_node / n as f64;
+                let mut loads = BTreeMap::new();
+                let mut transfers = Vec::new();
+                for (i, &src) in alive.iter().enumerate() {
+                    let dst = alive[(i + 1) % n];
+                    transfers.push(transfer(graph, &mut loads, src, dst, chunk)?);
+                }
+                rounds.push(seal(graph, transfers, &loads, 2 * (n as u64 - 1)));
+            }
+            CollectiveKind::HaloExchange => {
+                for step in 0..2usize {
+                    let mut loads = BTreeMap::new();
+                    let mut transfers = Vec::new();
+                    for (i, &src) in alive.iter().enumerate() {
+                        let dst = if step == 0 {
+                            alive[(i + 1) % n]
+                        } else {
+                            alive[(i + n - 1) % n]
+                        };
+                        transfers.push(transfer(graph, &mut loads, src, dst, bytes_per_node)?);
+                    }
+                    rounds.push(seal(graph, transfers, &loads, 1));
+                }
+            }
+            CollectiveKind::AllToAll => {
+                let slice = bytes_per_node / (n as f64 - 1.0);
+                let mut loads = BTreeMap::new();
+                let mut transfers = Vec::new();
+                for &src in &alive {
+                    for &dst in &alive {
+                        if src != dst {
+                            transfers.push(transfer(graph, &mut loads, src, dst, slice)?);
+                        }
+                    }
+                }
+                rounds.push(seal(graph, transfers, &loads, 1));
+            }
+        }
+    }
+    let total: f64 = rounds.iter().map(|r| r.step_us() * r.repeat as f64).sum();
+    let peak_link_bytes = rounds.iter().map(round_peak).fold(0.0f64, f64::max);
+    Ok(CollectiveSchedule {
+        kind,
+        rounds,
+        total: Microseconds::new(total),
+        peak_link_bytes,
+    })
+}
+
+/// Most bytes any one channel carries in `round`, re-summed from its
+/// routes through a `BTreeMap`.
+fn round_peak(round: &Round) -> f64 {
+    let mut loads = BTreeMap::new();
+    for t in &round.transfers {
+        for &li in &t.route {
+            *loads.entry(li).or_insert(0.0) += t.bytes;
+        }
+    }
+    loads.into_values().fold(0.0f64, f64::max)
+}
+
+/// The oracle of `schedule_with_retransmits` on top of an oracle
+/// schedule: each round stretched by the retransmit cost at its
+/// re-summed peak.
+fn oracle_priced(mut s: CollectiveSchedule, model: &RetransmitModel) -> CollectiveSchedule {
+    if model.errors_per_gb <= 0.0 {
+        return s;
+    }
+    for round in &mut s.rounds {
+        let p = model.failure_probability(round_peak(round));
+        round.serialization_us *= model.expected_transmissions(p);
+        round.latency_us += model.expected_backoff_us(p);
+    }
+    s.total = Microseconds::new(s.rounds.iter().map(|r| r.step_us() * r.repeat as f64).sum());
+    s
+}
+
+/// Applies up to three seeded degradations: node losses, physical link
+/// cuts and degraded round trips. A refused loss (the last survivor) or
+/// a partitioning cut is kept as it lands; both compiles must then fail
+/// alike.
+fn degrade(g: &mut FabricGraph, seed: u64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    for _ in 0..rng.random_range(0..=3usize) {
+        let alive = g.alive_ehp();
+        let pick = alive[rng.random_range(0..alive.len())];
+        let links = g.physical_links();
+        match rng.random_range(0..3u32) {
+            0 => {
+                let _ = g.fail_ehp(pick as u32);
+            }
+            1 if !links.is_empty() => {
+                let (a, b) = links[rng.random_range(0..links.len())];
+                g.fail_link_between(a, b).unwrap();
+            }
+            _ => {
+                let other = alive[rng.random_range(0..alive.len())];
+                let percent = rng.random_range(1..100u32);
+                let _ = g.degrade_route(pick as u32, other as u32, percent);
+            }
+        }
+    }
+}
+
+/// Payloads per node: zero, negative, sub-byte, and collective-sized.
+const PAYLOADS: [f64; 5] = [0.0, -3.5e5, 0.75, 1e6, 8e9];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The dense compile equals the map compile bit for bit: schedules,
+    /// digests and retransmit-priced schedules, on random kinds and sizes
+    /// under up to three random degradations, or the same routing error.
+    #[test]
+    fn schedules_match_the_map_compile_oracle(
+        kind in any_kind(),
+        nodes in 2u32..71,
+        seed in 0u64..u64::MAX,
+    ) {
+        let mut g = FabricGraph::build(kind, nodes).unwrap();
+        degrade(&mut g, seed);
+        let retransmits = RetransmitModel::standard();
+        let shown = |r: Result<CollectiveSchedule, FabricError>| r.map_err(|e| e.to_string());
+        for collective in CollectiveKind::ALL {
+            for bytes in PAYLOADS {
+                let oracle = shown(oracle_schedule(&g, collective, bytes));
+                let priced = oracle.clone().map(|s| oracle_priced(s, &retransmits));
+                let dense = shown(schedule(&g, collective, bytes));
+                let dense_priced =
+                    shown(schedule_with_retransmits(&g, collective, bytes, &retransmits));
+                for (what, dense, oracle) in
+                    [("plain", dense, oracle), ("retransmit", dense_priced, priced)]
+                {
+                    prop_assert!(
+                        dense == oracle,
+                        "{kind} x{nodes} {collective} {bytes} B ({what}): \
+                         the dense compile differs from the map compile"
+                    );
+                    if let (Ok(dense), Ok(oracle)) = (&dense, &oracle) {
+                        prop_assert_eq!(dense.digest(), oracle.digest());
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -18,6 +18,7 @@ cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign
 cargo run --release --example thermal_headroom
 cargo run --release --example heterogeneous_dag
+cargo run --release --example design_space_exploration
 
 echo "==> figures smoke: every report must reproduce its golden byte for byte"
 figures_dir=$(mktemp -d)

@@ -539,9 +539,11 @@ impl FabricGraph {
         Ok(())
     }
 
-    /// Fails the physical link between vertices `a` and `b`: every
-    /// channel joining them (both directions, all rails) goes dark.
-    /// Returns the number of channels cut.
+    /// Fails one physical link between vertices `a` and `b`: the first
+    /// rail joining them whose two channels are both live goes dark in
+    /// both directions, and any other rail between them stays up, so a
+    /// dual-rail pair survives one cut. Returns the number of channels
+    /// cut: 2, or 0 when no rail between them is live.
     ///
     /// # Errors
     ///
@@ -553,15 +555,22 @@ impl FabricGraph {
         if b >= self.nodes.len() {
             return Err(FabricError::UnknownNode(b));
         }
-        let mut cut = 0;
-        for (li, link) in self.links.iter().enumerate() {
-            let joins = (link.from == a && link.to == b) || (link.from == b && link.to == a);
-            if joins && self.link_active[li] {
+        // `connect` pushes each rail as two consecutive channels: the
+        // forward one from the lower vertex, then the reverse one.
+        let live_rail = (0..self.links.len() / 2).map(|r| 2 * r).find(|&li| {
+            let forward = &self.links[li];
+            (forward.from, forward.to) == (a.min(b), a.max(b))
+                && self.link_active[li]
+                && self.link_active[li + 1]
+        });
+        match live_rail {
+            Some(li) => {
                 self.link_active[li] = false;
-                cut += 1;
+                self.link_active[li + 1] = false;
+                Ok(2)
             }
+            None => Ok(0),
         }
-        Ok(cut)
     }
 
     /// Degrades every channel on the current round-trip route between

@@ -256,10 +256,10 @@ torus x2 node-lost routes 2a6175446451a72b
 torus x2 node-lost all-reduce-ring cd04701c874b8b55 8000000000000000 cd04701c874b8b55 8000000000000000
 torus x2 node-lost halo-exchange 76436b7a5a198e64 8000000000000000 76436b7a5a198e64 8000000000000000
 torus x2 node-lost all-to-all 7a867960e1af8537 8000000000000000 7a867960e1af8537 8000000000000000
-torus x2 link-cut routes error: no live route from node 0 to node 1
-torus x2 link-cut all-reduce-ring error: no live route from node 0 to node 1 / no live route from node 0 to node 1
-torus x2 link-cut halo-exchange error: no live route from node 0 to node 1 / no live route from node 0 to node 1
-torus x2 link-cut all-to-all error: no live route from node 0 to node 1 / no live route from node 0 to node 1
+torus x2 link-cut routes 031ca2d6c8dc1b26
+torus x2 link-cut all-reduce-ring c0fc706db4b4cc93 4055288888888888 a78e0780c72b4578 40552931d8ae4a83
+torus x2 link-cut halo-exchange 147c8e0ba278c03e 4064feeeeeeeeeef 737c38586103b6c1 40650020ce1dc49c
+torus x2 link-cut all-to-all f68a3a004abd9842 4054feeeeeeeeeef 77b511d57f232b8c 40550020ce1dc49c
 torus x2 degraded routes f60d6ec574964df4
 torus x2 degraded all-reduce-ring 2a8b661e6c673033 4064feeeeeeeeeef 553a871729775607 4064ff87dc25c854
 torus x2 degraded halo-exchange f7cb8f7f7a766b77 4074ea2222222222 5fb1d31f72d1d732 4074eb439dc0edaf
@@ -352,10 +352,10 @@ dragonfly x2 node-lost routes c307c9c97d77e551
 dragonfly x2 node-lost all-reduce-ring cd04701c874b8b55 8000000000000000 cd04701c874b8b55 8000000000000000
 dragonfly x2 node-lost halo-exchange 76436b7a5a198e64 8000000000000000 76436b7a5a198e64 8000000000000000
 dragonfly x2 node-lost all-to-all 7a867960e1af8537 8000000000000000 7a867960e1af8537 8000000000000000
-dragonfly x2 link-cut routes error: no live route from node 0 to node 1
-dragonfly x2 link-cut all-reduce-ring error: no live route from node 0 to node 1 / no live route from node 0 to node 1
-dragonfly x2 link-cut halo-exchange error: no live route from node 0 to node 1 / no live route from node 0 to node 1
-dragonfly x2 link-cut all-to-all error: no live route from node 0 to node 1 / no live route from node 0 to node 1
+dragonfly x2 link-cut routes 119f2212f2f8b45e
+dragonfly x2 link-cut all-reduce-ring c0fc706db4b4cc93 4055288888888888 a78e0780c72b4578 40552931d8ae4a83
+dragonfly x2 link-cut halo-exchange 147c8e0ba278c03e 4064feeeeeeeeeef 737c38586103b6c1 40650020ce1dc49c
+dragonfly x2 link-cut all-to-all f68a3a004abd9842 4054feeeeeeeeeef 77b511d57f232b8c 40550020ce1dc49c
 dragonfly x2 degraded routes fa3222606fa92658
 dragonfly x2 degraded all-reduce-ring 2a8b661e6c673033 4064feeeeeeeeeef 553a871729775607 4064ff87dc25c854
 dragonfly x2 degraded halo-exchange f7cb8f7f7a766b77 4074ea2222222222 5fb1d31f72d1d732 4074eb439dc0edaf

@@ -79,16 +79,26 @@ proptest! {
         nodes in 2u32..65,
         link_pick in 0usize..4096,
     ) {
-        let healthy = FabricGraph::build(kind, nodes).unwrap();
-        let links = healthy.physical_links();
-        let (a, b) = links[link_pick % links.len()];
-        let mut g = FabricGraph::build(kind, nodes).unwrap();
-        let cut = g.fail_link_between(a, b).unwrap();
-        prop_assert!(cut >= 2, "a physical link is at least one channel pair");
-        prop_assert!(
-            g.all_ehp_mutually_reachable(),
-            "{kind} x{nodes}: cutting link {a}-{b} partitioned the fleet"
-        );
+        // Beside the random draw, every link of every 2-node fabric: a
+        // draw seldom lands there, and there the torus and dragonfly
+        // dual-rail their one pair.
+        let mut cuts = vec![(kind, nodes, link_pick)];
+        for kind in FabricKind::ALL {
+            let links = FabricGraph::build(kind, 2).unwrap().physical_links();
+            cuts.extend((0..links.len()).map(|pick| (kind, 2, pick)));
+        }
+        for (kind, nodes, link_pick) in cuts {
+            let healthy = FabricGraph::build(kind, nodes).unwrap();
+            let links = healthy.physical_links();
+            let (a, b) = links[link_pick % links.len()];
+            let mut g = FabricGraph::build(kind, nodes).unwrap();
+            let cut = g.fail_link_between(a, b).unwrap();
+            prop_assert!(cut == 2, "a physical link is one channel pair");
+            prop_assert!(
+                g.all_ehp_mutually_reachable(),
+                "{kind} x{nodes}: cutting link {a}-{b} partitioned the fleet"
+            );
+        }
     }
 
     /// Degrading a route slows collectives down monotonically but never

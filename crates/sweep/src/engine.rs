@@ -19,8 +19,8 @@
 //!    their index; the driver reassembles records in grid point order
 //!    before reducing. Scheduling order never reaches the reduction.
 //! 3. **Bit-exact memoization.** Cached records store `f64`s by bit
-//!    pattern (in memory and on disk), so a cache hit replays the very
-//!    bits a fresh evaluation would produce.
+//!    pattern on disk, so a cache hit replays the very bits a fresh
+//!    evaluation would produce.
 //!
 //! Hence `reduce(merge(...))` sees the same bytes whatever the thread
 //! count, cache temperature, or interruption history.
@@ -40,10 +40,10 @@ use crate::cache::{CacheError, CacheRecord, DiskCache};
 use crate::pareto::{pareto_frontier, FrontierPoint};
 use crate::pool::{map_chunks_supervised, PoolError, RetryPolicy, WorkerStats};
 
-/// Where memoized evaluations live between runs.
+/// Whether evaluated records persist between runs, and where.
 #[derive(Clone, Debug)]
 pub enum CacheMode {
-    /// In-process only: hits across runs of the same engine instance.
+    /// Nothing persists: every run evaluates every point.
     Memory,
     /// Persistent under the given directory: hits across processes, and
     /// checkpoint/resume of interrupted campaigns.
@@ -73,7 +73,7 @@ pub struct RunOptions {
 }
 
 impl RunOptions {
-    /// Sequential, memory-cached, uninterrupted runs on the real
+    /// Sequential, uncached, uninterrupted runs on the real
     /// filesystem, `chunk_points` points per chunk.
     pub fn new(chunk_points: usize) -> Self {
         Self {
@@ -112,8 +112,8 @@ pub trait Axis: Sync {
     /// determines an evaluation; it names the campaign's cache file.
     fn campaign_digest(&self) -> u64;
 
-    /// Content address of one point within `campaign`: its memoization
-    /// key in memory and on disk.
+    /// Content address of one point within `campaign`: its key in the
+    /// disk cache and in quarantine reports.
     fn point_key(&self, campaign: u64, point: &Self::Point) -> u64;
 
     /// Evaluates one point. Must be a pure function of the axis and the
@@ -329,36 +329,38 @@ impl<E> From<DseError> for SweepError<E> {
 /// catches them. Production sweeps leave it unset.
 pub type Failpoint = Arc<dyn Fn(u64) + Send + Sync>;
 
-/// The memoizing sweep driver over records of type `R`: the one loop
-/// every [`Axis`] runs through.
-pub struct Memo<R> {
+/// What [`Memo::run`] returns along axis `A`.
+type AxisRun<A> =
+    Result<Swept<<A as Axis>::Record, <A as Axis>::Frontier>, SweepError<<A as Axis>::Error>>;
+
+/// The sweep driver: the one loop every [`Axis`] runs through. It keeps
+/// nothing between runs; only a [`CacheMode::Disk`] cache carries
+/// records from one run to the next.
+pub struct Memo {
     version: String,
-    memo: BTreeMap<u64, R>,
     failpoint: Option<Failpoint>,
 }
 
-impl<R> std::fmt::Debug for Memo<R> {
+impl std::fmt::Debug for Memo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memo")
             .field("version", &self.version)
-            .field("memo_entries", &self.memo.len())
             .field("failpoint", &self.failpoint.is_some())
             .finish()
     }
 }
 
-impl<R: CacheRecord + Send> Default for Memo<R> {
+impl Default for Memo {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<R: CacheRecord + Send> Memo<R> {
-    /// An empty driver stamped with the current [`MODEL_VERSION`].
+impl Memo {
+    /// A driver stamped with the current [`MODEL_VERSION`].
     pub fn new() -> Self {
         Self {
             version: MODEL_VERSION.to_string(),
-            memo: BTreeMap::new(),
             failpoint: None,
         }
     }
@@ -374,14 +376,13 @@ impl<R: CacheRecord + Send> Memo<R> {
     /// path; production code keeps the default).
     pub fn with_version(mut self, version: impl Into<String>) -> Self {
         self.version = version.into();
-        self.memo.clear();
         self
     }
 
-    /// Runs one sweep along `axis`: resolves cache hits, evaluates the
-    /// remainder on the supervised work-stealing pool (checkpointing each
-    /// record as it lands), merges in grid order, and extracts the
-    /// frontier.
+    /// Runs one sweep along `axis`: fills the grid slots the disk cache
+    /// already holds, evaluates the remainder on the supervised
+    /// work-stealing pool (checkpointing each record as it lands), moves
+    /// each fresh record into its grid slot, and extracts the frontier.
     ///
     /// # Errors
     ///
@@ -390,37 +391,39 @@ impl<R: CacheRecord + Send> Memo<R> {
     /// [`SweepError::Evaluate`] when a point fails to evaluate,
     /// [`SweepError::Cache`] / [`SweepError::Pool`] on infrastructure
     /// failures, and [`SweepError::EmptySpace`] for a pointless grid.
-    pub fn run<A: Axis<Record = R>>(
-        &mut self,
-        axis: &A,
-    ) -> Result<Swept<R, A::Frontier>, SweepError<A::Error>> {
+    pub fn run<A: Axis>(&self, axis: &A) -> AxisRun<A> {
         let points = axis.points();
         if points.is_empty() {
             return Err(SweepError::EmptySpace);
         }
         let opts = axis.options();
         let campaign = axis.campaign_digest();
+        let keys: Vec<u64> = points.iter().map(|p| axis.point_key(campaign, p)).collect();
+        let mut slots: Vec<Option<A::Record>> = (0..points.len()).map(|_| None).collect();
         let mut disk = match &opts.cache {
             CacheMode::Memory => None,
             CacheMode::Disk(dir) => {
                 let (cache, entries) =
                     DiskCache::open_with(opts.fs.clone(), dir, campaign, &self.version)?;
-                self.memo.extend(entries);
+                let hits: BTreeMap<u64, A::Record> = entries.into_iter().collect();
+                for (slot, key) in slots.iter_mut().zip(&keys) {
+                    *slot = hits.get(key).cloned();
+                }
                 Some(cache)
             }
         };
 
-        let keys: Vec<u64> = points.iter().map(|p| axis.point_key(campaign, p)).collect();
-        let fresh: Vec<(u64, A::Point)> = keys
+        let fresh: Vec<(usize, u64, A::Point)> = keys
             .iter()
             .zip(&points)
-            .filter(|(key, _)| !self.memo.contains_key(*key))
-            .map(|(key, point)| (*key, *point))
+            .enumerate()
+            .filter(|(index, _)| slots[*index].is_none())
+            .map(|(index, (key, point))| (index, *key, *point))
             .collect();
         let cache_hits = points.len() - fresh.len();
         let scheduled = opts.fresh_limit.map_or(fresh.len(), |l| l.min(fresh.len()));
         let chunk_points = opts.chunk_points.max(1);
-        let chunks: Vec<Vec<(u64, A::Point)>> = fresh[..scheduled]
+        let chunks: Vec<Vec<(usize, u64, A::Point)>> = fresh[..scheduled]
             .chunks(chunk_points)
             .map(<[_]>::to_vec)
             .collect();
@@ -432,20 +435,20 @@ impl<R: CacheRecord + Send> Memo<R> {
             opts.jobs,
             chunks,
             &RetryPolicy::default(),
-            |(key, point)| {
+            |&(index, key, point)| {
                 if let Some(fp) = failpoint {
-                    fp(*key);
+                    fp(key);
                 }
-                (*key, axis.evaluate(point))
+                (index, axis.evaluate(&point))
             },
-            |_, results: &[(u64, Result<R, A::Error>)]| {
+            |_, results| {
                 // Checkpoint every fresh record as it lands; an error here
                 // aborts the run after the pool drains.
                 if let Some(cache) = disk.as_mut() {
                     if io_error.is_none() {
-                        for (key, record) in results {
+                        for (index, record) in results {
                             if let Ok(record) = record {
-                                if let Err(e) = cache.append(*key, record) {
+                                if let Err(e) = cache.append(keys[*index], record) {
                                     io_error = Some(e);
                                     break;
                                 }
@@ -464,8 +467,8 @@ impl<R: CacheRecord + Send> Memo<R> {
         for verdict in verdicts {
             match verdict {
                 Ok(results) => {
-                    for (key, record) in results {
-                        self.memo.insert(key, record.map_err(SweepError::Evaluate)?);
+                    for (index, record) in results {
+                        slots[index] = Some(record.map_err(SweepError::Evaluate)?);
                     }
                 }
                 Err(q) => quarantine.entries.push(QuarantineEntry {
@@ -475,7 +478,7 @@ impl<R: CacheRecord + Send> Memo<R> {
                         .nth(q.index)
                         .unwrap_or_default()
                         .iter()
-                        .map(|(key, _)| *key)
+                        .map(|(_, key, _)| *key)
                         .collect(),
                     attempts: q.attempts,
                     message: q.message,
@@ -491,19 +494,19 @@ impl<R: CacheRecord + Send> Memo<R> {
             });
         }
 
-        // Merge in grid point order: the only order the reduction ever
-        // sees. Quarantined points are excluded (and accounted for in the
-        // report); any *other* missing record is a driver-internal
+        // The slots are in grid point order: the only order the reduction
+        // ever sees. Quarantined points are excluded (and accounted for in
+        // the report); any *other* empty slot is a driver-internal
         // invariant violation.
         let quarantined: BTreeSet<u64> = quarantine
             .entries
             .iter()
             .flat_map(|e| e.keys.iter().copied())
             .collect();
-        let mut records = Vec::with_capacity(keys.len());
-        for key in &keys {
-            match self.memo.get(key) {
-                Some(record) => records.push(record.clone()),
+        let mut records = Vec::with_capacity(slots.len());
+        for (slot, key) in slots.into_iter().zip(&keys) {
+            match slot {
+                Some(record) => records.push(record),
                 None if quarantined.contains(key) => {}
                 None => return Err(SweepError::MissingRecord { key: *key }),
             }
@@ -539,7 +542,7 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// A sequential, memory-cached spec over `space` and `profiles`, on
+    /// A sequential, uncached spec over `space` and `profiles`, on
     /// the real filesystem, 16 points per chunk.
     pub fn new(space: DesignSpace, profiles: Vec<KernelProfile>) -> Self {
         Self {
@@ -662,7 +665,7 @@ impl Axis for NodeAxis {
 #[derive(Debug)]
 pub struct SweepEngine {
     explorer: Explorer,
-    memo: Memo<PointRecord>,
+    memo: Memo,
 }
 
 impl SweepEngine {
@@ -673,13 +676,6 @@ impl SweepEngine {
             explorer,
             memo: Memo::new(),
         }
-    }
-
-    /// Installs a [`Failpoint`] invoked before every fresh evaluation
-    /// (chaos/test hook; production engines leave it unset).
-    pub fn with_failpoint(mut self, failpoint: Failpoint) -> Self {
-        self.memo = self.memo.with_failpoint(failpoint);
-        self
     }
 
     /// Overrides the model-version stamp (test hook for the eviction
@@ -694,12 +690,6 @@ impl SweepEngine {
         &self.explorer
     }
 
-    /// This engine's campaign digest over `profiles`; see the free
-    /// function [`campaign_digest`].
-    pub fn campaign_digest(&self, profiles: &[KernelProfile]) -> u64 {
-        campaign_digest(&self.explorer, profiles)
-    }
-
     /// Runs one sweep through [`Memo::run`], then reduces the merged
     /// records to the oracle's best-mean and per-app answers.
     ///
@@ -708,7 +698,7 @@ impl SweepEngine {
     /// Everything [`Memo::run`] returns, [`SweepError::Dse`] when the
     /// reduction fails (e.g. no feasible point under the budget), and
     /// [`SweepError::EmptyProfiles`].
-    pub fn run(&mut self, spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
+    pub fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
         // An empty space is the driver's `EmptySpace`, reported first.
         if spec.profiles.is_empty() && !spec.space.is_empty() {
             return Err(SweepError::EmptyProfiles);
@@ -733,7 +723,7 @@ mod tests {
 
     #[test]
     fn empty_inputs_are_rejected() {
-        let mut engine = SweepEngine::new(Explorer::default());
+        let engine = SweepEngine::new(Explorer::default());
         let empty_space = DesignSpace {
             cu_counts: vec![],
             clocks: vec![],

@@ -9,18 +9,19 @@
 //!   worker 0 (`jobs = 1` starts no thread), with an order-independent,
 //!   index-keyed merge and per-chunk supervision (caught panics, bounded
 //!   retries, deterministic quarantine).
-//! - [`cache`] — content-addressed memoization with a crash-consistent
-//!   on-disk layer (bit-exact round-trip, per-line CRC32, flush+fsync
-//!   per record, atomic temp-and-rename repair, generation header)
-//!   enabling checkpoint/resume, all behind the injectable
-//!   [`Vfs`](ena_testkit::chaos::Vfs) filesystem trait.
+//! - [`cache`] — the crate's only memoization: a content-addressed,
+//!   crash-consistent disk cache (bit-exact round-trip, per-line CRC32,
+//!   flush+fsync per record, atomic temp-and-rename repair, generation
+//!   header) enabling checkpoint/resume, all behind the injectable
+//!   [`Vfs`] filesystem trait. Nothing is memoized in memory: a
+//!   [`CacheMode::Memory`] run evaluates every point.
 //! - [`pareto`] — frontier extraction over (mean perf, peak power, peak
 //!   DRAM temperature).
 //! - [`engine`] — the one sweep driver tying them together: an [`Axis`]
 //!   names its grid, campaign digest, point key, evaluation and
 //!   frontier; [`Memo::run`] owns the cache open, hit resolution,
 //!   `fresh_limit`, chunking, the supervised pool, streaming appends,
-//!   quarantine and the grid-order merge, and reports [`Telemetry`]
+//!   quarantine and the merge by grid index, and reports [`Telemetry`]
 //!   (cache hit rate, chunks, per-worker utilization). The node axis
 //!   ([`NodeAxis`]) runs through [`SweepEngine`]; `ena-fabric`'s
 //!   multi-node and recovery axes are two more impls, sharing one
@@ -44,7 +45,7 @@
 //! use ena_sweep::{SweepEngine, SweepSpec};
 //! use ena_workloads::paper_profiles;
 //!
-//! let mut engine = SweepEngine::new(Explorer::default());
+//! let engine = SweepEngine::new(Explorer::default());
 //! let mut spec = SweepSpec::new(DesignSpace::coarse(), paper_profiles());
 //! spec.run.jobs = 2;
 //! let outcome = engine.run(&spec).expect("sweep completes");

@@ -4,12 +4,13 @@
 
 use std::path::PathBuf;
 
-use ena_core::dse::DesignSpace;
+use ena_core::dse::{DesignSpace, PointRecord};
 use ena_core::Explorer;
+use ena_model::hash::MODEL_VERSION;
 use ena_model::units::Watts;
 use ena_sweep::{
-    hex_field, map_chunks_supervised, CacheMode, CacheRecord, DiskCache, RetryPolicy, SweepEngine,
-    SweepError, SweepSpec,
+    campaign_digest, hex_field, map_chunks_supervised, point_key, CacheMode, CacheRecord,
+    DiskCache, RetryPolicy, SweepEngine, SweepError, SweepSpec,
 };
 use ena_testkit::prelude::*;
 use ena_workloads::paper_profiles;
@@ -328,7 +329,7 @@ fn bumping_the_model_version_forces_full_reevaluation() {
 
     // Same cache directory, bumped stamp: every stale entry is evicted
     // and every point re-evaluated.
-    let mut bumped = SweepEngine::new(Explorer::default()).with_version("ena-model/test-bump");
+    let bumped = SweepEngine::new(Explorer::default()).with_version("ena-model/test-bump");
     let v2 = bumped.run(&spec).expect("bumped sweep completes");
     assert_eq!(v2.telemetry.cache_hits, 0, "stale entries must not hit");
     assert_eq!(v2.telemetry.fresh_evals, total);
@@ -337,6 +338,48 @@ fn bumping_the_model_version_forces_full_reevaluation() {
     // The rewritten cache now serves the bumped stamp.
     let again = bumped.run(&spec).expect("warm bumped sweep completes");
     assert_eq!(again.telemetry.cache_hits, total);
+}
+
+#[test]
+fn disk_hits_interleaved_with_fresh_points_merge_in_grid_order() {
+    let dir = scratch("interleaved-hits");
+    let explorer = Explorer::default();
+    let mut spec = coarse_spec();
+    spec.run.jobs = 2;
+    let cold = SweepEngine::new(Explorer::default())
+        .run(&spec)
+        .expect("cold sweep completes");
+
+    // Every third point is already on disk; the rest are fresh.
+    let campaign = campaign_digest(&explorer, &spec.profiles);
+    let (mut cache, on_disk) =
+        DiskCache::<PointRecord>::open(&dir, campaign, MODEL_VERSION).expect("cache opens");
+    assert!(on_disk.is_empty());
+    let points = spec.space.points();
+    let mut seeded = 0;
+    for point in points.iter().step_by(3) {
+        let record = explorer.evaluate_point(*point, &spec.profiles);
+        cache
+            .append(point_key(campaign, point), &record)
+            .expect("append lands");
+        seeded += 1;
+    }
+    drop(cache);
+
+    spec.run.cache = CacheMode::Disk(dir);
+    let mixed = SweepEngine::new(Explorer::default())
+        .run(&spec)
+        .expect("mixed sweep completes");
+    assert_eq!(mixed.telemetry.cache_hits, seeded);
+    assert_eq!(mixed.telemetry.fresh_evals, points.len() - seeded);
+    assert!(mixed
+        .records
+        .iter()
+        .map(|r| r.point)
+        .eq(points.iter().copied()));
+    assert_eq!(render(&mixed.records), render(&cold.records));
+    assert_eq!(render(&mixed.result), render(&cold.result));
+    assert_eq!(render(&mixed.frontier), render(&cold.frontier));
 }
 
 #[test]

@@ -2,12 +2,11 @@
 //! >1000 configurations, find the best-mean point under the 160 W budget,
 //! > and print the Table II per-application oracle.
 //!
-//! The sweep runs through the `ena-sweep` engine — parallel workers plus
-//! memoization — which is byte-identical to the sequential `Explorer`
-//! oracle, so the result rows are unchanged while the telemetry shows
-//! the engine at work. The warm re-sweep at the end demonstrates the
-//! cache, and the final section re-runs the winning configuration under
-//! a seeded single-chiplet loss (the sweep x fault cross-product).
+//! The sweep runs through the `ena-sweep` engine's parallel workers,
+//! which are byte-identical to the sequential `Explorer` oracle, so the
+//! result rows are unchanged while the telemetry shows the engine at
+//! work. The final section re-runs the winning configuration under a
+//! seeded single-chiplet loss (the sweep x fault cross-product).
 //!
 //! Run with `cargo run --release --example design_space_exploration`.
 
@@ -27,7 +26,7 @@ fn main() {
         space.bandwidths.len()
     );
 
-    let mut engine = SweepEngine::new(Explorer::default());
+    let engine = SweepEngine::new(Explorer::default());
     let mut spec = SweepSpec::new(space, paper_profiles());
     spec.run.jobs = 4;
     let outcome = engine.run(&spec).expect("paper sweep completes");
@@ -55,26 +54,13 @@ fn main() {
     }
 
     let t = &outcome.telemetry;
-    println!(
-        "\ntelemetry: {} points on {} jobs ({:.0}% cache hits)",
-        t.total_points,
-        t.jobs,
-        100.0 * t.hit_rate(),
-    );
+    println!("\ntelemetry: {} points on {} jobs", t.total_points, t.jobs);
     for (i, w) in t.workers.iter().enumerate() {
         println!(
             "  worker {i}: {} chunks, {} points, {} steals",
             w.chunks, w.points, w.steals
         );
     }
-
-    // Sweep again on the warm engine: every point memoized, same bytes.
-    let warm = engine.run(&spec).expect("warm sweep completes");
-    assert_eq!(warm.result, outcome.result, "memoization must not drift");
-    println!(
-        "warm re-sweep: {:.0}% cache hits, identical result",
-        100.0 * warm.telemetry.hit_rate()
-    );
 
     // Cross-product with the fault engine: what does the winning
     // configuration retain when a GPU chiplet dies mid-run?

@@ -14,8 +14,6 @@
 //!   "gem5-APU adjustment" substrate).
 //! - [`hsa`] — the HSA runtime substrate: user-mode queues, signals, task
 //!   DAGs, scoped synchronization.
-//! - [`cpu`] — CPU-side modeling: the leading-loads performance predictor
-//!   and PPEP-style DVFS power prediction.
 //! - [`core`] — the node simulator, design-space exploration, dynamic
 //!   reconfiguration, RAS modeling, and system scaling.
 //! - [`faults`] — cross-layer fault injection and graceful degradation:
@@ -58,7 +56,6 @@
 #![forbid(unsafe_code)]
 
 pub use ena_core as core;
-pub use ena_cpu as cpu;
 pub use ena_fabric as fabric;
 pub use ena_faults as faults;
 pub use ena_gpu as gpu;

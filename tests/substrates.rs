@@ -1,15 +1,12 @@
-//! Integration tests across the substrate crates: the GPU timing model,
-//! the HSA runtime, and the CPU models working together with the workload
-//! suite and the analytic node model.
+//! Integration tests across the substrate crates: the GPU timing model
+//! and the HSA runtime working together with the workload suite and the
+//! analytic node model.
 
-use ena::cpu::core::CoreModel;
-use ena::cpu::program::CpuProgram;
 use ena::gpu::backend::HbmBackend;
 use ena::gpu::sim::{CuConfig, GpuSim};
 use ena::gpu::synth::wavefronts_for;
 use ena::hsa::runtime::{Runtime, RuntimeConfig};
 use ena::hsa::task::{TaskCost, TaskGraph};
-use ena::model::units::{Megahertz, Seconds};
 use ena::workloads::{paper_profiles, profile_for};
 
 /// Profile-synthesized wavefronts on the banked-HBM backend show the same
@@ -34,15 +31,13 @@ fn timing_sim_on_real_hbm_matches_categories() {
     );
 }
 
-/// An end-to-end heterogeneous pipeline: CPU serial stage timed by the
-/// leading-loads model feeds a GPU stage scheduled by the HSA runtime.
+/// An end-to-end heterogeneous pipeline: a CPU serial stage feeds a fan
+/// of GPU kernels scheduled by the HSA runtime, then a CPU join.
 #[test]
-fn cpu_model_feeds_the_hsa_runtime() {
-    // Time the serial stage with the CPU model.
-    let core = CoreModel::default();
-    let serial = CpuProgram::synthesize(2_000_000, 5.0, 2);
-    let serial_us = core.run(&serial, Megahertz::new(2500.0)).time.value() * 1e6;
-    assert!(serial_us > 100.0);
+fn a_cpu_stage_feeds_a_gpu_fan_through_the_hsa_runtime() {
+    // A 2M-instruction serial stage at 2.5 GHz with 5 misses per kilo-
+    // instruction takes about this long (µs).
+    let serial_us = 663.0;
 
     // Build a DAG: that serial stage, then a fan of GPU kernels.
     let mut g = TaskGraph::new();
@@ -81,26 +76,4 @@ fn cli_agrees_with_the_library() {
             profile.name
         );
     }
-}
-
-/// Serial fractions measured by the CPU model stay consistent under DVFS:
-/// the same program, predicted vs re-run, across the whole P-state table.
-#[test]
-fn dvfs_predictions_hold_across_the_table() {
-    let core = CoreModel::default();
-    for mpki in [0.0, 8.0, 30.0] {
-        let p = CpuProgram::synthesize(500_000, mpki, 4);
-        let measured = core.run(&p, Megahertz::new(3200.0));
-        for mhz in [1200.0, 1800.0, 2500.0] {
-            let predicted =
-                core.predict_time(&measured, Megahertz::new(3200.0), Megahertz::new(mhz));
-            let actual = core.run(&p, Megahertz::new(mhz)).time;
-            assert!((predicted.value() - actual.value()).abs() < 1e-12);
-        }
-    }
-    // And latency re-prediction is self-consistent.
-    let p = CpuProgram::synthesize(100_000, 10.0, 2);
-    let m = core.run(&p, Megahertz::new(2500.0));
-    let same = core.predict_with_latency(&m, Seconds::new(80e-9));
-    assert!((same.value() - m.time.value()).abs() < 1e-12);
 }

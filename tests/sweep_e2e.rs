@@ -41,7 +41,7 @@ fn parallel_paper_sweep_matches_the_sequential_oracle_byte_for_byte() {
         .explore(&DesignSpace::paper(), &profiles)
         .expect("paper space explores");
 
-    let mut engine = SweepEngine::new(Explorer::default());
+    let engine = SweepEngine::new(Explorer::default());
     let mut spec = SweepSpec::new(DesignSpace::paper(), profiles);
     spec.run.jobs = 3;
     let outcome = engine.run(&spec).expect("paper sweep completes");
@@ -72,12 +72,12 @@ fn cold_then_warm_disk_sweep_hits_the_cache_and_returns_identical_results() {
     spec.run.jobs = 2;
     spec.run.cache = CacheMode::Disk(dir);
 
-    let mut cold_engine = SweepEngine::new(Explorer::default());
+    let cold_engine = SweepEngine::new(Explorer::default());
     let cold = cold_engine.run(&spec).expect("cold sweep completes");
     assert_eq!(cold.telemetry.cache_hits, 0, "cold run starts empty");
 
     // A fresh engine sees only the disk layer — no in-memory carryover.
-    let mut warm_engine = SweepEngine::new(Explorer::default());
+    let warm_engine = SweepEngine::new(Explorer::default());
     let warm = warm_engine.run(&spec).expect("warm sweep completes");
 
     assert!(

@@ -13,6 +13,10 @@ cargo build --release
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
 
+echo "==> simulator exactness properties: 2000 cases each, release build"
+ENA_TESTKIT_CASES=2000 cargo test -q --release -p ena-gpu --test exactness run_matches_the_reference_loop
+ENA_TESTKIT_CASES=2000 cargo test -q --release -p ena-noc --test oracle
+
 echo "==> example smoke runs"
 cargo run --release --example resilient_reconfiguration
 cargo run --release --example fault_campaign
@@ -92,13 +96,14 @@ if ! diff <(echo "$multinode_out") artifacts/multinode_campaign.txt; then
 fi
 
 # Runs the seeded chaos campaign on every axis with the given pool
-# options: all three must hold every invariant.
+# options: all three must hold every invariant. Leaves the report in
+# $chaos_report.
 chaos_smoke() {
   rm -rf artifacts/chaos-cache
-  local out held
-  out=$(cargo run --release -p ena-cli --bin ena -- chaos --seed 0xC0FFEE --runs 2 "$@")
-  echo "$out" | grep '^chaos campaign\|^invariants:'
-  held=$(echo "$out" | grep -c '^invariants: all hold' || true)
+  local held
+  chaos_report=$(cargo run --release -p ena-cli --bin ena -- chaos --seed 0xC0FFEE --runs 2 "$@")
+  echo "$chaos_report" | grep '^chaos campaign\|^invariants:'
+  held=$(echo "$chaos_report" | grep -c '^invariants: all hold' || true)
   if [ "$held" -ne 3 ]; then
     echo "ci.sh: chaos campaigns ($*) held their invariants on $held of 3 axes" >&2
     exit 1
@@ -108,6 +113,10 @@ chaos_smoke() {
 echo "==> chaos smokes: seeded fault campaigns must hold every invariant on every axis"
 chaos_smoke --jobs 2
 chaos_smoke --jobs 1
+if ! diff <(echo "$chaos_report") artifacts/chaos_campaign.txt; then
+  echo "ci.sh: chaos campaign (--jobs 1) diverged from artifacts/chaos_campaign.txt" >&2
+  exit 1
+fi
 
 echo "==> fault campaign smoke: the seeded campaign must match the golden report"
 # Pins the degraded-ring NoC replay (the delivered / dropped / latency

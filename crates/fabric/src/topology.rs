@@ -386,13 +386,11 @@ impl FabricGraph {
             r += 1;
         }
         if rows == 0 {
-            // Ring fallback. A 2-node ring would be a single physical
-            // link; dual-rail it so one link failure cannot partition.
+            // Ring fallback. At n = 2 the loop joins 0-1 twice (0 to 1,
+            // then 1 to 0): two rails, so one link failure cannot
+            // partition.
             for i in 0..n {
                 self.connect(i, (i + 1) % n, &DIRECT_LINK);
-            }
-            if n == 2 {
-                self.connect(0, 1, &DIRECT_LINK);
             }
             return;
         }
@@ -843,6 +841,18 @@ mod tests {
         // 7 is prime: ring with 7 physical links.
         let ring = FabricGraph::build(FabricKind::Torus, 7).unwrap();
         assert_eq!(ring.physical_links().len(), 7);
+    }
+
+    #[test]
+    fn two_node_fabrics_have_two_rails() {
+        for kind in [FabricKind::Torus, FabricKind::DragonflyLite] {
+            let mut g = FabricGraph::build(kind, 2).unwrap();
+            let mut rails = 0;
+            while g.fail_link_between(0, 1).unwrap() == 2 {
+                rails += 1;
+            }
+            assert_eq!(rails, 2, "{kind} x2");
+        }
     }
 
     #[test]

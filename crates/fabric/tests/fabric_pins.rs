@@ -248,19 +248,19 @@ fat-tree x64 degraded routes f9725884d722d1e5
 fat-tree x64 degraded all-reduce-ring f8eada39a9734391 407cc6cccccccccd c37d9e873a532c99 407cc6e120c9fe1e
 fat-tree x64 degraded halo-exchange ea8fd36b82f7908a 4074f6eeeeeeeeef 8c8dff89e1236a19 4074f8106a8dba7b
 fat-tree x64 degraded all-to-all 045233db4fd8b9e5 4070044ac4ac4ac1 8e8b131c0bd4113d 40700971af2dd797
-torus x2 healthy routes 2a9acecc76039e94
+torus x2 healthy routes 4e687a783264b0e3
 torus x2 healthy all-reduce-ring c93eb0a0e4bc8ecf 4055288888888888 06ba56a203e01d74 40552931d8ae4a83
 torus x2 healthy halo-exchange f30a2fc16f32e3fe 4064feeeeeeeeeef 5554208fb92b6a21 40650020ce1dc49c
 torus x2 healthy all-to-all 2e93af717ef67616 4054feeeeeeeeeef 6c0bdcf26d9c6b08 40550020ce1dc49c
-torus x2 node-lost routes 2a6175446451a72b
+torus x2 node-lost routes 2fbe56eca68b2ae2
 torus x2 node-lost all-reduce-ring cd04701c874b8b55 8000000000000000 cd04701c874b8b55 8000000000000000
 torus x2 node-lost halo-exchange 76436b7a5a198e64 8000000000000000 76436b7a5a198e64 8000000000000000
 torus x2 node-lost all-to-all 7a867960e1af8537 8000000000000000 7a867960e1af8537 8000000000000000
-torus x2 link-cut routes 031ca2d6c8dc1b26
+torus x2 link-cut routes 4032ce31d338c49d
 torus x2 link-cut all-reduce-ring c0fc706db4b4cc93 4055288888888888 a78e0780c72b4578 40552931d8ae4a83
 torus x2 link-cut halo-exchange 147c8e0ba278c03e 4064feeeeeeeeeef 737c38586103b6c1 40650020ce1dc49c
 torus x2 link-cut all-to-all f68a3a004abd9842 4054feeeeeeeeeef 77b511d57f232b8c 40550020ce1dc49c
-torus x2 degraded routes f60d6ec574964df4
+torus x2 degraded routes 9aa053ca886f6b43
 torus x2 degraded all-reduce-ring 2a8b661e6c673033 4064feeeeeeeeeef 553a871729775607 4064ff87dc25c854
 torus x2 degraded halo-exchange f7cb8f7f7a766b77 4074ea2222222222 5fb1d31f72d1d732 4074eb439dc0edaf
 torus x2 degraded all-to-all 7699fd9d723f576f 4064ea2222222222 bca05bb1b9bc7be7 4064eb439dc0edaf

@@ -11,8 +11,8 @@
 //! - [`program`] — wavefront instruction streams, stored run-length.
 //! - [`backend`] — memory backends: a fixed-latency pipe and the detailed
 //!   banked-HBM backend built on `ena-memory`.
-//! - [`sim`] — the CU scheduler and timing loop, with its O(1)-per-grant
-//!   path for pipe-bound stretches.
+//! - [`sim`] — the CU scheduler and timing loop, with a fast path that
+//!   replays pipe-bound stretches by whole round-robin laps.
 //! - [`synth`] — synthesizing wavefront sets from kernel profiles.
 //!
 //! # Example: latency hiding in action

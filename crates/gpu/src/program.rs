@@ -15,7 +15,9 @@
 //! That canonical form makes derived equality the equality of the
 //! expanded op sequences. A compute-bound kernel's long stretches of
 //! identical `Compute` chunks cost one entry each instead of thousands
-//! of ops; the simulator still consumes a run one op per issue.
+//! of ops. The simulator retires ops one at a time, except in a
+//! pipe-bound stretch, where it retires whole round-robin laps of a run
+//! at once (see the [`sim`](crate::sim) module docs).
 
 /// One operation in a wavefront's instruction stream.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -61,10 +63,17 @@ impl WavefrontProgram {
 
     /// Appends an op (builder style), extending the last run if `op`
     /// equals it.
-    pub fn push(mut self, op: Op) -> Self {
+    pub fn push(self, op: Op) -> Self {
+        self.push_run(op, 1)
+    }
+
+    /// Appends `count` copies of `op` (builder style), extending the last
+    /// run if `op` equals it; a `count` of 0 appends nothing.
+    pub(crate) fn push_run(mut self, op: Op, count: u64) -> Self {
         match self.runs.last_mut() {
-            Some((last, count)) if *last == op => *count += 1,
-            _ => self.runs.push((op, 1)),
+            Some((last, run)) if *last == op => *run += count,
+            _ if count > 0 => self.runs.push((op, count)),
+            _ => {}
         }
         self
     }
@@ -127,8 +136,9 @@ impl FromIterator<Op> for WavefrontProgram {
 }
 
 /// A wavefront's position in its program: the simulator's view, which
-/// consumes the current run one op per [`Cursor::advance`].
-#[derive(Clone, Debug)]
+/// retires the current run's ops one per [`Cursor::advance`] or several
+/// per [`Cursor::skip`].
+#[derive(Clone, Debug, PartialEq)]
 pub(crate) struct Cursor {
     /// The runs not yet finished, last run first; the current run is at
     /// the end and its count is the number of its ops still to issue.
@@ -141,10 +151,23 @@ impl Cursor {
         self.rev_runs.last().map(|&(op, _)| op)
     }
 
+    /// Ops left in the current run, counting the current one; 0 once the
+    /// program is finished.
+    pub(crate) fn run_left(&self) -> u64 {
+        self.rev_runs.last().map_or(0, |&(_, left)| left)
+    }
+
     /// Retires the current op.
     pub(crate) fn advance(&mut self) {
+        self.skip(1);
+    }
+
+    /// Retires the next `ops` ops, all of the current run: `ops` is at
+    /// most [`Cursor::run_left`].
+    pub(crate) fn skip(&mut self, ops: u64) {
         if let Some((_, left)) = self.rev_runs.last_mut() {
-            *left -= 1;
+            debug_assert!(ops <= *left, "skipping {ops} of a run with {left} left");
+            *left -= ops;
             if *left == 0 {
                 self.rev_runs.pop();
             }

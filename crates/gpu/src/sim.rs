@@ -52,6 +52,24 @@
 //! itself a grant. The stretch ends once the grantee finishes or its next
 //! op is not `Compute`. A zero-cycle `Compute` frees the pipe within its
 //! own cycle, so the general loop handles it.
+//!
+//! # Whole laps
+//!
+//! Within a stretch the grantee is a function of `rr` alone, and each
+//! grant moves `rr` by one or two and `now` by the op's cycles, leaving
+//! the pipe free at the new `now`. So while every grantee stays inside
+//! its current run of identical `Compute` ops, the grants repeat once
+//! `rr` comes back to where it stood: a lap, at most one grant per
+//! wavefront slot. The fast path records one lap grant by grant, then
+//! applies `k` more at once, where `k` is the most laps that leave every
+//! grantee at least one op of its run: `now`, the pipe's free cycle and
+//! each grantee's `busy_until` move by `k` times the lap's cycles, the
+//! counters by `k` times its flops and grants, and each grantee's cursor
+//! skips `k` times its grants per lap. A lap in which some grantee's run
+//! ended does not repeat, and one whose `rr` has not come back after as
+//! many grants as there are wavefronts gives way to a new lap from the
+//! current `rr`. The last ops of each run go one grant at a time, so a
+//! stretch costs O(wavefronts) per run rather than per grant.
 
 use std::collections::VecDeque;
 use std::num::NonZeroU32;
@@ -206,13 +224,7 @@ impl<'a, B: MemoryBackend> GpuSim<'a, B> {
     /// Panics if `wavefronts` is empty.
     pub fn run(&mut self, wavefronts: Vec<WavefrontProgram>) -> TimingStats {
         assert!(!wavefronts.is_empty(), "no wavefronts to run");
-        let mut m = Machine {
-            waves: wavefronts.into_iter().map(WavefrontState::new).collect(),
-            pipe_free: vec![0; self.config.compute_pipes.get() as usize],
-            now: 0,
-            rr: 0,
-            stats: TimingStats::default(),
-        };
+        let mut m = Machine::new(wavefronts, &self.config);
         while m.waves.iter().any(|w| !w.done()) {
             if !m.pipe_bound_stretch() {
                 m.step(&self.config, self.backend);
@@ -246,6 +258,17 @@ struct Machine {
 }
 
 impl Machine {
+    /// The state at cycle 0.
+    fn new(wavefronts: Vec<WavefrontProgram>, cfg: &CuConfig) -> Self {
+        Self {
+            waves: wavefronts.into_iter().map(WavefrontState::new).collect(),
+            pipe_free: vec![0; cfg.compute_pipes.get() as usize],
+            now: 0,
+            rr: 0,
+            stats: TimingStats::default(),
+        }
+    }
+
     /// One iteration of the issue loop (module docs, steps 1–4).
     fn step<B: MemoryBackend>(&mut self, cfg: &CuConfig, backend: &mut B) {
         let now = self.now;
@@ -341,15 +364,21 @@ impl Machine {
             first_live[i] = next;
         }
 
+        let mut lap = Lap::default();
+        lap.start(self.rr, self.now, self.stats.flops);
+        // A wavefront's grants in the current lap; zero between laps.
+        let mut visits = vec![0u64; n];
         let mut granted = false;
         loop {
-            let w = &mut self.waves[first_live[self.rr]];
+            let g = first_live[self.rr];
+            let w = &mut self.waves[g];
             let Some(Op::Compute { cycles, flops }) = w.cursor.op() else {
                 break;
             };
             if cycles == 0 {
                 break;
             }
+            lap.repeats &= w.cursor.run_left() > 1;
             // The grant cycle.
             *pipe = self.now + u64::from(cycles);
             w.busy_until = *pipe;
@@ -368,8 +397,64 @@ impl Machine {
                 self.rr = (self.rr + 1) % n;
                 self.now = *pipe;
             }
+
+            lap.grantees.push(g);
+            if self.rr != lap.rr && lap.grantees.len() < n {
+                continue;
+            }
+            if self.rr == lap.rr && lap.repeats {
+                for &g in &lap.grantees {
+                    visits[g] += 1;
+                }
+                // The most laps that leave each grantee one op of its run.
+                let laps = lap
+                    .grantees
+                    .iter()
+                    .map(|&g| (self.waves[g].cursor.run_left() - 1) / visits[g])
+                    .min()
+                    .unwrap_or(0);
+                let cycles = laps * (self.now - lap.now);
+                for &g in &lap.grantees {
+                    let w = &mut self.waves[g];
+                    // Once per grantee: its first appearance zeroes visits.
+                    if visits[g] > 0 {
+                        w.cursor.skip(laps * visits[g]);
+                        w.busy_until += cycles;
+                        visits[g] = 0;
+                    }
+                }
+                self.now += cycles;
+                *pipe = self.now;
+                self.stats.flops += laps * (self.stats.flops - lap.flops);
+                self.stats.issued_ops += laps * lap.grantees.len() as u64;
+            }
+            lap.start(self.rr, self.now, self.stats.flops);
         }
         granted
+    }
+}
+
+/// One lap of a pipe-bound stretch (module docs) while it is recorded.
+#[derive(Default)]
+struct Lap {
+    /// The round-robin pointer, cycle and flops count at the lap's start.
+    rr: usize,
+    now: u64,
+    flops: u64,
+    /// The wavefront granted at each of the lap's grants, in order.
+    grantees: Vec<usize>,
+    /// False once some grantee's run ended within the lap.
+    repeats: bool,
+}
+
+impl Lap {
+    /// Starts recording a lap from the given state.
+    fn start(&mut self, rr: usize, now: u64, flops: u64) {
+        self.rr = rr;
+        self.now = now;
+        self.flops = flops;
+        self.grantees.clear();
+        self.repeats = true;
     }
 }
 
@@ -478,6 +563,41 @@ mod tests {
             sim.run(vec![streaming(24 / mlp, mlp); 2]).cycles
         };
         assert!(run(4) < run(1), "mlp 4: {}, mlp 1: {}", run(4), run(1));
+    }
+
+    #[test]
+    fn a_stretch_leaves_the_state_the_plain_loop_reaches() {
+        // Slot 2 is finished, so it maps to wavefront 3, which the lap
+        // from slot 1 then grants twice. No lap comes back to slot 0.
+        // Wavefront 3's run ends first and stops the stretch before
+        // wavefront 4, granted last, is granted again.
+        let program = |cycles: u32, count: u64| {
+            WavefrontProgram::new()
+                .push_run(Op::Compute { cycles, flops: 64 }, count)
+                .push(Op::Load { addr: 0 })
+        };
+        let wavefronts = vec![
+            program(1, 300),
+            program(1, 250),
+            WavefrontProgram::new(),
+            program(1, 280),
+            program(2, 400),
+        ];
+        let cfg = CuConfig::default();
+        let mut fast = Machine::new(wavefronts.clone(), &cfg);
+        assert!(fast.pipe_bound_stretch());
+        let mut plain = Machine::new(wavefronts, &cfg);
+        let mut mem = FixedLatency::new(100, 1);
+        while plain.now < fast.now {
+            plain.step(&cfg, &mut mem);
+        }
+        assert_eq!(
+            (plain.now, plain.rr, &plain.pipe_free, plain.stats),
+            (fast.now, fast.rr, &fast.pipe_free, fast.stats)
+        );
+        for (p, f) in plain.waves.iter().zip(&fast.waves) {
+            assert_eq!((p.busy_until, &p.cursor), (f.busy_until, &f.cursor));
+        }
     }
 
     #[test]

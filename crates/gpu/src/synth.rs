@@ -14,6 +14,9 @@ use crate::program::{Op, WavefrontProgram};
 /// DP FLOPs a wavefront retires per issue cycle (64 lanes).
 pub const FLOPS_PER_ISSUE: u32 = 64;
 
+/// DP FLOPs of one full `Compute` chunk: 16 issue cycles.
+const CHUNK_FLOPS: u32 = FLOPS_PER_ISSUE * 16;
+
 /// A deterministic address-stream generator mixing strided and random
 /// accesses.
 #[derive(Clone, Copy, Debug)]
@@ -88,14 +91,20 @@ pub fn wavefronts_for(
                 p = p.push(Op::Wait {
                     max_outstanding: mlp / 2,
                 });
-                let mut remaining = flops;
-                while remaining > 0 {
-                    let chunk = remaining.min(u64::from(FLOPS_PER_ISSUE) * 16) as u32;
+                // Full 16-cycle chunks as one run, then the remainder.
+                p = p.push_run(
+                    Op::Compute {
+                        cycles: 16,
+                        flops: CHUNK_FLOPS,
+                    },
+                    flops / u64::from(CHUNK_FLOPS),
+                );
+                let rest = (flops % u64::from(CHUNK_FLOPS)) as u32;
+                if rest > 0 {
                     p = p.push(Op::Compute {
-                        cycles: chunk.div_ceil(FLOPS_PER_ISSUE),
-                        flops: chunk,
+                        cycles: rest.div_ceil(FLOPS_PER_ISSUE),
+                        flops: rest,
                     });
-                    remaining -= u64::from(chunk);
                 }
             }
             p
@@ -181,6 +190,59 @@ mod tests {
                 "{}: store share {share:.3}, write fraction {}",
                 p.name,
                 p.write_fraction
+            );
+        }
+    }
+
+    /// `wavefronts_for` as it was first written: one push per op, each
+    /// compute chunk at most 1024 flops.
+    fn op_by_op(profile: &KernelProfile, iterations: u32, seed: u64) -> Vec<WavefrontProgram> {
+        let count = (1.0 + profile.parallelism * 15.0).round() as usize;
+        let mlp = (1.0 + profile.parallelism * 7.0).round() as u32;
+        let flops = (profile.ops_per_byte * f64::from(mlp * 64))
+            .round()
+            .max(0.0) as u64;
+        (0..count)
+            .map(|w| {
+                let mut gen =
+                    AddressGen::new(seed ^ ((w as u64) << 32), 1.0 - profile.latency_sensitivity);
+                let mut p = WavefrontProgram::new();
+                for _ in 0..iterations {
+                    for _ in 0..mlp {
+                        let addr = gen.next();
+                        let unit = (gen.state >> 7) as f64 / (1u64 << 57) as f64;
+                        p = p.push(if unit < profile.write_fraction {
+                            Op::Store { addr }
+                        } else {
+                            Op::Load { addr }
+                        });
+                    }
+                    p = p.push(Op::Wait {
+                        max_outstanding: mlp / 2,
+                    });
+                    let mut remaining = flops;
+                    while remaining > 0 {
+                        let chunk = remaining.min(1024) as u32;
+                        p = p.push(Op::Compute {
+                            cycles: chunk.div_ceil(64),
+                            flops: chunk,
+                        });
+                        remaining -= u64::from(chunk);
+                    }
+                }
+                p
+            })
+            .collect()
+    }
+
+    #[test]
+    fn chunk_runs_match_the_op_by_op_construction() {
+        for p in ena_workloads::paper_profiles() {
+            assert_eq!(
+                wavefronts_for(&p, 24, 0xABCD),
+                op_by_op(&p, 24, 0xABCD),
+                "{}",
+                p.name
             );
         }
     }

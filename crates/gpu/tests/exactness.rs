@@ -1,8 +1,9 @@
 //! Exactness of the timing simulator.
 //!
-//! `GpuSim::run` skips work: it drains completed requests lazily and
-//! advances pipe-bound stretches in O(1) per grant (see the `sim` module
-//! docs). `reference` below is the plain loop those shortcuts must match:
+//! `GpuSim::run` skips work: it drains completed requests lazily,
+//! advances pipe-bound stretches in O(1) per grant and applies repeating
+//! round-robin laps of a stretch at once (see the `sim` module docs).
+//! `reference` below is the plain loop those shortcuts must match:
 //! every wavefront drained at the top of every cycle, every cycle scanned,
 //! programs held as expanded op lists. The property test holds the two to
 //! identical `TimingStats`, and the pinned counts hold the validation
@@ -158,10 +159,24 @@ mod reference {
 /// A run of identical `Compute` ops, a burst of memory requests, or one
 /// `Wait`. Compute runs of 1 and 2 cycles are common: there the fast
 /// path's grant and idle cycles interleave differently. So are 0 cycles,
-/// which free the pipe within their own cycle. Bursts to scattered lines
-/// keep several requests in flight, and the banked backend completes them
-/// out of order.
+/// which free the pipe within their own cycle. Long compute segments, one
+/// to two runs of 24 to 200 ops, outlast a lap of up to 12 wavefronts
+/// many times over, so the fast path repeats laps; a 1-cycle run next to
+/// a multi-cycle one, in one program or across wavefronts, mixes steps of
+/// one and two slots within a lap. Programs of unequal length finish at
+/// different times, so several slots can map to one live wavefront.
+/// Bursts to scattered lines keep several requests in flight, and the
+/// banked backend completes them out of order.
 fn segment() -> impl Strategy<Value = Vec<Op>> {
+    let long_cycles = || prop_oneof![Just(1u32), Just(2u32), 1u32..=5];
+    let long_compute = (
+        (long_cycles(), 0u32..1024, 24usize..200),
+        (long_cycles(), 0u32..1024, 0usize..200),
+    )
+        .prop_map(|((c1, f1, n1), (c2, f2, n2))| {
+            let run = |cycles, flops, n| vec![Op::Compute { cycles, flops }; n];
+            [run(c1, f1, n1), run(c2, f2, n2)].concat()
+        });
     let cycles = prop_oneof![Just(0u32), Just(1u32), Just(2u32), 1u32..=20];
     let request = (0u64..1 << 16, any::<bool>()).prop_map(|(line, store)| {
         let addr = line * 64;
@@ -175,6 +190,7 @@ fn segment() -> impl Strategy<Value = Vec<Op>> {
         .prop_map(|(cycles, flops, n)| vec![Op::Compute { cycles, flops }; n]);
     prop_oneof![
         compute,
+        long_compute,
         ena_testkit::collection::vec(request, 1..8),
         (0u32..=3).prop_map(|m| vec![Op::Wait { max_outstanding: m }]),
     ]

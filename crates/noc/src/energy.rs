@@ -67,13 +67,14 @@ impl EnergyTally {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::num::NonZeroU32;
 
     fn wire_link(length_mm: f64) -> Link {
         Link {
             from: 0,
             to: 1,
             latency_cycles: 4,
-            bytes_per_cycle: 64.0,
+            bytes_per_cycle: NonZeroU32::MIN.saturating_add(63),
             length_mm,
             is_tsv: false,
         }

@@ -107,19 +107,22 @@ impl<'a> NocSim<'a> {
     /// Delivers a batch of packets, returning aggregate statistics.
     ///
     /// Packets are processed in injection order; equal injection cycles are
-    /// served in batch order (deterministic). Packets whose destination is
-    /// unreachable (a degraded topology severed the route) are counted in
-    /// [`NocStats::dropped`]; use [`NocSim::try_run`] to surface the first
-    /// such packet as an explicit error instead.
+    /// served in batch order (deterministic). Each hop holds its link for
+    /// the payload over the link's width, rounded up to whole cycles.
+    /// Packets whose destination is unreachable (a degraded topology
+    /// severed the route) are counted in [`NocStats::dropped`]; use
+    /// [`NocSim::try_run`] to surface the first such packet as an
+    /// explicit error instead.
     pub fn run(&mut self, packets: &[Packet]) -> NocStats {
-        // A stable sort finds the presorted runs (one per source in
-        // generated traffic) and merges them.
+        // A stable sort on the cycle alone keeps equal cycles in batch
+        // order; it finds the presorted runs (one per source in generated
+        // traffic) and merges them.
         let mut order: Vec<(u64, usize)> = packets
             .iter()
             .enumerate()
             .map(|(i, p)| (p.inject_cycle, i))
             .collect();
-        order.sort();
+        order.sort_by_key(|&(cycle, _)| cycle);
 
         let mut stats = NocStats {
             link_bytes: vec![0; self.topo.links().len()],
@@ -140,7 +143,7 @@ impl<'a> NocSim<'a> {
             for &li in route {
                 let link = self.topo.links()[li];
                 let start = now.max(self.link_free[li]);
-                let ser = (f64::from(p.bytes) / link.bytes_per_cycle).ceil() as u64;
+                let ser = u64::from(p.bytes.div_ceil(link.bytes_per_cycle.get()));
                 self.link_free[li] = start + ser;
                 now = start + ser + u64::from(link.latency_cycles) + ROUTER_PIPELINE_CYCLES;
                 stats.link_bytes[li] += u64::from(p.bytes);

@@ -13,6 +13,7 @@
 //! baseline used by Fig. 7, where all endpoints meet at one crossbar.
 
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 use ena_model::error::DegradeError;
 
@@ -63,8 +64,10 @@ pub struct Link {
     pub to: NodeId,
     /// Traversal latency in cycles (wire + TSV).
     pub latency_cycles: u32,
-    /// Serialization bandwidth in bytes per cycle.
-    pub bytes_per_cycle: f64,
+    /// Serialization width in whole bytes per cycle: a packet of `b`
+    /// bytes holds the link for `⌈b / width⌉` cycles. It is nonzero, as
+    /// a link that carries nothing per cycle would hold a packet forever.
+    pub bytes_per_cycle: NonZeroU32,
     /// Physical length in millimeters (for energy accounting).
     pub length_mm: f64,
     /// Whether this link is a vertical TSV hop.
@@ -95,28 +98,31 @@ pub struct Topology {
 #[derive(Clone, Copy, Debug)]
 struct LinkParams {
     latency_cycles: u32,
-    bytes_per_cycle: f64,
+    bytes_per_cycle: NonZeroU32,
     length_mm: f64,
     is_tsv: bool,
 }
 
+/// Every link's width: 64 bytes per cycle.
+const LINK_WIDTH: NonZeroU32 = NonZeroU32::MIN.saturating_add(63);
+
 const TSV: LinkParams = LinkParams {
     latency_cycles: 1,
-    bytes_per_cycle: 64.0,
+    bytes_per_cycle: LINK_WIDTH,
     length_mm: 0.1,
     is_tsv: true,
 };
 
 const INTERPOSER_HOP: LinkParams = LinkParams {
     latency_cycles: 4,
-    bytes_per_cycle: 64.0,
+    bytes_per_cycle: LINK_WIDTH,
     length_mm: 8.0,
     is_tsv: false,
 };
 
 const CROSSBAR_HOP: LinkParams = LinkParams {
     latency_cycles: 2,
-    bytes_per_cycle: 64.0,
+    bytes_per_cycle: LINK_WIDTH,
     length_mm: 4.0,
     is_tsv: false,
 };

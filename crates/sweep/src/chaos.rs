@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use ena_model::hash::MODEL_VERSION;
@@ -395,7 +395,7 @@ where
         }
         seen_keys = keys;
 
-        let outcome = match &result {
+        let outcome = match result {
             Ok(outcome) => {
                 // A completed run acknowledged every non-quarantined
                 // fresh point; together with the resumed prefix that is
@@ -417,7 +417,7 @@ where
                     )
                 }
             }
-            Err(e) => format!("failed ({e})"),
+            Err(e) => format!("failed ({})", describe_failure(e, &spec.dir)),
         };
         runs.push(RunSummary {
             run,
@@ -467,6 +467,21 @@ where
         final_recovered: seen_keys.len(),
         final_generation: final_report.generation,
     })
+}
+
+/// A faulted run's error as its summary names it: a cache error's file
+/// relative to the campaign directory, so one seed renders the same
+/// report wherever the directory is.
+fn describe_failure<E: std::fmt::Display>(error: SweepError<E>, dir: &Path) -> String {
+    match error {
+        SweepError::Cache(mut e) => {
+            if let Ok(name) = e.path.strip_prefix(dir) {
+                e.path = name.to_path_buf();
+            }
+            SweepError::<E>::Cache(e).to_string()
+        }
+        e => e.to_string(),
+    }
 }
 
 #[cfg(test)]
@@ -550,6 +565,20 @@ mod tests {
             );
             assert!(report.render().contains("invariants: all hold"));
         }
+    }
+
+    #[test]
+    fn reports_do_not_depend_on_the_cache_directory() {
+        let report = |name: &str| {
+            let spec = ChaosSpec {
+                runs: 2,
+                ..ChaosSpec::new(scratch(name))
+            };
+            run_chaos_campaign(&node_axis(1), &spec).unwrap().render()
+        };
+        let here = report("directory-a");
+        assert!(here.contains("failed (sweep cache"), "{here}");
+        assert_eq!(here, report("directory-b"));
     }
 
     #[test]

@@ -7,8 +7,11 @@ cd "$(dirname "$0")"
 
 export CARGO_NET_OFFLINE=true
 
-echo "==> cargo build --release"
-cargo build --release
+# --workspace: a root `cargo build` builds only the `ena` library, so the
+# binaries the smokes below run (target/release/ena among them) would
+# otherwise be whatever an earlier build left there.
+echo "==> cargo build --release --workspace"
+cargo build --release --workspace
 
 echo "==> cargo test -q --workspace"
 cargo test -q --workspace
@@ -136,7 +139,6 @@ fi
 
 echo "==> serve smoke: cold mix, kill -9, warm restart must serve from the store"
 rm -rf artifacts/serve-cache artifacts/serve-port
-cargo build --release -p ena-cli
 ENA=target/release/ena
 serve_wait_port() {
   for _ in $(seq 1 100); do

@@ -17,7 +17,6 @@
 //!              [--cache DIR] [--port-file PATH] [--budget W]
 //! ena client   (--port N | --port-file PATH) --script "CMD; CMD; ..."
 //! ena cache verify PATH                         # inspect a sweep cache file
-//! ena lint     [--deny-warnings] [--json]       # determinism & concurrency static analysis
 //! ```
 //!
 //! Parsing and rendering live in this library so they are unit-testable;
@@ -171,13 +170,6 @@ pub enum Command {
     CacheVerify {
         /// The cache file to inspect.
         path: std::path::PathBuf,
-    },
-    /// Run the `ena-lint` determinism/robustness pass over the workspace.
-    Lint {
-        /// Treat warnings as failures.
-        deny_warnings: bool,
-        /// Emit machine-readable JSON instead of the text rendering.
-        json: bool,
     },
     /// Print usage.
     Help,
@@ -507,10 +499,6 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
             }
             _ => return Err("cache supports one subcommand: verify PATH".into()),
         },
-        "lint" => Command::Lint {
-            deny_warnings: take_flag(&mut args, "--deny-warnings"),
-            json: take_flag(&mut args, "--json"),
-        },
         "help" | "--help" | "-h" => Command::Help,
         other => return Err(format!("unknown command '{other}'; try 'ena help'")),
     };
@@ -539,7 +527,6 @@ commands:
            [--cache DIR] [--port-file PATH] [--budget W]
   client   (--port N | --port-file PATH) [--addr HOST] --script \"CMD; CMD\"
   cache verify PATH
-  lint     [--deny-warnings] [--json]
   help
 
 apps: MaxFlops, CoMD, CoMD-LJ, HPGMG, LULESH, MiniAMR, XSBench, SNAP
@@ -969,30 +956,6 @@ pub fn execute(command: Command) -> Result<String, String> {
                 report.torn_tail,
             ))
         }
-        Command::Lint {
-            deny_warnings,
-            json,
-        } => {
-            let cwd = std::env::current_dir().map_err(|e| e.to_string())?;
-            let root = ena_lint::find_workspace_root(&cwd)
-                .ok_or_else(|| format!("no [workspace] Cargo.toml above {}", cwd.display()))?;
-            let opts = ena_lint::Options {
-                root,
-                config_path: None,
-                deny_warnings,
-            };
-            let report = ena_lint::run(&opts).map_err(|e| e.to_string())?;
-            let rendered = if json {
-                report.to_json()
-            } else {
-                report.render()
-            };
-            if report.failed(deny_warnings) {
-                Err(rendered)
-            } else {
-                Ok(rendered)
-            }
-        }
         Command::Chiplet { app } => {
             let profile = profile_for(&app).ok_or_else(|| format!("unknown app: {app}"))?;
             let study = chiplet_study(&EhpConfig::paper_baseline(), &profile, 3000, 7);
@@ -1281,34 +1244,6 @@ mod tests {
         assert!(out.contains("hit rate"), "{out}");
         assert!(out.contains("Pareto frontier"), "{out}");
         assert!(out.contains("best throughput"), "{out}");
-    }
-
-    #[test]
-    fn lint_parses_and_runs_clean_on_this_workspace() {
-        assert_eq!(
-            parse_str("lint --deny-warnings").unwrap(),
-            Command::Lint {
-                deny_warnings: true,
-                json: false
-            }
-        );
-        let out = execute(parse_str("lint --deny-warnings").unwrap()).unwrap();
-        assert!(out.contains("ena-lint:"), "{out}");
-        assert!(out.contains("0 diagnostic(s)"), "{out}");
-    }
-
-    #[test]
-    fn lint_json_emits_machine_readable_output() {
-        assert_eq!(
-            parse_str("lint --json").unwrap(),
-            Command::Lint {
-                deny_warnings: false,
-                json: true
-            }
-        );
-        let out = execute(parse_str("lint --deny-warnings --json").unwrap()).unwrap();
-        assert!(out.starts_with("{\n  \"version\": 1,"), "{out}");
-        assert!(out.contains("\"diagnostics\": []"), "{out}");
     }
 
     #[test]

@@ -12,10 +12,20 @@
 //!   on the GPU, which exploits idle CUs and therefore costs more on
 //!   well-utilized kernels;
 //! - the resulting system MTTF and the checkpoint/restart efficiency via
-//!   the Young/Daly model.
+//!   the Young/Daly model;
+//! - [`RecoveryModel`], the one availability model: a node MTBF and a
+//!   checkpoint cost give the achieved efficiency at any fleet size, as
+//!   the closed form next to a seeded Monte Carlo campaign
+//!   ([`FaultCampaign`]) on the same parameters. The fault campaign's
+//!   100,000-node availability cross-check and the multi-node recovery
+//!   section and sweep all read it.
+
+use core::fmt;
 
 use ena_model::config::EhpConfig;
+use ena_model::hash::{StableHash, StableHasher};
 use ena_model::kernel::KernelProfile;
+use ena_workloads::profile_for;
 
 /// Transient-fault rates per component, in FIT.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -261,6 +271,162 @@ impl FaultCampaign {
     }
 }
 
+/// Maximum tolerated gap between the analytic Young/Daly efficiency and
+/// the simulated campaign at any fleet size the acceptance tests run
+/// (N in {2, 4, 8}, the standard campaign sizes and the full machine).
+pub const DALY_TOLERANCE: f64 = 0.06;
+
+/// Simulated machine-hours behind every Monte Carlo efficiency figure.
+pub const RECOVERY_CAMPAIGN_HOURS: f64 = 20_000.0;
+
+/// Young/Daly checkpoint/restart recovery: node MTBF + checkpoint cost,
+/// the two inputs the model needs.
+///
+/// A fleet of `N` nodes fails `N` times as often as one node, and every
+/// failure rolls the whole bulk-synchronous application back to its last
+/// checkpoint. [`RecoveryModel::assess`] turns the two inputs into the
+/// achieved efficiency at any fleet size, two independent ways:
+///
+/// - **analytically** — the Young/Daly closed form
+///   ([`checkpoint_efficiency`]) at the optimal interval
+///   `tau = sqrt(2 * delta * M_sys)`;
+/// - **mechanistically** — a seeded Monte Carlo checkpoint/restart
+///   campaign ([`FaultCampaign::simulate`]) on bitwise-identical
+///   parameters (the optimal interval is read off the very
+///   [`FaultCampaign`] the simulation runs, so the two paths cannot
+///   drift apart).
+///
+/// The two must agree within [`DALY_TOLERANCE`].
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RecoveryModel {
+    /// Mean time between failures of one node, hours.
+    pub node_mttf_hours: f64,
+    /// Cost of writing one global checkpoint, minutes.
+    pub checkpoint_minutes: f64,
+}
+
+impl RecoveryModel {
+    /// A model from explicit parameters (the `--mtbf` /
+    /// `--checkpoint-cost` CLI path).
+    pub fn new(node_mttf_hours: f64, checkpoint_minutes: f64) -> Self {
+        Self {
+            node_mttf_hours,
+            checkpoint_minutes,
+        }
+    }
+
+    /// Derives the node MTBF from the resilience model's silent-fault
+    /// assessment of `config` running `workload` (nominal voltage,
+    /// ECC + RMT — the protected configuration the paper assumes), or
+    /// `None` for an unknown workload.
+    pub fn from_node_assessment(
+        config: &EhpConfig,
+        workload: &str,
+        checkpoint_minutes: f64,
+    ) -> Option<Self> {
+        let profile = profile_for(workload)?;
+        let reliability =
+            ResilienceModel::default().assess(config, &profile, 1.0, Protection::ecc_and_rmt());
+        Some(Self {
+            node_mttf_hours: reliability.node_mttf_hours(),
+            checkpoint_minutes,
+        })
+    }
+
+    /// System MTTF of an `nodes`-node fleet, hours.
+    pub fn system_mttf_hours(&self, nodes: u32) -> f64 {
+        self.node_mttf_hours / f64::from(nodes.max(1))
+    }
+
+    /// The campaign the Monte Carlo leg runs at `nodes`: Young/Daly
+    /// optimal interval, restart cost equal to the checkpoint cost. The
+    /// analytic leg reads its interval off this same struct, so the two
+    /// paths share bitwise-identical parameters.
+    pub fn campaign(&self, nodes: u32) -> FaultCampaign {
+        FaultCampaign::with_optimal_interval(
+            self.system_mttf_hours(nodes),
+            self.checkpoint_minutes / 60.0,
+        )
+    }
+
+    /// Daly's optimal checkpoint interval at `nodes`, hours.
+    pub fn optimal_interval_hours(&self, nodes: u32) -> f64 {
+        self.campaign(nodes).interval_hours
+    }
+
+    /// Closed-form efficiency at an explicit interval (the
+    /// checkpoint-interval sweep axis).
+    pub fn analytic_efficiency_at(&self, nodes: u32, interval_hours: f64) -> f64 {
+        checkpoint_efficiency_at(
+            self.system_mttf_hours(nodes),
+            self.checkpoint_minutes,
+            interval_hours,
+        )
+    }
+
+    /// Measured efficiency at an explicit interval.
+    pub fn simulated_efficiency_at(&self, nodes: u32, interval_hours: f64, seed: u64) -> f64 {
+        FaultCampaign {
+            interval_hours,
+            ..self.campaign(nodes)
+        }
+        .simulate(RECOVERY_CAMPAIGN_HOURS, seed)
+    }
+
+    /// Both legs at the optimal interval: the cross-checked estimate
+    /// campaigns report.
+    pub fn assess(&self, nodes: u32, seed: u64) -> RecoveryEstimate {
+        let campaign = self.campaign(nodes);
+        RecoveryEstimate {
+            nodes,
+            system_mttf_hours: campaign.mttf_hours,
+            interval_hours: campaign.interval_hours,
+            analytic: checkpoint_efficiency(campaign.mttf_hours, self.checkpoint_minutes),
+            simulated: campaign.simulate(RECOVERY_CAMPAIGN_HOURS, seed),
+        }
+    }
+}
+
+impl StableHash for RecoveryModel {
+    fn stable_hash(&self, h: &mut StableHasher) {
+        h.write_f64(self.node_mttf_hours);
+        h.write_f64(self.checkpoint_minutes);
+    }
+}
+
+impl fmt::Display for RecoveryModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "node MTBF {:.1} h, checkpoint {:.1} min",
+            self.node_mttf_hours, self.checkpoint_minutes
+        )
+    }
+}
+
+/// One fleet-size recovery assessment: the analytic prediction next to
+/// the simulated measurement it is checked against.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RecoveryEstimate {
+    /// Fleet size assessed.
+    pub nodes: u32,
+    /// System MTTF at that size, hours.
+    pub system_mttf_hours: f64,
+    /// Daly optimal checkpoint interval, hours.
+    pub interval_hours: f64,
+    /// Closed-form Young/Daly efficiency.
+    pub analytic: f64,
+    /// Monte Carlo campaign efficiency on the same parameters.
+    pub simulated: f64,
+}
+
+impl RecoveryEstimate {
+    /// Absolute disagreement between the two legs.
+    pub fn gap(&self) -> f64 {
+        (self.analytic - self.simulated).abs()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,6 +548,137 @@ mod tests {
         let e_long = long.simulate(20_000.0, 1);
         assert!(e_opt > e_short, "opt {e_opt} vs short {e_short}");
         assert!(e_opt > e_long, "opt {e_opt} vs long {e_long}");
+    }
+
+    fn model() -> RecoveryModel {
+        RecoveryModel::new(96.0, 3.0)
+    }
+
+    /// `workload` on `config`, assessed across the full machine.
+    fn machine_estimate(
+        config: &EhpConfig,
+        workload: &str,
+        checkpoint_minutes: f64,
+        seed: u64,
+    ) -> RecoveryEstimate {
+        RecoveryModel::from_node_assessment(config, workload, checkpoint_minutes)
+            .unwrap()
+            .assess(SYSTEM_NODE_COUNT as u32, seed)
+    }
+
+    #[test]
+    fn analytic_matches_simulation_at_small_fleets() {
+        // The acceptance criterion: N in {2, 4, 8}, stated tolerance.
+        for nodes in [2u32, 4, 8] {
+            let est = model().assess(nodes, 0xFA17);
+            assert!(
+                est.gap() < DALY_TOLERANCE,
+                "N={nodes}: analytic {:.4} vs simulated {:.4}",
+                est.analytic,
+                est.simulated
+            );
+            assert!(est.analytic > 0.0 && est.analytic < 1.0);
+        }
+    }
+
+    #[test]
+    fn the_two_legs_share_bitwise_identical_parameters() {
+        let m = model();
+        for nodes in [2u32, 8, 64] {
+            let campaign = m.campaign(nodes);
+            let est = m.assess(nodes, 0xFA17);
+            // The analytic interval IS the simulated campaign's interval.
+            assert_eq!(m.optimal_interval_hours(nodes), campaign.interval_hours);
+            assert_eq!(est.interval_hours, campaign.interval_hours);
+            assert_eq!(m.system_mttf_hours(nodes), campaign.mttf_hours);
+            assert_eq!(est.system_mttf_hours, campaign.mttf_hours);
+            // And the explicit-interval forms the sweep axis runs, at that
+            // interval, are the optimal-interval legs.
+            assert_eq!(
+                m.analytic_efficiency_at(nodes, campaign.interval_hours),
+                est.analytic
+            );
+            assert_eq!(
+                m.simulated_efficiency_at(nodes, campaign.interval_hours, 0xFA17),
+                est.simulated
+            );
+        }
+    }
+
+    #[test]
+    fn efficiency_is_monotone_in_fleet_size_and_fault_rate() {
+        let m = model();
+        // More nodes -> more faults -> strictly less efficiency.
+        let mut last = 1.0;
+        for nodes in [1u32, 2, 4, 8, 16, 64, 256] {
+            let eff = m.assess(nodes, 7).analytic;
+            assert!(eff < last, "N={nodes}: {eff} vs {last}");
+            last = eff;
+        }
+        // Shorter node MTBF (higher fault rate) -> less efficiency.
+        let sturdy = RecoveryModel::new(200.0, 3.0).assess(64, 7).analytic;
+        let fragile = RecoveryModel::new(20.0, 3.0).assess(64, 7).analytic;
+        assert!(fragile < sturdy);
+    }
+
+    #[test]
+    fn off_optimal_intervals_simulate_worse() {
+        let m = model();
+        let nodes = 8;
+        let tau = m.optimal_interval_hours(nodes);
+        let at_opt = m.assess(nodes, 7).simulated;
+        let short = m.simulated_efficiency_at(nodes, tau / 8.0, 7);
+        let long = m.simulated_efficiency_at(nodes, tau * 8.0, 7);
+        assert!(at_opt > short, "opt {at_opt} vs short {short}");
+        assert!(at_opt > long, "opt {at_opt} vs long {long}");
+    }
+
+    #[test]
+    fn assessment_derives_from_the_resilience_model() {
+        let m =
+            RecoveryModel::from_node_assessment(&EhpConfig::paper_baseline(), "CoMD", 3.0).unwrap();
+        assert!(m.node_mttf_hours > 1.0, "MTBF {}", m.node_mttf_hours);
+        assert!(RecoveryModel::from_node_assessment(
+            &EhpConfig::paper_baseline(),
+            "NoSuchKernel",
+            3.0
+        )
+        .is_none());
+    }
+
+    #[test]
+    fn the_two_estimators_agree_on_the_baseline() {
+        let est = machine_estimate(&EhpConfig::paper_baseline(), "CoMD", 3.0, 0xC0FFEE);
+        assert!(est.analytic > 0.5 && est.analytic < 1.0);
+        assert!(est.simulated > 0.5 && est.simulated < 1.0);
+        assert!(
+            est.gap() < DALY_TOLERANCE,
+            "analytic {} vs simulated {} disagree",
+            est.analytic,
+            est.simulated
+        );
+    }
+
+    #[test]
+    fn losing_hardware_raises_mttf_and_never_lowers_availability() {
+        // Fewer components mean fewer FITs: the degraded node fails less
+        // often, so its checkpointed availability cannot drop.
+        let healthy = EhpConfig::paper_baseline();
+        let mut degraded = healthy.clone();
+        degraded.gpu.chiplets = 6;
+        degraded.hbm.stacks = 6;
+        let h = machine_estimate(&healthy, "CoMD", 3.0, 9);
+        let d = machine_estimate(&degraded, "CoMD", 3.0, 9);
+        assert!(d.system_mttf_hours > h.system_mttf_hours);
+        assert!(d.analytic >= h.analytic);
+    }
+
+    #[test]
+    fn estimates_are_deterministic() {
+        let cfg = EhpConfig::paper_baseline();
+        let a = machine_estimate(&cfg, "HPGMG", 5.0, 11);
+        let b = machine_estimate(&cfg, "HPGMG", 5.0, 11);
+        assert_eq!(a, b);
     }
 
     #[test]

@@ -21,6 +21,7 @@
 use std::collections::BTreeMap;
 
 use ena_core::node::{EvalOptions, NodeSimulator};
+use ena_core::resilience::{RecoveryEstimate, RecoveryModel};
 use ena_core::system::{project_system, SystemProjection};
 use ena_faults::{
     run_campaign, CampaignSpec, DegradationReport, FaultPlan, NodeFaultEvent, NodeFaultKind,
@@ -29,7 +30,6 @@ use ena_faults::{
 use ena_workloads::profile_for;
 
 use crate::collective::{schedule, CollectiveKind};
-use crate::recovery::{RecoveryEstimate, RecoveryModel};
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
 
@@ -430,7 +430,7 @@ mod tests {
             recovery.estimate.nodes as usize,
             with.final_estimate().nodes_alive
         );
-        assert!(recovery.estimate.gap() < crate::recovery::DALY_TOLERANCE);
+        assert!(recovery.estimate.gap() < crate::DALY_TOLERANCE);
         assert!(recovery.recovered_exaflops < with.final_estimate().exaflops);
         assert!(recovery.recovered_exaflops > 0.0);
         // The section is purely additive: everything before it is

@@ -21,10 +21,11 @@
 //! - [`campaign`] — seeded multi-node fault campaigns (node loss,
 //!   stragglers backed by intra-node `ena-faults` campaigns, link
 //!   degradation) rendered as deterministic text.
-//! - [`recovery`] — Young/Daly checkpoint/restart: achieved efficiency
-//!   = f(node MTBF, checkpoint cost, N), analytic and Monte Carlo legs
-//!   cross-checked within [`DALY_TOLERANCE`]; collective schedules can
-//!   additionally be priced for per-link CRC retransmits
+//! - [`RecoveryModel`] — Young/Daly checkpoint/restart (achieved
+//!   efficiency = f(node MTBF, checkpoint cost, N), analytic and Monte
+//!   Carlo legs cross-checked within [`DALY_TOLERANCE`]), re-exported
+//!   from `ena_core::resilience`, the one availability model; collective
+//!   schedules can additionally be priced for per-link CRC retransmits
 //!   ([`schedule_with_retransmits`]).
 //! - [`sweep`] — (node count x topology) and (checkpoint-interval x
 //!   nodes) as two more axes of the memoized, parallel, supervised
@@ -50,7 +51,6 @@
 
 pub mod campaign;
 pub mod collective;
-pub mod recovery;
 pub mod scaleout;
 pub mod sweep;
 pub mod topology;
@@ -62,7 +62,9 @@ pub use collective::{
     schedule, schedule_with_retransmits, CollectiveKind, CollectiveSchedule, RetransmitModel,
     Round, Transfer,
 };
-pub use recovery::{RecoveryEstimate, RecoveryModel, DALY_TOLERANCE, RECOVERY_CAMPAIGN_HOURS};
+pub use ena_core::resilience::{
+    RecoveryEstimate, RecoveryModel, DALY_TOLERANCE, RECOVERY_CAMPAIGN_HOURS,
+};
 pub use scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec, SMALL_N_TOLERANCE};
 pub use sweep::{
     MultiNodePoint, MultiNodeRecord, MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec,

@@ -19,10 +19,10 @@
 
 use std::collections::BTreeMap;
 
+use ena_core::resilience::RecoveryModel;
 use ena_model::hash::{digest, StableHash, StableHasher};
 use ena_sweep::{frontier_indices, Axis, CacheRecord, Memo, RunOptions};
 
-use crate::recovery::RecoveryModel;
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
 
@@ -649,7 +649,7 @@ mod tests {
         for r in &outcome.records {
             if r.point.interval_scale_pct == 100 {
                 assert!(
-                    (r.analytic - r.simulated).abs() < crate::recovery::DALY_TOLERANCE,
+                    (r.analytic - r.simulated).abs() < crate::DALY_TOLERANCE,
                     "{}: analytic {:.4} vs simulated {:.4}",
                     r.point.label(),
                     r.analytic,

@@ -11,11 +11,12 @@
 //! all of it as deterministic text: same seed, byte-identical report.
 
 use ena_core::node::{EvalOptions, NodeSimulator};
+use ena_core::resilience::{RecoveryEstimate, RecoveryModel};
 use ena_hsa::runtime::{RetryPolicy, Runtime, RuntimeConfig};
 use ena_hsa::task::{GraphError, TaskCost, TaskGraph};
 use ena_memory::policy::StaticPlacement;
 use ena_memory::system::MemorySystem;
-use ena_model::config::EhpConfig;
+use ena_model::config::{EhpConfig, SYSTEM_NODE_COUNT};
 use ena_model::error::DegradeError;
 use ena_model::kernel::KernelProfile;
 use ena_noc::sim::{NocSim, Packet};
@@ -23,7 +24,6 @@ use ena_noc::topology::Topology;
 use ena_noc::traffic::WorkloadTraffic;
 use ena_workloads::profile_for;
 
-use crate::crosscheck::{crosscheck_availability, AvailabilityEstimate};
 use crate::degrade::{Degradable, DegradedNode};
 use crate::plan::{FaultEvent, FaultKind, FaultPlan};
 
@@ -142,10 +142,11 @@ pub struct DegradationReport {
     pub retries: u64,
     /// Compute lost to mid-flight deaths (us).
     pub lost_work_us: f64,
-    /// Availability cross-check on the healthy configuration.
-    pub healthy_availability: AvailabilityEstimate,
-    /// Availability cross-check on the final degraded configuration.
-    pub degraded_availability: AvailabilityEstimate,
+    /// Young/Daly availability cross-check of the full machine built
+    /// from healthy nodes.
+    pub healthy_availability: RecoveryEstimate,
+    /// The same cross-check on the final degraded configuration.
+    pub degraded_availability: RecoveryEstimate,
 }
 
 impl DegradationReport {
@@ -226,12 +227,12 @@ impl DegradationReport {
         let _ = writeln!(
             out,
             "  healthy  {:.4} | {:.4}",
-            self.healthy_availability.analytic, self.healthy_availability.injected
+            self.healthy_availability.analytic, self.healthy_availability.simulated
         );
         let _ = writeln!(
             out,
             "  degraded {:.4} | {:.4}",
-            self.degraded_availability.analytic, self.degraded_availability.injected
+            self.degraded_availability.analytic, self.degraded_availability.simulated
         );
         out
     }
@@ -306,10 +307,11 @@ fn campaign_graph(width: usize, kernel_us: f64) -> Result<TaskGraph, GraphError>
 /// already-dead component, a fault would eliminate the last survivor of a
 /// required class, or the runtime exhausts a task's retry budget.
 pub fn run_campaign(spec: &CampaignSpec) -> Result<DegradationReport, DegradeError> {
-    let profile = profile_for(&spec.workload).ok_or(DegradeError::UnknownComponent {
+    let unknown_workload = || DegradeError::UnknownComponent {
         component: "workload profile",
         index: 0,
-    })?;
+    };
+    let profile = profile_for(&spec.workload).ok_or_else(unknown_workload)?;
     let sim = NodeSimulator::new();
     let base = &spec.base;
 
@@ -378,6 +380,13 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<DegradationReport, DegradeErr
     let healthy_schedule = rt.execute(&graph);
     let degraded_schedule = rt.execute_degraded(&graph, &node.agent_faults(), spec.retry)?;
 
+    // Availability across the full machine, node MTBF from the
+    // resilience model's assessment of `config`.
+    let availability = |config: &EhpConfig| {
+        RecoveryModel::from_node_assessment(config, &spec.workload, spec.checkpoint_minutes)
+            .map(|model| model.assess(SYSTEM_NODE_COUNT as u32, spec.plan.seed))
+            .ok_or_else(unknown_workload)
+    };
     let final_cfg = node.effective_config();
     Ok(DegradationReport {
         workload: spec.workload.clone(),
@@ -389,18 +398,8 @@ pub fn run_campaign(spec: &CampaignSpec) -> Result<DegradationReport, DegradeErr
         degraded_makespan_us: degraded_schedule.makespan_us,
         retries: degraded_schedule.retries,
         lost_work_us: degraded_schedule.lost_work_us,
-        healthy_availability: crosscheck_availability(
-            base,
-            &profile,
-            spec.checkpoint_minutes,
-            spec.plan.seed,
-        ),
-        degraded_availability: crosscheck_availability(
-            &final_cfg,
-            &profile,
-            spec.checkpoint_minutes,
-            spec.plan.seed,
-        ),
+        healthy_availability: availability(base)?,
+        degraded_availability: availability(&final_cfg)?,
     })
 }
 

@@ -43,9 +43,7 @@
 //! [`TransientSchedule`](transient::TransientSchedule) models hardware
 //! that *glitches*: MTBF-driven streams of correctable / uncorrectable /
 //! silent HBM errors (classified through `ena-memory`'s seeded ECC
-//! model), link CRC retransmits, and agent soft-hangs, composable with a
-//! permanent plan via
-//! [`merged_timeline`](transient::TransientSchedule::merged_timeline).
+//! model), link CRC retransmits, and agent soft-hangs.
 //! [`run_transient_campaign`] replays a schedule against an iterative
 //! checkpointing application and proves no durable work is ever lost.
 //!
@@ -54,9 +52,12 @@
 //! [`run_campaign`] replays a plan end to end and produces a
 //! [`DegradationReport`]: per-fault performance / power / thermal
 //! snapshots, rerouted-vs-severed NoC traffic, re-interleaved memory,
-//! re-queued runtime tasks, and an availability cross-check of the
-//! analytic Young/Daly model against an injected Monte Carlo campaign.
-//! Everything is seeded: the same plan renders a byte-identical report.
+//! re-queued runtime tasks, and the full machine's availability on the
+//! healthy and on the degraded node: the analytic Young/Daly model next
+//! to an injected Monte Carlo campaign, both from
+//! [`RecoveryModel`](ena_core::resilience::RecoveryModel), the one
+//! availability model. Everything is seeded: the same plan renders a
+//! byte-identical report.
 //!
 //! ```
 //! use ena_faults::{run_campaign, CampaignSpec};
@@ -69,7 +70,6 @@
 #![forbid(unsafe_code)]
 
 pub mod campaign;
-pub mod crosscheck;
 pub mod degrade;
 pub mod multinode;
 pub mod plan;
@@ -79,13 +79,12 @@ pub use campaign::{
     run_campaign, sweep_degraded, CampaignSpec, CampaignStep, DegradationReport, MemoryOutcome,
     Snapshot,
 };
-pub use crosscheck::{crosscheck_availability, AvailabilityEstimate};
 pub use degrade::{Degradable, DegradedNode};
 pub use multinode::{NodeFaultEvent, NodeFaultKind, NodeFaultPlan};
 pub use plan::{FaultEvent, FaultKind, FaultPlan};
 pub use transient::{
-    run_transient_campaign, TimelineEvent, TransientCampaignSpec, TransientEvent,
-    TransientFaultKind, TransientRates, TransientReport, TransientSchedule,
+    run_transient_campaign, TransientCampaignSpec, TransientEvent, TransientFaultKind,
+    TransientRates, TransientReport, TransientSchedule,
 };
 
 // Re-exported so downstream crates (ena-fabric prices retransmits into

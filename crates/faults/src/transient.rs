@@ -15,8 +15,6 @@
 //!   detected-uncorrectable, or silent) and two processes with the same
 //!   seed and rates produce byte-identical schedules
 //!   ([`TransientSchedule::digest`]).
-//! - [`TransientSchedule::merged_timeline`] composes a transient stream
-//!   with a permanent plan into one time-ordered injection timeline.
 //! - [`run_transient_campaign`] replays a schedule against an iterative
 //!   bulk-synchronous application with periodic checkpoints: corrected
 //!   errors charge the scheme's correction latency, CRC errors charge one
@@ -31,8 +29,6 @@ use ena_hsa::runtime::RetryPolicy;
 use ena_memory::ecc::{EccModel, EccOutcome, EccScheme};
 use ena_model::hash::StableHasher;
 use ena_testkit::rng::{unit_f64, SplitMix64};
-
-use crate::plan::{FaultEvent, FaultPlan};
 
 /// One transient (self-healing or recoverable) fault.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -281,38 +277,6 @@ impl TransientSchedule {
         }
         h.finish()
     }
-
-    /// Composes this transient stream with a permanent plan into one
-    /// time-ordered timeline (ties put the permanent fault first — dead
-    /// hardware cannot glitch).
-    pub fn merged_timeline(&self, plan: &FaultPlan) -> Vec<TimelineEvent> {
-        let mut merged = Vec::with_capacity(self.events.len() + plan.len());
-        let mut perm = plan.events().iter().peekable();
-        let mut trans = self.events.iter().peekable();
-        loop {
-            match (perm.peek(), trans.peek()) {
-                (Some(&&p), Some(&&t)) => {
-                    if p.at_us <= t.at_us {
-                        merged.push(TimelineEvent::Permanent(p));
-                        perm.next();
-                    } else {
-                        merged.push(TimelineEvent::Transient(t));
-                        trans.next();
-                    }
-                }
-                (Some(&&p), None) => {
-                    merged.push(TimelineEvent::Permanent(p));
-                    perm.next();
-                }
-                (None, Some(&&t)) => {
-                    merged.push(TimelineEvent::Transient(t));
-                    trans.next();
-                }
-                (None, None) => break,
-            }
-        }
-        merged
-    }
 }
 
 impl fmt::Display for TransientSchedule {
@@ -329,25 +293,6 @@ impl fmt::Display for TransientSchedule {
             writeln!(f, "  t={:9.1} us  {}", e.at_us, e.kind)?;
         }
         Ok(())
-    }
-}
-
-/// One entry of a composed permanent + transient timeline.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum TimelineEvent {
-    /// A permanent component death from the [`FaultPlan`].
-    Permanent(FaultEvent),
-    /// A transient glitch from the [`TransientSchedule`].
-    Transient(TransientEvent),
-}
-
-impl TimelineEvent {
-    /// The event's simulated time.
-    pub fn at_us(&self) -> f64 {
-        match self {
-            TimelineEvent::Permanent(e) => e.at_us,
-            TimelineEvent::Transient(e) => e.at_us,
-        }
     }
 }
 
@@ -604,7 +549,6 @@ pub fn run_transient_campaign(spec: &TransientCampaignSpec) -> TransientReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::FaultKind;
 
     #[test]
     fn schedules_are_seeded_time_ordered_and_digest_stable() {
@@ -655,22 +599,6 @@ mod tests {
         // ECC split: the overwhelming majority of HBM errors correct.
         let correctable = count(|k| matches!(k, TransientFaultKind::CorrectableHbm { .. }));
         assert!(correctable / hbm > 0.97, "corrected {correctable} of {hbm}");
-    }
-
-    #[test]
-    fn merged_timeline_interleaves_and_stays_ordered() {
-        let plan = FaultPlan::standard_campaign(3);
-        let schedule = TransientSchedule::sample(3, TransientRates::standard(), 1_000.0);
-        let merged = schedule.merged_timeline(&plan);
-        assert_eq!(merged.len(), plan.len() + schedule.len());
-        assert!(merged.windows(2).all(|w| w[0].at_us() <= w[1].at_us()));
-        assert!(merged
-            .iter()
-            .any(|e| matches!(e, TimelineEvent::Permanent(p)
-                if matches!(p.kind, FaultKind::GpuChiplet(_)))));
-        assert!(merged
-            .iter()
-            .any(|e| matches!(e, TimelineEvent::Transient(_))));
     }
 
     #[test]

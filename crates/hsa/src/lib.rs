@@ -4,10 +4,10 @@
 //! Heterogeneous System Architecture: a unified coherent virtual address
 //! space, user-mode dispatch queues, signals, task offload in both
 //! directions, and scoped synchronization (HRF \[15\], QuickRelease \[14\]).
-//! This crate provides that substrate in executable, simulated form:
+//! This crate models what those buy in schedule time. User-mode dispatch
+//! is one number, [`RuntimeConfig::dispatch_overhead_us`] (2 us for HSA,
+//! 25 us for a legacy driver path), charged on every dispatch:
 //!
-//! - [`signal`] — HSA signals (timed completion objects).
-//! - [`queue`] — user-mode AQL ring buffers with doorbells.
 //! - [`task`] — heterogeneous task DAGs with per-agent costs.
 //! - [`sync`] — HRF scoped-synchronization cost models, conventional vs
 //!   QuickRelease.
@@ -39,9 +39,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod queue;
 pub mod runtime;
-pub mod signal;
 pub mod sync;
 pub mod task;
 

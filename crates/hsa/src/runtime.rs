@@ -1,12 +1,12 @@
 //! The heterogeneous runtime: list-scheduling task graphs over CPU cores
-//! and GPU queues through user-mode dispatch.
+//! and GPU queues.
 //!
 //! This is the concurrency framework of the paper's Section II-A.1 in
-//! executable form: tasks flow through [`UserModeQueue`]s, complete by
-//! decrementing [`SignalPool`] signals, pay a per-dispatch overhead
-//! (small for HSA user-mode dispatch, an order of magnitude larger for a
-//! legacy driver path), and pay release/acquire costs per dependency edge
-//! per the active [`SyncModel`].
+//! executable form: every dispatch pays
+//! [`RuntimeConfig::dispatch_overhead_us`] (small for HSA user-mode
+//! dispatch, an order of magnitude larger for a legacy driver path), and
+//! every dependency edge pays release/acquire costs per the active
+//! [`SyncModel`].
 //!
 //! There is one list scheduler, [`Runtime::execute_degraded`], which
 //! runs a graph while agents die under it; [`Runtime::execute`] is its
@@ -15,8 +15,6 @@
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use crate::queue::{DispatchPacket, UserModeQueue};
-use crate::signal::SignalPool;
 use crate::sync::SyncModel;
 use crate::task::{Task, TaskGraph, TaskId};
 use ena_model::error::DegradeError;
@@ -379,13 +377,6 @@ impl Runtime {
             Agents::new(AgentKind::GpuQueue, cfg.gpu_queues, faults),
         ];
 
-        let mut signals = SignalPool::new();
-        let completion: Vec<_> = (0..n).map(|_| signals.create(1)).collect();
-        // One dispatch queue per GPU agent, exercised for real.
-        let mut queues: Vec<UserModeQueue> = (0..cfg.gpu_queues)
-            .map(|_| UserModeQueue::new(64))
-            .collect();
-
         let mut placement: Vec<Option<TaskSpan>> = vec![None; n];
         let mut attempts = vec![0u32; n];
         let mut spans = Vec::with_capacity(n);
@@ -458,24 +449,6 @@ impl Runtime {
             }
 
             agents.free_us[idx] = end;
-            if agents.kind == AgentKind::GpuQueue {
-                // Exercise the dispatch substrate: packet in, packet out.
-                // The queue is drained every dispatch, so submit cannot
-                // reject and consume cannot come up empty.
-                if queues[idx]
-                    .submit(DispatchPacket {
-                        task: id,
-                        completion: completion[id],
-                    })
-                    .is_ok()
-                {
-                    if let Some(pkt) = queues[idx].consume() {
-                        debug_assert_eq!(pkt.task, id);
-                    }
-                }
-            }
-            signals.decrement(completion[id], end);
-
             let span = TaskSpan {
                 task: id,
                 agent: agents.kind,
@@ -490,8 +463,8 @@ impl Runtime {
             sync_total += sync;
         }
 
-        // Every completion signal fired exactly once.
-        debug_assert!((0..n).all(|id| signals.satisfied(completion[id], 0)));
+        // Every task was placed, and placed once.
+        debug_assert!(placement.iter().all(Option::is_some) && spans.len() == n);
         let makespan = spans.iter().map(|s| s.end_us).fold(0.0, f64::max);
         Ok(Schedule {
             spans,

@@ -9,7 +9,6 @@
 
 use crate::energy::{EnergyModel, EnergyTally};
 use crate::topology::{NodeId, RouteTable, Topology};
-use ena_model::error::DegradeError;
 
 /// Router pipeline delay per traversed link, in cycles.
 const ROUTER_PIPELINE_CYCLES: u64 = 1;
@@ -91,15 +90,10 @@ pub struct NocSim<'a> {
 impl<'a> NocSim<'a> {
     /// Creates a simulator for `topo` with the default energy model.
     pub fn new(topo: &'a Topology) -> Self {
-        Self::with_energy_model(topo, EnergyModel::default())
-    }
-
-    /// Creates a simulator with a custom energy model.
-    pub fn with_energy_model(topo: &'a Topology, energy_model: EnergyModel) -> Self {
         Self {
             topo,
             table: topo.route_table(),
-            energy_model,
+            energy_model: EnergyModel::default(),
             link_free: vec![0; topo.links().len()],
         }
     }
@@ -110,9 +104,8 @@ impl<'a> NocSim<'a> {
     /// served in batch order (deterministic). Each hop holds its link for
     /// the payload over the link's width, rounded up to whole cycles.
     /// Packets whose destination is unreachable (a degraded topology
-    /// severed the route) are counted in [`NocStats::dropped`]; use
-    /// [`NocSim::try_run`] to surface the first such packet as an
-    /// explicit error instead.
+    /// severed the route, or an endpoint id names no node) are counted in
+    /// [`NocStats::dropped`].
     pub fn run(&mut self, packets: &[Packet]) -> NocStats {
         // A stable sort on the cycle alone keeps equal cycles in batch
         // order; it finds the presorted runs (one per source in generated
@@ -166,25 +159,6 @@ impl<'a> NocSim<'a> {
             }
         }
         stats
-    }
-
-    /// Like [`NocSim::run`], but an unreachable destination is an explicit
-    /// error naming the severed pair instead of a silent drop.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DegradeError::Unreachable`] for the first packet with no
-    /// surviving route.
-    pub fn try_run(&mut self, packets: &[Packet]) -> Result<NocStats, DegradeError> {
-        for p in packets {
-            if p.src != p.dst && self.table.get(p.src, p.dst).is_none() {
-                return Err(DegradeError::Unreachable {
-                    src: p.src,
-                    dst: p.dst,
-                });
-            }
-        }
-        Ok(self.run(packets))
     }
 }
 
@@ -355,19 +329,10 @@ mod tests {
         let stats = sim.run(&packets);
         assert_eq!(stats.delivered, 1);
         assert_eq!(stats.dropped, 1);
-        // The strict variant names the severed pair.
-        let err = NocSim::new(&topo).try_run(&packets).unwrap_err();
-        assert_eq!(
-            err,
-            ena_model::error::DegradeError::Unreachable {
-                src: gpu0,
-                dst: hbm3
-            }
-        );
     }
 
     #[test]
-    fn unknown_endpoints_are_dropped_or_reported_unreachable() {
+    fn unknown_endpoints_are_dropped() {
         let topo = ehp();
         let gpu = topo.find(NodeKind::GpuChiplet(0)).unwrap();
         let hbm = topo.find(NodeKind::HbmStack(0)).unwrap();
@@ -385,14 +350,6 @@ mod tests {
         ];
         let stats = NocSim::new(&topo).run(&packets);
         assert_eq!((stats.delivered, stats.dropped), (1, 2));
-        let err = NocSim::new(&topo).try_run(&packets).unwrap_err();
-        assert_eq!(
-            err,
-            DegradeError::Unreachable {
-                src: unknown,
-                dst: hbm
-            }
-        );
     }
 
     #[test]

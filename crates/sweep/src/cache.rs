@@ -387,24 +387,6 @@ impl<R: CacheRecord> DiskCache<R> {
     pub fn generation(&self) -> u64 {
         self.generation
     }
-
-    /// Removes the campaign's cache file through the cache's filesystem.
-    ///
-    /// A missing file is not an error (nothing to remove); any other
-    /// fault is surfaced — deletion is part of the durability contract,
-    /// not a best-effort cleanup.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`CacheError`] for any I/O fault other than the file
-    /// already being gone.
-    pub fn remove(self) -> Result<(), CacheError> {
-        match self.fs.remove_file(&self.path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(CacheError::new("remove", &self.path, e)),
-        }
-    }
 }
 
 /// Verification report over one cache file (see [`verify_file`]).
@@ -1180,9 +1162,6 @@ mod tests {
             fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
                 RealFs.rename(from, to)
             }
-            fn remove_file(&self, path: &Path) -> io::Result<()> {
-                RealFs.remove_file(path)
-            }
         }
         let (mut cache, _) =
             DiskCache::<PointRecord>::open_with(Arc::new(NoCreate), &dir, 7, "v1").unwrap();
@@ -1224,19 +1203,6 @@ mod tests {
             verify_err.to_string().contains("/tmp/y.sweep"),
             "{verify_err}"
         );
-    }
-
-    #[test]
-    fn remove_is_idempotent_and_checked() {
-        let dir = tmp("remove");
-        let (cache, _) = DiskCache::<PointRecord>::open(&dir, 7, "v1").unwrap();
-        let path = cache.path().to_path_buf();
-        cache.remove().unwrap();
-        assert!(!path.exists());
-        // Removing an already-gone file is fine.
-        let (cache, _) = DiskCache::<PointRecord>::open(&dir, 7, "v1").unwrap();
-        fs::remove_file(&path).unwrap();
-        cache.remove().unwrap();
     }
 
     #[test]

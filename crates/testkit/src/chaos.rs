@@ -64,9 +64,6 @@ pub trait Vfs: fmt::Debug + Send + Sync {
 
     /// Atomically renames `from` onto `to` (replacing `to`).
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
-
-    /// Removes a file.
-    fn remove_file(&self, path: &Path) -> io::Result<()>;
 }
 
 /// The production [`Vfs`]: a direct passthrough to `std::fs`.
@@ -103,10 +100,6 @@ impl Vfs for RealFs {
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         fs::rename(from, to)
     }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        fs::remove_file(path)
-    }
 }
 
 /// Per-mille fault rates for a [`ChaosFs`].
@@ -114,7 +107,7 @@ impl Vfs for RealFs {
 /// Rates are evaluated per operation in the order fail → short → torn,
 /// so `fail + short + torn` out of 1000 data-carrying writes are faulted
 /// overall. Short and torn writes only exist for data-carrying writes;
-/// other operations (open, rename, remove, read, flush, sync) are only
+/// other operations (open, rename, read, flush, sync) are only
 /// subject to `fail_permille`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ChaosConfig {
@@ -296,14 +289,6 @@ impl Vfs for ChaosFs {
         }
         RealFs.rename(from, to)
     }
-
-    fn remove_file(&self, path: &Path) -> io::Result<()> {
-        let (fault, _, index) = self.decide(false);
-        if fault != Fault::None {
-            return Err(Self::injected_error(index, "remove failure"));
-        }
-        RealFs.remove_file(path)
-    }
 }
 
 /// A file handle whose writes pass through the failpoint registry.
@@ -469,7 +454,7 @@ mod tests {
         f.write_all(b"two\n").unwrap();
         drop(f);
         assert_eq!(vfs.read_bytes(&path).unwrap(), b"one\ntwo\n");
-        vfs.remove_file(&path).unwrap();
+        fs::remove_file(&path).unwrap();
         assert_eq!(
             vfs.read_bytes(&path).unwrap_err().kind(),
             io::ErrorKind::NotFound

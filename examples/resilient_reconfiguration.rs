@@ -7,9 +7,9 @@
 use ena::core::dse::DesignSpace;
 use ena::core::node::NodeSimulator;
 use ena::core::reconfig::{run_phases, OraclePolicy, Phase, ReactivePolicy, StaticPolicy};
-use ena::core::resilience::{checkpoint_efficiency, Protection, ResilienceModel};
+use ena::core::resilience::{checkpoint_efficiency, Protection, RecoveryModel, ResilienceModel};
 use ena::core::Explorer;
-use ena::faults::{crosscheck_availability, run_campaign, CampaignSpec};
+use ena::faults::{run_campaign, CampaignSpec};
 use ena::model::config::{EhpConfig, SYSTEM_NODE_COUNT};
 use ena::model::units::Seconds;
 use ena::workloads::{paper_profiles, profile_for};
@@ -79,11 +79,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // degraded by a seeded failure campaign.
     println!("\navailability, analytic vs injected (CoMD, 3 min checkpoints):");
     let seed = 0xC0FFEE;
-    let healthy = crosscheck_availability(&config, &comd, 3.0, seed);
+    let healthy = RecoveryModel::from_node_assessment(&config, "CoMD", 3.0)
+        .unwrap()
+        .assess(SYSTEM_NODE_COUNT as u32, seed);
     println!(
         "  healthy   analytic {:.4}  injected {:.4}  (gap {:.4})",
         healthy.analytic,
-        healthy.injected,
+        healthy.simulated,
         healthy.gap()
     );
     match run_campaign(&CampaignSpec::standard(seed)) {
@@ -93,7 +95,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!(
                 "  degraded  analytic {:.4}  injected {:.4}  (gap {:.4})",
                 d.analytic,
-                d.injected,
+                d.simulated,
                 d.gap()
             );
             println!(

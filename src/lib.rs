@@ -12,13 +12,14 @@
 //! - [`thermal`] — HotSpot-style compact thermal modeling.
 //! - [`gpu`] — cycle-approximate wavefront timing simulation (the
 //!   "gem5-APU adjustment" substrate).
-//! - [`hsa`] — the HSA runtime substrate: user-mode queues, signals, task
-//!   DAGs, scoped synchronization.
+//! - [`hsa`] — the HSA runtime: task DAGs scheduled over CPU cores and GPU
+//!   queues, with user-mode dispatch and scoped synchronization as costs.
 //! - [`core`] — the node simulator, design-space exploration, dynamic
-//!   reconfiguration, RAS modeling, and system scaling.
+//!   reconfiguration, RAS modeling (including `RecoveryModel`, the one
+//!   Young/Daly availability model), and system scaling.
 //! - [`faults`] — cross-layer fault injection and graceful degradation:
 //!   seeded failure campaigns, the `Degradable` contract, and degradation
-//!   reports cross-checked against the analytic availability models.
+//!   reports with the machine's analytic and Monte Carlo availability.
 //! - [`sweep`] — the deterministic parallel design-space-exploration
 //!   engine: work-stealing sweep, content-addressed memoization with
 //!   checkpoint/resume, and Pareto-frontier extraction, byte-identical

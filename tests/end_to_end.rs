@@ -204,7 +204,7 @@ fn fault_campaign_degrades_gracefully() {
     // Both availability estimators stay sane on the degraded hardware.
     for est in [&report.healthy_availability, &report.degraded_availability] {
         assert!(est.analytic > 0.0 && est.analytic < 1.0);
-        assert!(est.injected > 0.0 && est.injected < 1.0);
+        assert!(est.simulated > 0.0 && est.simulated < 1.0);
         assert!(est.gap() < 0.06, "estimators disagree: {est:?}");
     }
 }

@@ -90,6 +90,13 @@ sweep_smoke_both_jobs sweep
 sweep_smoke_both_jobs multinode --sweep
 sweep_smoke_both_jobs multinode --sweep --mtbf 96 --checkpoint-cost 3
 
+echo "==> sweep frontier smoke: the fine paper-space frontier must match the golden report"
+frontier_out=$(cargo run --release -p ena-cli --bin ena -- sweep --fine --frontier --jobs 1)
+if ! diff <(echo "$frontier_out") artifacts/sweep_frontier.txt; then
+  echo "ci.sh: fine sweep frontier diverged from artifacts/sweep_frontier.txt" >&2
+  exit 1
+fi
+
 echo "==> multinode campaign smoke: the seeded campaign must match the golden report"
 cargo run --release -p ena-cli --bin ena -- multinode --nodes 8 --seed 0xC0FFEE >/dev/null
 multinode_out=$(cargo run --release -p ena-cli --bin ena -- multinode --seed 0xC0FFEE)

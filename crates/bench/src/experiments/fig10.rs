@@ -1,5 +1,8 @@
 //! Fig. 10: peak in-package 3D-DRAM temperature per application, at the
 //! best-mean configuration and at each application's oracle configuration.
+//! The peaks come from the thermal model's closed form
+//! ([`NodeSimulator::peak_dram`](ena_core::node::NodeSimulator::peak_dram)),
+//! which its tests hold to the full solve within 1e-9 degC.
 
 use ena_core::node::EvalOptions;
 use ena_model::units::Celsius;
@@ -36,10 +39,6 @@ pub fn rows() -> Vec<ThermalRow> {
         .iter()
         .map(|p| {
             let mean_eval = sim.evaluate(&mean_config, p, &options);
-            let mean_t = sim
-                .thermal(&mean_config, &mean_eval)
-                .expect("thermal solve converges");
-
             let app_best = dse
                 .per_app
                 .iter()
@@ -50,14 +49,11 @@ pub fn rows() -> Vec<ThermalRow> {
                 .try_to_config()
                 .expect("swept point is buildable");
             let app_eval = sim.evaluate(&app_config, p, &options);
-            let app_t = sim
-                .thermal(&app_config, &app_eval)
-                .expect("thermal solve converges");
 
             ThermalRow {
                 app: p.name.clone(),
-                best_mean: mean_t.peak_dram(),
-                best_per_app: app_t.peak_dram(),
+                best_mean: sim.peak_dram(&mean_config, &mean_eval),
+                best_per_app: sim.peak_dram(&app_config, &app_eval),
                 per_app_config: app_best.point.label(),
             }
         })

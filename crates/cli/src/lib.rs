@@ -26,6 +26,7 @@
 #![forbid(unsafe_code)]
 
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 use ena_core::chiplet::chiplet_study;
 use ena_core::dse::{DesignSpace, Explorer};
@@ -822,10 +823,19 @@ pub fn execute(command: Command) -> Result<String, String> {
                     GigabytesPerSec::from_terabytes_per_sec(3.0),
                 ],
             };
+            // A private directory per campaign, so concurrent campaigns in
+            // one checkout never touch each other's cache files. Reports
+            // name files relative to it, so its name never shows.
+            static CAMPAIGNS: AtomicU32 = AtomicU32::new(0);
+            let dir = artifacts_dir().join("chaos-cache").join(format!(
+                "{}-{}",
+                std::process::id(),
+                CAMPAIGNS.fetch_add(1, Ordering::Relaxed)
+            ));
             let spec = ChaosSpec {
                 seed,
                 runs,
-                ..ChaosSpec::new(artifacts_dir().join("chaos-cache"))
+                ..ChaosSpec::new(dir)
             };
             let mut node = NodeAxis {
                 explorer: Explorer::default(),
@@ -853,7 +863,15 @@ pub fn execute(command: Command) -> Result<String, String> {
                 run_chaos_campaign(&recovery, &spec).map_err(|e| e.to_string()),
             ];
             std::panic::set_hook(hook);
+            let removed = match std::fs::remove_dir_all(&spec.dir) {
+                Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(format!(
+                    "cannot remove chaos cache {}: {e}",
+                    spec.dir.display()
+                )),
+                _ => Ok(()),
+            };
             let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
+            removed?;
             let rendered: Vec<String> = reports.iter().map(|r| r.render()).collect();
             Ok(rendered.join("\n"))
         }

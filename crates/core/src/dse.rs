@@ -10,7 +10,6 @@ use ena_model::config::{EhpConfig, MAX_CUS, NODE_POWER_BUDGET};
 use ena_model::error::ConfigError;
 use ena_model::kernel::KernelProfile;
 use ena_model::units::{GigabytesPerSec, Megahertz, Watts};
-use ena_thermal::DramTempEstimator;
 
 use crate::node::{EvalOptions, NodeSimulator};
 
@@ -154,8 +153,8 @@ pub struct PointEval {
     pub throughput: f64,
     /// Package power (W), the feasibility axis.
     pub package_power: f64,
-    /// Estimated peak DRAM temperature (°C) via
-    /// [`DramTempEstimator`](ena_thermal::DramTempEstimator).
+    /// Peak DRAM temperature (°C) via [`NodeSimulator::peak_dram`], the
+    /// thermal model's closed form.
     pub peak_dram_c: f64,
 }
 
@@ -273,10 +272,7 @@ impl Explorer {
                 PointEval {
                     throughput: eval.perf.throughput.value(),
                     package_power: eval.package_power().value(),
-                    peak_dram_c: DramTempEstimator::peak_dram(
-                        &self.sim.chiplet_power(&config, &eval),
-                    )
-                    .value(),
+                    peak_dram_c: self.sim.peak_dram(&config, &eval).value(),
                 }
             })
             .collect();

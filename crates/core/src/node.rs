@@ -4,15 +4,16 @@
 //! [`EhpConfig`] and a [`KernelProfile`], it runs the performance model,
 //! derives the activity vector, evaluates the power model (optionally with
 //! the Section V-E optimizations applied), and can push the resulting
-//! per-chiplet power into the thermal model.
+//! per-chiplet power into the thermal model, or read its peak DRAM
+//! temperature from the model's closed form.
 
 use ena_model::config::EhpConfig;
 use ena_model::kernel::KernelProfile;
-use ena_model::units::Watts;
+use ena_model::units::{Celsius, Watts};
 use ena_power::breakdown::{Component, PowerBreakdown};
 use ena_power::model::{ActivityVector, NodePowerModel, VoltageMode};
 use ena_power::opts::{apply_optimizations, OptimizationContext, PowerOptimization};
-use ena_thermal::ehp::{ChipletPower, ChipletTemperatures, ChipletThermalModel};
+use ena_thermal::ehp::{ChipletPower, ChipletTemperatures, ChipletThermalModel, DramTempEstimator};
 use ena_thermal::solver::TemperatureError;
 
 use crate::perf::{PerfEstimate, PerfModel};
@@ -177,6 +178,15 @@ impl NodeSimulator {
     ) -> Result<ChipletTemperatures, TemperatureError> {
         ChipletThermalModel::new(self.chiplet_power(config, eval)).solve()
     }
+
+    /// Peak DRAM temperature for an evaluation: the closed form
+    /// ([`DramTempEstimator`]) of [`NodeSimulator::chiplet_power`], within
+    /// 1e-9 °C of `thermal(config, eval)?.peak_dram()`. Solve through
+    /// [`NodeSimulator::thermal`] only for the heat map or the solver's
+    /// convergence figures.
+    pub fn peak_dram(&self, config: &EhpConfig, eval: &NodeEvaluation) -> Celsius {
+        DramTempEstimator::peak_dram(&self.chiplet_power(config, eval))
+    }
 }
 
 #[cfg(test)]
@@ -235,22 +245,34 @@ mod tests {
 
     #[test]
     fn thermals_stay_under_the_dram_limit_at_the_baseline() {
+        // With and without the optimizations; the closed form every
+        // peak-only caller reads must be the solver's peak.
         let sim = NodeSimulator::new();
         let cfg = EhpConfig::paper_baseline();
-        for p in paper_profiles() {
-            let eval = sim.evaluate(&cfg, &p, &EvalOptions::default());
-            let t = sim.thermal(&cfg, &eval).unwrap();
-            assert!(
-                t.dram_within_limit(),
-                "{}: peak DRAM {:.1}",
-                p.name,
-                t.peak_dram()
-            );
-            assert!(
-                t.peak_dram().value() > 55.0,
-                "{}: suspiciously cool",
-                p.name
-            );
+        for options in [EvalOptions::default(), EvalOptions::fully_optimized()] {
+            for p in paper_profiles() {
+                let eval = sim.evaluate(&cfg, &p, &options);
+                let t = sim.thermal(&cfg, &eval).unwrap();
+                assert!(
+                    t.dram_within_limit(),
+                    "{}: peak DRAM {:.1}",
+                    p.name,
+                    t.peak_dram()
+                );
+                assert!(
+                    t.peak_dram().value() > 55.0,
+                    "{}: suspiciously cool",
+                    p.name
+                );
+                let closed = sim.peak_dram(&cfg, &eval);
+                assert!(
+                    (t.peak_dram().value() - closed.value()).abs() <= 1e-9,
+                    "{} ({:?}): solved {} vs closed form {closed}",
+                    p.name,
+                    options.optimizations,
+                    t.peak_dram()
+                );
+            }
         }
     }
 

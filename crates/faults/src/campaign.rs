@@ -265,10 +265,6 @@ fn snapshot(
     healthy_packets: &[Packet],
 ) -> Snapshot {
     let eval = sim.evaluate(cfg, profile, &EvalOptions::default());
-    let peak_dram_c = sim
-        .thermal(cfg, &eval)
-        .map(|t| t.peak_dram().value())
-        .unwrap_or(0.0);
     let stats = NocSim::new(topo).run(healthy_packets);
     Snapshot {
         gpu_chiplets: cfg.gpu.chiplets,
@@ -279,7 +275,7 @@ fn snapshot(
         package_watts: eval.package_power().value(),
         node_watts: eval.node_power().value(),
         gflops_per_watt: eval.efficiency(),
-        peak_dram_c,
+        peak_dram_c: sim.peak_dram(cfg, &eval).value(),
         noc_delivered: stats.delivered,
         noc_dropped: stats.dropped,
         noc_avg_latency: stats.avg_latency_cycles(),

@@ -146,12 +146,6 @@ impl ExternalNetwork {
         self
     }
 
-    /// Replaces the energy coefficients.
-    pub fn with_energy(mut self, energy: ExternalEnergy) -> Self {
-        self.energy = energy;
-        self
-    }
-
     /// The configuration this network was built from.
     pub fn config(&self) -> &ExternalMemoryConfig {
         &self.config

@@ -10,7 +10,6 @@ use ena_model::config::EhpConfig;
 use ena_model::error::DegradeError;
 use ena_model::units::Picojoules;
 
-use crate::ecc::{EccModel, EccOutcome};
 use crate::extnet::{ExternalError, ExternalNetwork, ExternalStats};
 use crate::hbm::{Direction, HbmStack, HbmStats};
 use crate::interleave::AddressMap;
@@ -31,15 +30,6 @@ pub struct MemoryStats {
     pub migrations: u64,
     /// Accesses that failed (e.g. link failures without redundancy).
     pub failed: u64,
-    /// Transient HBM errors ECC corrected in place (each charged the
-    /// scheme's correction latency penalty).
-    pub ecc_corrected: u64,
-    /// Transient HBM errors ECC detected but could not correct — each of
-    /// these forces the recovery layer to roll back.
-    pub ecc_uncorrectable: u64,
-    /// Transient HBM errors that escaped detection (silent data
-    /// corruption), including every error on an unprotected system.
-    pub ecc_silent: u64,
 }
 
 impl MemoryStats {
@@ -72,7 +62,6 @@ pub struct MemorySystem {
     /// is serviced by physical stack `live[i]`.
     live: Vec<u32>,
     policy: Box<dyn PlacementPolicy>,
-    ecc: Option<EccModel>,
     epoch_len: u64,
     since_epoch: u64,
     clock: u64,
@@ -105,7 +94,6 @@ impl MemorySystem {
             map: AddressMap::new(config.hbm.stacks, stack_capacity, PAGE_BYTES),
             live: (0..config.hbm.stacks).collect(),
             policy,
-            ecc: None,
             epoch_len,
             since_epoch: 0,
             clock: 0,
@@ -116,38 +104,6 @@ impl MemorySystem {
     /// Access the external network model directly (e.g. to inject faults).
     pub fn external_mut(&mut self) -> &mut ExternalNetwork {
         &mut self.external
-    }
-
-    /// Protects the in-package arrays with `model`. Without ECC every
-    /// injected error escapes silently.
-    pub fn attach_ecc(&mut self, model: EccModel) {
-        self.ecc = Some(model);
-    }
-
-    /// Injects one raw transient error into the in-package DRAM and
-    /// returns what the attached ECC made of it: corrected errors charge
-    /// the scheme's latency penalty to the access stream, uncorrectable
-    /// detections are counted for the recovery layer to roll back on, and
-    /// silent escapes (the only outcome without ECC) are tracked for the
-    /// report.
-    pub fn inject_hbm_error(&mut self) -> EccOutcome {
-        let outcome = match self.ecc.as_mut() {
-            Some(model) => model.classify(),
-            None => EccOutcome::Silent,
-        };
-        match outcome {
-            EccOutcome::Corrected => {
-                self.stats.ecc_corrected += 1;
-                let penalty = self
-                    .ecc
-                    .as_ref()
-                    .map_or(0, |m| m.scheme().correction_penalty_cycles());
-                self.stats.total_latency_cycles += penalty;
-            }
-            EccOutcome::DetectedUncorrectable => self.stats.ecc_uncorrectable += 1,
-            EccOutcome::Silent => self.stats.ecc_silent += 1,
-        }
-        outcome
     }
 
     /// Fails physical stack `stack`: the address space re-interleaves
@@ -279,45 +235,6 @@ mod tests {
             Box::new(StaticPlacement::new(fraction)),
             u64::MAX,
         )
-    }
-
-    #[test]
-    fn ecc_buckets_every_injected_error_and_charges_corrections() {
-        use crate::ecc::{EccModel, EccScheme};
-
-        let mut sys = system(1.0);
-        sys.attach_ecc(EccModel::new(EccScheme::Secded, 0xE0C));
-        let before = sys.stats().total_latency_cycles;
-        let injections = 10_000u64;
-        for _ in 0..injections {
-            sys.inject_hbm_error();
-        }
-        let stats = sys.stats();
-        assert_eq!(
-            stats.ecc_corrected + stats.ecc_uncorrectable + stats.ecc_silent,
-            injections
-        );
-        let corrected = stats.ecc_corrected as f64 / injections as f64;
-        assert!(
-            (corrected - EccScheme::Secded.correct_fraction()).abs() < 0.01,
-            "corrected fraction {corrected}"
-        );
-        assert_eq!(
-            stats.total_latency_cycles - before,
-            stats.ecc_corrected * EccScheme::Secded.correction_penalty_cycles()
-        );
-    }
-
-    #[test]
-    fn unprotected_arrays_corrupt_silently() {
-        let mut sys = system(1.0);
-        for _ in 0..64u64 {
-            assert_eq!(sys.inject_hbm_error(), crate::ecc::EccOutcome::Silent);
-        }
-        let stats = sys.stats();
-        assert_eq!(stats.ecc_silent, 64);
-        assert_eq!(stats.ecc_corrected, 0);
-        assert_eq!(stats.ecc_uncorrectable, 0);
     }
 
     #[test]

@@ -67,10 +67,12 @@ impl std::error::Error for ProfileError {}
 
 /// Error applying or propagating an injected component fault.
 ///
-/// Shared by every layer the `ena-faults` engine degrades: the NoC reports
-/// malformed or severed routes, the memory system reports dead stacks, and
-/// the HSA runtime reports exhausted retries — all as values of this type,
-/// never as panics.
+/// Shared by every layer the `ena-faults` engine degrades: the NoC
+/// topology reports unknown endpoints and severed routes
+/// (`Topology::route`), the memory system reports dead stacks, and the HSA
+/// runtime reports exhausted retries — all as values of this type, never
+/// as panics. A NoC simulation never fails on a severed route: it counts
+/// the packets it could not route in `NocStats::dropped`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DegradeError {

@@ -26,7 +26,7 @@ use crate::units::{Gigabytes, GigabytesPerSec, Megahertz, Microseconds, Watts};
 /// Bump this whenever a calibration or model change alters any evaluated
 /// number: persisted sweep caches carry the stamp and a mismatch evicts
 /// them wholesale, so stale state can never poison fresh results.
-pub const MODEL_VERSION: &str = "ena-model/1";
+pub const MODEL_VERSION: &str = "ena-model/2";
 
 /// A 64-bit FNV-1a hasher with a fixed, documented algorithm.
 #[derive(Clone, Copy, Debug)]

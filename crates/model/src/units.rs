@@ -216,20 +216,6 @@ impl Joules {
     }
 }
 
-impl Microseconds {
-    /// Converts to seconds.
-    pub fn to_seconds(self) -> Seconds {
-        Seconds::new(self.value() * 1e-6)
-    }
-}
-
-impl Seconds {
-    /// Converts to microseconds.
-    pub fn to_microseconds(self) -> Microseconds {
-        Microseconds::new(self.value() * 1e6)
-    }
-}
-
 impl Picojoules {
     /// Converts to joules.
     pub fn to_joules(self) -> Joules {

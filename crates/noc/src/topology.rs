@@ -188,11 +188,6 @@ impl Topology {
         self.link_active.get(li).copied().unwrap_or(false)
     }
 
-    /// Number of live (active) links.
-    pub fn active_link_count(&self) -> usize {
-        self.link_active.iter().filter(|&&a| a).count()
-    }
-
     /// Fails node `id`: the node is marked dead and every incident link is
     /// deactivated. Routing thereafter treats it as nonexistent.
     ///

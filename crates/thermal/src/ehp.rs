@@ -154,33 +154,40 @@ impl ChipletThermalModel {
     }
 }
 
-/// Reduced-order peak-DRAM-temperature estimator.
+/// Closed-form peak DRAM temperature of the default chiplet stack.
 ///
-/// The steady-state heat equation is linear in the injected power, so the
-/// solved peak DRAM temperature is (to superposition accuracy) an affine
-/// function of the per-source powers. The coefficients below were fit by
-/// least squares over a 72-point grid spanning the design-space power
-/// range. Against the converged [`ChipletThermalModel::solve`] the fit's
-/// worst absolute error is 0.053 °C on the 18 Fig. 10/11 operating points
-/// and 0.077 °C at the (14, 4, 5, 1, 2.5) W corner;
-/// `estimator_tracks_the_full_solver` re-checks it against the full solver
-/// so a model change cannot silently invalidate it.
+/// The steady-state solve is linear in the injected power, and
+/// [`ChipletThermalModel::new`] injects four power shapes: interposer
+/// power uniform over layer 0, CU static power uniform over the GPU die,
+/// DRAM power spread evenly over the four DRAM dies, and CU dynamic power
+/// in the two shader-engine rectangles. Under the uniform sink the three
+/// uniform shapes heat every cell of a layer alike, and heat from below
+/// warms the bottom DRAM die most. With non-negative powers the hottest
+/// DRAM cell of any mix is therefore the hottest cell of the CU-dynamic
+/// response (bottom DRAM die, x 3, y 7), and by superposition the solved
+/// peak is exactly affine in the powers. Each coefficient is one shape's
+/// rise at that cell per watt, read from a unit solve; DRAM dynamic and
+/// static power share a shape and so a coefficient.
 ///
-/// The estimator exists for the sweep hot path: a full solve costs a few
-/// milliseconds, this costs a handful of multiplies, which is what makes a
-/// peak-temperature Pareto axis affordable across thousands of design
-/// points.
+/// This holds for the default stack, sink and ambient and for
+/// non-negative powers only: a model changed through
+/// [`ChipletThermalModel::grid_mut`] must be solved. The unit tests
+/// re-derive every coefficient from [`ChipletThermalModel::solve`] and
+/// check both premises, and a property holds the closed form within
+/// 1e-9 °C of the solved peak. It costs a handful of multiplies where a
+/// solve costs milliseconds, so every caller that reads only the peak
+/// (the sweep, serve, Fig. 10 and the fault campaigns) uses it.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DramTempEstimator;
 
 impl DramTempEstimator {
     const AMBIENT_C: f64 = 50.0;
-    const CU_DYNAMIC_C_PER_W: f64 = 1.548010;
-    const CU_STATIC_C_PER_W: f64 = 1.463431;
-    const DRAM_C_PER_W: f64 = 1.471210;
-    const INTERPOSER_C_PER_W: f64 = 1.467839;
+    const CU_DYNAMIC_C_PER_W: f64 = 1.5481500063765878;
+    const CU_STATIC_C_PER_W: f64 = 1.477083333332608;
+    const DRAM_C_PER_W: f64 = 1.470833333332834;
+    const INTERPOSER_C_PER_W: f64 = 1.4770833333329563;
 
-    /// Estimated peak DRAM temperature for the given per-chiplet power.
+    /// Peak DRAM temperature for the given per-chiplet power.
     pub fn peak_dram(power: &ChipletPower) -> Celsius {
         Celsius::new(
             Self::AMBIENT_C
@@ -262,36 +269,72 @@ mod tests {
     }
 
     #[test]
-    fn estimator_tracks_the_full_solver() {
-        // Re-validate the least-squares fit against the full solver at the
-        // corners and center of the sweep's power range; 0.15 °C slack is
-        // about twice the fit's worst error (0.077 °C, at the high corner)
-        // and far below any decision threshold (the DRAM limit has
-        // multi-degree margins).
-        let points = [
-            typical_power(),
-            ChipletPower {
-                cu_dynamic_w: 2.0,
-                cu_static_w: 1.0,
-                dram_dynamic_w: 1.0,
-                dram_static_w: 0.3,
-                interposer_w: 0.8,
-            },
-            ChipletPower {
-                cu_dynamic_w: 14.0,
-                cu_static_w: 4.0,
-                dram_dynamic_w: 5.0,
-                dram_static_w: 1.0,
-                interposer_w: 2.5,
-            },
+    fn closed_form_is_the_solvers_unit_responses() {
+        const HOT: (usize, usize) = (3, 7);
+        let unit = |set: fn(&mut ChipletPower)| {
+            let mut power = ChipletPower {
+                cu_dynamic_w: 0.0,
+                cu_static_w: 0.0,
+                dram_dynamic_w: 0.0,
+                dram_static_w: 0.0,
+                interposer_w: 0.0,
+            };
+            set(&mut power);
+            power
+        };
+        let shapes = [
+            (
+                unit(|p| p.cu_dynamic_w = 1.0),
+                DramTempEstimator::CU_DYNAMIC_C_PER_W,
+            ),
+            (
+                unit(|p| p.cu_static_w = 1.0),
+                DramTempEstimator::CU_STATIC_C_PER_W,
+            ),
+            (
+                unit(|p| p.dram_dynamic_w = 1.0),
+                DramTempEstimator::DRAM_C_PER_W,
+            ),
+            (
+                unit(|p| p.dram_static_w = 1.0),
+                DramTempEstimator::DRAM_C_PER_W,
+            ),
+            (
+                unit(|p| p.interposer_w = 1.0),
+                DramTempEstimator::INTERPOSER_C_PER_W,
+            ),
         ];
-        for p in points {
-            let solved = ChipletThermalModel::new(p).solve().unwrap().peak_dram();
-            let estimated = DramTempEstimator::peak_dram(&p);
+        for (unit, coefficient) in shapes {
+            let t = ChipletThermalModel::new(unit).solve().unwrap();
+            let rise = t.temperatures.at(t.dram_bottom, HOT.0, HOT.1).value() - 50.0;
             assert!(
-                (solved.value() - estimated.value()).abs() < 0.15,
-                "solved {solved} vs estimated {estimated} at {p:?}"
+                (rise - coefficient).abs() <= 1e-9,
+                "{unit:?}: solved {rise} vs closed form {coefficient} degC/W"
             );
+            let map = t.bottom_dram_map();
+            if unit.cu_dynamic_w > 0.0 {
+                // The CU-dynamic response peaks on the bottom DRAM die at
+                // the hot cell, over every DRAM die.
+                let mut hottest = (f64::MIN, 0, 0, 0);
+                for d in 0..DRAM_DIES {
+                    let layer = t.temperatures.layer_map(t.dram_bottom + d);
+                    for (cell, &c) in layer.iter().enumerate() {
+                        if c > hottest.0 {
+                            hottest = (c, d, cell % NX, cell / NX);
+                        }
+                    }
+                }
+                assert_eq!((hottest.1, hottest.2, hottest.3), (0, HOT.0, HOT.1));
+            } else {
+                // Every uniform shape heats the bottom DRAM die flat.
+                let lo = map.iter().copied().fold(f64::MAX, f64::min);
+                let hi = map.iter().copied().fold(f64::MIN, f64::max);
+                assert!(
+                    hi - lo <= 1e-9,
+                    "{unit:?}: bottom die spans {} degC",
+                    hi - lo
+                );
+            }
         }
     }
 

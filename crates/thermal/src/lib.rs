@@ -10,7 +10,10 @@
 //!   ([`ThermalGrid`](solver::ThermalGrid)).
 //! - [`ehp`] — the GPU-chiplet + DRAM-stack model
 //!   ([`ChipletThermalModel`](ehp::ChipletThermalModel)), peak-DRAM
-//!   queries, and Fig. 11-style heat-map rendering.
+//!   queries, and Fig. 11-style heat-map rendering. The peak DRAM
+//!   temperature alone has an exact closed form derived from unit solves
+//!   by superposition, [`DramTempEstimator`](ehp::DramTempEstimator),
+//!   which callers that read only the peak use.
 //!
 //! # Example
 //!

@@ -3,6 +3,7 @@
 use ena_model::units::Celsius;
 use ena_testkit::collection::vec;
 use ena_testkit::prelude::*;
+use ena_thermal::ehp::{ChipletPower, ChipletThermalModel, DramTempEstimator};
 use ena_thermal::solver::{LayerSpec, Temperatures, ThermalGrid};
 
 fn grid() -> ThermalGrid {
@@ -171,6 +172,35 @@ fn dense_oracle(case: &Case) -> Vec<f64> {
     rise.iter().map(|r| case.ambient + r).collect()
 }
 
+/// A per-chiplet power draw in `0..max_w`, exactly zero a quarter of the
+/// time.
+fn watts(max_w: f64) -> impl Strategy<Value = f64> {
+    prop_oneof![Just(0.0), 0.0..max_w, 0.0..max_w, 0.0..max_w]
+}
+
+/// Random non-negative chiplet powers spanning the design space and past
+/// it, zeros included.
+fn chiplet_powers() -> impl Strategy<Value = ChipletPower> {
+    (
+        watts(40.0),
+        watts(10.0),
+        watts(15.0),
+        watts(5.0),
+        watts(8.0),
+    )
+        .prop_map(
+            |(cu_dynamic_w, cu_static_w, dram_dynamic_w, dram_static_w, interposer_w)| {
+                ChipletPower {
+                    cu_dynamic_w,
+                    cu_static_w,
+                    dram_dynamic_w,
+                    dram_static_w,
+                    interposer_w,
+                }
+            },
+        )
+}
+
 /// Heat leaving through the sink, from the top layer's temperatures.
 fn sink_outflow(g: &ThermalGrid, t: &Temperatures) -> f64 {
     let (nx, ny) = g.dimensions();
@@ -248,5 +278,15 @@ proptest! {
                 prop_assert!((got - want).abs() <= 1e-6, "layer {l}: {got} vs {want}");
             }
         }
+    }
+
+    #[test]
+    fn closed_form_peak_dram_is_the_solved_peak(power in chiplet_powers()) {
+        let solved = ChipletThermalModel::new(power).solve().unwrap().peak_dram();
+        let closed = DramTempEstimator::peak_dram(&power);
+        prop_assert!(
+            (solved.value() - closed.value()).abs() <= 1e-9,
+            "solved {solved} vs closed form {closed} at {power:?}"
+        );
     }
 }

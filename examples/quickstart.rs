@@ -44,11 +44,8 @@ fn main() {
         .next()
         .expect("suite is non-empty");
     let eval = sim.evaluate(&config, &maxflops, &EvalOptions::default());
-    let t = sim
-        .thermal(&config, &eval)
-        .expect("thermal solve converges");
     println!(
         "\nMaxFlops peak in-package DRAM temperature: {:.1} (limit 85 degC)",
-        t.peak_dram()
+        sim.peak_dram(&config, &eval)
     );
 }

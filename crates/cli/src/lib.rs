@@ -5,18 +5,18 @@
 //! ```text
 //! ena evaluate --app LULESH --cus 320 --mhz 1000 --tbps 3 [--miss 0.15] [--optimized]
 //! ena suite    [--cus N --mhz F --tbps B]       # all eight workloads
-//! ena sweep    [--jobs N] [--budget 160] [--fine] [--resume] [--frontier]
+//! ena sweep    [--jobs N] [--budget 160] [--fine] [--frontier]
 //! ena chiplet  --app SNAP                       # chiplet-vs-monolithic study
 //! ena faults   [--seed N] [--app CoMD] [--transient]
 //! ena multinode [--nodes N] [--fabric-topology T] [--seed N] [--app CoMD]
 //!               [--mtbf HOURS] [--checkpoint-cost MIN]
-//! ena multinode --sweep [--jobs N] [--resume] [--frontier]
+//! ena multinode --sweep [--jobs N] [--frontier]
 //!               [--mtbf H] [--checkpoint-cost MIN] [--fabric-topology T]
-//! ena chaos    [--seed N] [--runs N] [--jobs N] # chaos-test every sweep axis
+//! ena chaos    [--seed N] [--runs N]            # chaos-test the serve store
 //! ena serve    [--addr HOST] [--port N] [--workers N] [--queue N] [--batch N]
 //!              [--cache DIR] [--port-file PATH] [--budget W]
 //! ena client   (--port N | --port-file PATH) --script "CMD; CMD; ..."
-//! ena cache verify PATH                         # inspect a sweep cache file
+//! ena cache verify PATH                         # inspect a serve cache file
 //! ```
 //!
 //! Parsing and rendering live in this library so they are unit-testable;
@@ -29,25 +29,21 @@ use std::str::FromStr;
 use std::sync::atomic::{AtomicU32, Ordering};
 
 use ena_core::chiplet::chiplet_study;
-use ena_core::dse::{DesignSpace, Explorer};
+use ena_core::dse::{DesignSpace, Explorer, PointRecord};
 use ena_core::node::{EvalOptions, NodeSimulator};
 use ena_fabric::{
     run_multinode_campaign, FabricKind, MultiNodeCampaignSpec, MultiNodeSpace, MultiNodeSweep,
     MultiNodeSweepSpec, RecoveryModel, RecoverySpace, RecoverySweep, RecoverySweepSpec,
     ScaleOutSpec,
 };
-use ena_fabric::{MultiNodeRecord, RecoveryRecord};
 use ena_faults::{
     run_campaign, run_transient_campaign, CampaignSpec, NodeFaultPlan, TransientCampaignSpec,
 };
 use ena_model::config::EhpConfig;
 use ena_model::units::{GigabytesPerSec, Megahertz, Watts};
 use ena_power::opts::PowerOptimization;
-use ena_serve::{Client as ServeClient, ServeConfig, Server};
-use ena_sweep::{
-    read_file_info, run_chaos_campaign, verify_file, CacheMode, CacheRecord, ChaosSpec, NodeAxis,
-    RunOptions, SweepEngine, SweepSpec, Swept, Telemetry,
-};
+use ena_serve::{run_chaos_campaign, ChaosSpec, Client as ServeClient, ServeConfig, Server};
+use ena_sweep::{read_file_info, verify_file, CacheRecord, SweepEngine, SweepSpec, Swept};
 use ena_workloads::{paper_profiles, profile_for};
 
 /// A parsed command.
@@ -69,7 +65,7 @@ pub enum Command {
         /// Configuration knobs.
         point: Point,
     },
-    /// Run the parallel memoized sweep engine.
+    /// Run the parallel sweep engine.
     Sweep {
         /// Package power budget in watts.
         budget: f64,
@@ -77,8 +73,6 @@ pub enum Command {
         fine: bool,
         /// Worker thread count.
         jobs: usize,
-        /// Use the persistent cache under `artifacts/sweep-cache/`.
-        resume: bool,
         /// Print the Pareto frontier.
         frontier: bool,
     },
@@ -112,8 +106,6 @@ pub enum Command {
         sweep: bool,
         /// Worker thread count (sweep mode).
         jobs: usize,
-        /// Use the persistent cache under `artifacts/sweep-cache/`.
-        resume: bool,
         /// Print the Pareto frontier (sweep mode).
         frontier: bool,
         /// Node MTBF in hours; enables checkpoint/restart recovery
@@ -124,16 +116,14 @@ pub enum Command {
         /// given alone).
         checkpoint_cost: Option<f64>,
     },
-    /// Run a seeded chaos campaign on every sweep axis (node, multinode,
-    /// recovery): injected I/O faults + worker kills, with
-    /// crash-consistency invariants checked after every run.
+    /// Run a seeded chaos campaign on the serve store: injected I/O
+    /// faults and killed leaders, with crash-consistency invariants
+    /// checked after every run.
     Chaos {
         /// Campaign seed.
         seed: u64,
-        /// Faulted runs before the final clean run.
+        /// Faulted runs before the final clean open.
         runs: u32,
-        /// Worker thread count.
-        jobs: usize,
     },
     /// Run the persistent evaluation service until a `SHUTDOWN` request.
     Serve {
@@ -167,7 +157,7 @@ pub enum Command {
         /// Semicolon-separated request lines, pipelined in order.
         script: String,
     },
-    /// Verify a sweep cache file against its own header stamps.
+    /// Verify a serve cache file against its own header stamps.
     CacheVerify {
         /// The cache file to inspect.
         path: std::path::PathBuf,
@@ -268,31 +258,11 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Points a sweep at `jobs` workers and, with `resume`, at the one
-/// persistent cache directory every axis shares: each campaign has its
-/// own file there, and the file header's record tag keeps the axes apart.
-fn sweep_options(run: &mut RunOptions, jobs: usize, resume: bool) {
-    run.jobs = jobs;
-    if resume {
-        run.cache = CacheMode::Disk(artifacts_dir().join("sweep-cache"));
-    }
-}
-
 /// Teraflops per exaflop and kilowatts per megawatt. A fabric sweep's
 /// cabinets deliver hundreds of teraflops on a few kilowatts, so its
 /// reports print TF and kW: in EF and MW nearly every cell rounds to zero.
 const TF_PER_EF: f64 = 1e6;
 const KW_PER_MW: f64 = 1e3;
-
-/// The `cache:` line of every sweep report.
-fn cache_line(t: &Telemetry) -> String {
-    format!(
-        "cache: {} hits / {} points ({:.1}% hit rate)\n",
-        t.cache_hits,
-        t.total_points,
-        100.0 * t.hit_rate()
-    )
-}
 
 /// The Pareto frontier table of a fabric sweep, whose frontier indexes
 /// its records: `header` names the columns, `row` renders one record.
@@ -396,7 +366,6 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
                 budget,
                 fine: take_flag(&mut args, "--fine"),
                 jobs,
-                resume: take_flag(&mut args, "--resume"),
                 frontier: take_flag(&mut args, "--frontier"),
             }
         }
@@ -443,7 +412,6 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
                 app,
                 sweep: take_flag(&mut args, "--sweep"),
                 jobs,
-                resume: take_flag(&mut args, "--resume"),
                 frontier: take_flag(&mut args, "--frontier"),
                 mtbf,
                 checkpoint_cost,
@@ -452,8 +420,7 @@ pub fn parse(mut args: Vec<String>) -> Result<Command, String> {
         "chaos" => {
             let seed = take_seed(&mut args)?;
             let runs = take_count(&mut args, "--runs", 3)?;
-            let jobs = take_count(&mut args, "--jobs", 2)?;
-            Command::Chaos { seed, runs, jobs }
+            Command::Chaos { seed, runs }
         }
         "serve" => {
             let addr = take_value(&mut args, "--addr")?.unwrap_or_else(|| "127.0.0.1".into());
@@ -516,14 +483,14 @@ ena — Exascale Node Architecture modeling toolkit
 commands:
   evaluate --app NAME [--cus N] [--mhz F] [--tbps B] [--miss M] [--optimized]
   suite    [--cus N] [--mhz F] [--tbps B]
-  sweep    [--jobs N] [--budget W] [--fine] [--resume] [--frontier]
+  sweep    [--jobs N] [--budget W] [--fine] [--frontier]
   chiplet  --app NAME
   faults   [--seed N] [--app NAME] [--transient]
   multinode [--nodes N] [--fabric-topology T] [--seed N] [--app NAME]
            [--mtbf HOURS] [--checkpoint-cost MIN]
-  multinode --sweep [--jobs N] [--app NAME] [--resume] [--frontier]
+  multinode --sweep [--jobs N] [--app NAME] [--frontier]
            [--mtbf HOURS] [--checkpoint-cost MIN] [--fabric-topology T]
-  chaos    [--seed N] [--runs N] [--jobs N]
+  chaos    [--seed N] [--runs N]
   serve    [--addr HOST] [--port N] [--workers N] [--queue N] [--batch N]
            [--cache DIR] [--port-file PATH] [--budget W]
   client   (--port N | --port-file PATH) [--addr HOST] --script \"CMD; CMD\"
@@ -535,13 +502,12 @@ fabric topologies: fat-tree, torus, dragonfly
 defaults: 320 CUs / 1000 MHz / 3 TB/s (the paper baseline); 64-node dragonfly cabinet
 --transient runs the ECC/retry/rollback campaign; --mtbf/--checkpoint-cost add a
 Young/Daly checkpoint/restart section (sweep mode: checkpoint-interval x nodes grid
-on one topology); every --resume shares the cache under artifacts/sweep-cache/
-chaos injects seeded I/O faults + worker kills into the node, multinode and
-recovery sweeps' cache paths and verifies crash-consistency invariants (exits
-nonzero on any violation)
+on one topology); sweeps evaluate in memory and persist nothing
 serve runs a persistent evaluation service (EVAL / SWEEP coarse|fine / FRONTIER /
 STATS / SNAPSHOT / SHUTDOWN) with single-flight memoization; client pipelines a
-';'-separated script against it; cache verify audits any sweep cache file";
+';'-separated script against it; cache verify audits a serve cache file
+chaos injects seeded I/O faults + killed leaders into the serve store's cache
+file and verifies crash-consistency invariants (exits nonzero on any violation)";
 
 /// Executes a parsed command, returning the report text.
 ///
@@ -617,7 +583,6 @@ pub fn execute(command: Command) -> Result<String, String> {
             budget,
             fine,
             jobs,
-            resume,
             frontier,
         } => {
             let explorer = Explorer {
@@ -630,7 +595,7 @@ pub fn execute(command: Command) -> Result<String, String> {
                 DesignSpace::coarse()
             };
             let mut spec = SweepSpec::new(space, paper_profiles());
-            sweep_options(&mut spec.run, jobs, resume);
+            spec.run.jobs = jobs;
             let outcome = SweepEngine::new(explorer)
                 .run(&spec)
                 .map_err(|e| e.to_string())?;
@@ -644,7 +609,6 @@ pub fn execute(command: Command) -> Result<String, String> {
                 result.feasible,
                 result.best_mean.label(),
             );
-            out.push_str(&cache_line(t));
             let utilization: Vec<String> = t
                 .workers
                 .iter()
@@ -704,7 +668,6 @@ pub fn execute(command: Command) -> Result<String, String> {
             app,
             sweep,
             jobs,
-            resume,
             frontier,
             mtbf,
             checkpoint_cost,
@@ -724,7 +687,7 @@ pub fn execute(command: Command) -> Result<String, String> {
                         RecoverySweepSpec::new(RecoverySpace::standard(), scaleout, model);
                     spec.kind = topology;
                     spec.seed = seed;
-                    sweep_options(&mut spec.run, jobs, resume);
+                    spec.run.jobs = jobs;
                     let outcome = RecoverySweep::new().run(&spec).map_err(|e| e.to_string())?;
                     let best = outcome
                         .records
@@ -742,7 +705,6 @@ pub fn execute(command: Command) -> Result<String, String> {
                         best.interval_hours,
                         100.0 * best.simulated,
                     );
-                    out.push_str(&cache_line(&outcome));
                     if frontier {
                         let header = format!(
                             "{:<12} {:>10} {:>12} {:>10} {:>10}",
@@ -762,7 +724,7 @@ pub fn execute(command: Command) -> Result<String, String> {
                     return Ok(out);
                 }
                 let mut spec = MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), scaleout);
-                sweep_options(&mut spec.run, jobs, resume);
+                spec.run.jobs = jobs;
                 let outcome = MultiNodeSweep::new()
                     .run(&spec)
                     .map_err(|e| e.to_string())?;
@@ -780,7 +742,6 @@ pub fn execute(command: Command) -> Result<String, String> {
                     100.0 * best.efficiency,
                     KW_PER_MW * best.power_mw,
                 );
-                out.push_str(&cache_line(&outcome));
                 if frontier {
                     let header = format!(
                         "{:<16} {:>9} {:>8} {:>10} {:>10}",
@@ -810,19 +771,7 @@ pub fn execute(command: Command) -> Result<String, String> {
                 Ok(report.render())
             }
         }
-        Command::Chaos { seed, runs, jobs } => {
-            let space = DesignSpace {
-                cu_counts: vec![192, 256, 320],
-                clocks: vec![
-                    Megahertz::new(900.0),
-                    Megahertz::new(1000.0),
-                    Megahertz::new(1100.0),
-                ],
-                bandwidths: vec![
-                    GigabytesPerSec::from_terabytes_per_sec(2.0),
-                    GigabytesPerSec::from_terabytes_per_sec(3.0),
-                ],
-            };
+        Command::Chaos { seed, runs } => {
             // A private directory per campaign, so concurrent campaigns in
             // one checkout never touch each other's cache files. Reports
             // name files relative to it, so its name never shows.
@@ -837,32 +786,7 @@ pub fn execute(command: Command) -> Result<String, String> {
                 runs,
                 ..ChaosSpec::new(dir)
             };
-            let mut node = NodeAxis {
-                explorer: Explorer::default(),
-                spec: SweepSpec::new(space, paper_profiles()),
-            };
-            node.spec.run.chunk_points = 4;
-            let mut multinode =
-                MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
-            let mut recovery = RecoverySweepSpec::new(
-                RecoverySpace::standard(),
-                ScaleOutSpec::standard("CoMD"),
-                RecoveryModel::new(96.0, 3.0),
-            );
-            for run in [&mut node.spec.run, &mut multinode.run, &mut recovery.run] {
-                run.jobs = jobs;
-            }
-            // Injected worker kills are caught by the supervised pool;
-            // silence the default per-panic stderr backtrace while the
-            // campaigns run so the reports stay readable.
-            let hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(|_| {}));
-            let reports = [
-                run_chaos_campaign(&node, &spec).map_err(|e| e.to_string()),
-                run_chaos_campaign(&multinode, &spec).map_err(|e| e.to_string()),
-                run_chaos_campaign(&recovery, &spec).map_err(|e| e.to_string()),
-            ];
-            std::panic::set_hook(hook);
+            let report = run_chaos_campaign(&paper_profiles(), &spec).map_err(|e| e.to_string());
             let removed = match std::fs::remove_dir_all(&spec.dir) {
                 Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(format!(
                     "cannot remove chaos cache {}: {e}",
@@ -870,10 +794,9 @@ pub fn execute(command: Command) -> Result<String, String> {
                 )),
                 _ => Ok(()),
             };
-            let reports = reports.into_iter().collect::<Result<Vec<_>, _>>()?;
+            let report = report?;
             removed?;
-            let rendered: Vec<String> = reports.iter().map(|r| r.render()).collect();
-            Ok(rendered.join("\n"))
+            Ok(report.render())
         }
         Command::Serve {
             addr,
@@ -943,24 +866,15 @@ pub fn execute(command: Command) -> Result<String, String> {
         }
         Command::CacheVerify { path } => {
             let info = read_file_info(&path).map_err(|e| e.to_string())?;
-            let report = match &info.record_tag {
-                t if t == <ena_core::dse::PointRecord as CacheRecord>::TAG => {
-                    verify_file::<ena_core::dse::PointRecord>(&path, info.campaign, &info.model)
-                }
-                t if t == <MultiNodeRecord as CacheRecord>::TAG => {
-                    verify_file::<MultiNodeRecord>(&path, info.campaign, &info.model)
-                }
-                t if t == <RecoveryRecord as CacheRecord>::TAG => {
-                    verify_file::<RecoveryRecord>(&path, info.campaign, &info.model)
-                }
-                other => {
-                    return Err(format!(
-                        "unknown record tag '{other}' in {}",
-                        path.display()
-                    ))
-                }
+            if info.record_tag != <PointRecord as CacheRecord>::TAG {
+                return Err(format!(
+                    "unknown record tag '{}' in {}",
+                    info.record_tag,
+                    path.display()
+                ));
             }
-            .map_err(|e| e.to_string())?;
+            let report = verify_file::<PointRecord>(&path, info.campaign, &info.model)
+                .map_err(|e| e.to_string())?;
             Ok(format!(
                 "cache file {}\n\
                  record: {} model: {} campaign: {:016x}\n\
@@ -993,7 +907,9 @@ pub fn execute(command: Command) -> Result<String, String> {
 mod tests {
     use super::*;
     use ena_model::hash::MODEL_VERSION;
-    use ena_sweep::{Axis, DiskCache};
+    use ena_serve::{Claim, ShardStore};
+    use ena_sweep::{campaign_digest, point_key, RealFs};
+    use std::sync::Arc;
 
     fn parse_str(s: &str) -> Result<Command, String> {
         parse(s.split_whitespace().map(String::from).collect())
@@ -1082,12 +998,11 @@ mod tests {
     #[test]
     fn sweep_parses_all_knobs() {
         assert_eq!(
-            parse_str("sweep --jobs 4 --budget 150 --fine --resume --frontier").unwrap(),
+            parse_str("sweep --jobs 4 --budget 150 --fine --frontier").unwrap(),
             Command::Sweep {
                 budget: 150.0,
                 fine: true,
                 jobs: 4,
-                resume: true,
                 frontier: true,
             }
         );
@@ -1101,7 +1016,7 @@ mod tests {
     fn sweep_reports_telemetry_and_matches_dse() {
         let out = execute(parse_str("sweep --jobs 2 --frontier").unwrap()).unwrap();
         assert!(out.contains("best-mean"), "{out}");
-        assert!(out.contains("hit rate"), "{out}");
+        assert!(out.contains("\nworkers: w0 "), "{out}");
         assert!(out.contains("per-app oracle"), "{out}");
         assert!(out.contains("Pareto frontier"), "{out}");
         // The engine and the sequential explorer agree on the headline line.
@@ -1171,7 +1086,7 @@ mod tests {
         assert_eq!(
             parse_str(
                 "multinode --nodes 16 --fabric-topology torus --seed 0xBEEF --app SNAP \
-                 --sweep --jobs 3 --resume --frontier"
+                 --sweep --jobs 3 --frontier"
             )
             .unwrap(),
             Command::Multinode {
@@ -1181,7 +1096,6 @@ mod tests {
                 app: "SNAP".into(),
                 sweep: true,
                 jobs: 3,
-                resume: true,
                 frontier: true,
                 mtbf: None,
                 checkpoint_cost: None,
@@ -1235,7 +1149,6 @@ mod tests {
                 app: "CoMD".into(),
                 sweep: false,
                 jobs: default_jobs(),
-                resume: false,
                 frontier: false,
                 mtbf: None,
                 checkpoint_cost: None,
@@ -1256,10 +1169,9 @@ mod tests {
     }
 
     #[test]
-    fn multinode_sweep_reports_cache_and_frontier() {
+    fn multinode_sweep_reports_its_frontier() {
         let out = execute(parse_str("multinode --sweep --jobs 2 --frontier").unwrap()).unwrap();
         assert!(out.contains("multi-node sweep: 18 points"), "{out}");
-        assert!(out.contains("hit rate"), "{out}");
         assert!(out.contains("Pareto frontier"), "{out}");
         assert!(out.contains("best throughput"), "{out}");
     }
@@ -1270,50 +1182,39 @@ mod tests {
             parse_str("chaos").unwrap(),
             Command::Chaos {
                 seed: 0xC0FFEE,
-                runs: 3,
-                jobs: 2
+                runs: 3
             }
         );
         assert_eq!(
-            parse_str("chaos --seed 9 --runs 2 --jobs 4").unwrap(),
-            Command::Chaos {
-                seed: 9,
-                runs: 2,
-                jobs: 4
-            }
+            parse_str("chaos --seed 9 --runs 2").unwrap(),
+            Command::Chaos { seed: 9, runs: 2 }
         );
         assert!(parse_str("chaos --runs 0").is_err());
-        assert!(parse_str("chaos --jobs 0").is_err());
+        assert!(
+            parse_str("chaos --jobs 2").is_err(),
+            "the campaign runs no pool"
+        );
         assert!(parse_str("chaos --bogus").is_err());
     }
 
     #[test]
     fn chaos_campaign_reports_held_invariants() {
         let out = execute(parse_str("chaos --seed 11 --runs 2").unwrap()).unwrap();
-        let campaigns: Vec<&str> = out.split("\n\n").collect();
-        assert_eq!(campaigns.len(), 3, "{out}");
-        for (campaign, (tag, points)) in
-            campaigns
-                .iter()
-                .zip([("dse-point/1", 18), ("multinode/1", 18), ("recovery/1", 30)])
-        {
-            assert!(
-                campaign.starts_with(&format!(
-                    "chaos campaign seed=0xb points={points} runs=2 record={tag}\n"
-                )),
-                "{campaign}"
-            );
-            assert!(campaign.contains("\n  run 0:"), "{campaign}");
-            assert!(campaign.contains("\n  run 1:"), "{campaign}");
-            assert!(
-                campaign
-                    .trim_end()
-                    .lines()
-                    .last()
-                    .is_some_and(|l| l.starts_with("invariants: all hold")),
-                "{campaign}"
-            );
-        }
+        assert!(
+            out.starts_with(
+                "chaos campaign seed=0xb points=18 runs=2 store=serve record=dse-point/1\n"
+            ),
+            "{out}"
+        );
+        assert!(out.contains("\n  run 0:"), "{out}");
+        assert!(out.contains("\n  run 1:"), "{out}");
+        assert!(
+            out.trim_end()
+                .lines()
+                .last()
+                .is_some_and(|l| l.starts_with("invariants: all hold")),
+            "{out}"
+        );
     }
 
     #[test]
@@ -1367,49 +1268,6 @@ mod tests {
     }
 
     #[test]
-    fn the_recovery_sweep_runs_on_the_requested_topology() {
-        // The torus campaign has its own digest, and `--resume` must write
-        // its cache file.
-        let torus = RecoverySweepSpec {
-            kind: FabricKind::Torus,
-            ..RecoverySweepSpec::new(
-                RecoverySpace::standard(),
-                ScaleOutSpec::standard("CoMD"),
-                RecoveryModel::new(96.0, 3.0),
-            )
-        };
-        let campaign = torus.campaign_digest();
-        let file = artifacts_dir()
-            .join("sweep-cache")
-            .join(DiskCache::<RecoveryRecord>::file_name(campaign));
-        match std::fs::remove_file(&file) {
-            Ok(()) => {}
-            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::NotFound, "{e}"),
-        }
-        let out = execute(
-            parse_str(
-                "multinode --sweep --jobs 2 --mtbf 96 --checkpoint-cost 3 \
-                 --fabric-topology torus --resume",
-            )
-            .unwrap(),
-        )
-        .unwrap();
-        assert!(out.contains("recovery sweep: 30 points"), "{out}");
-        let report = verify_file::<RecoveryRecord>(&file, campaign, MODEL_VERSION)
-            .unwrap_or_else(|e| panic!("no torus campaign cache at {}: {e}", file.display()));
-        assert_eq!(report.keys.len(), 30);
-        assert_ne!(
-            campaign,
-            RecoverySweepSpec {
-                kind: FabricKind::DragonflyLite,
-                ..torus
-            }
-            .campaign_digest(),
-            "the topology is part of the campaign"
-        );
-    }
-
-    #[test]
     fn fabric_sweep_reports_resolve_cabinet_scale_figures() {
         let recovery = |topology: &str| {
             let args = format!(
@@ -1438,7 +1296,6 @@ mod tests {
         for (command, flag) in [
             ("sweep", "--jobs"),
             ("multinode", "--jobs"),
-            ("chaos", "--jobs"),
             ("chaos", "--runs"),
             ("serve", "--workers"),
             ("serve", "--queue"),
@@ -1540,25 +1397,28 @@ mod tests {
         assert!(parse_str("cache verify").is_err());
         assert!(parse_str("cache drop /tmp/x").is_err());
 
-        // End-to-end over a real cache file written by the sweep engine.
+        // End-to-end over a real cache file written by the serve store.
         let dir = std::env::temp_dir().join("ena-cli-cache-verify");
         let _removed = std::fs::remove_dir_all(&dir);
-        let mut spec = SweepSpec::new(
-            DesignSpace {
-                cu_counts: vec![320],
-                clocks: vec![Megahertz::new(1000.0)],
-                bandwidths: vec![GigabytesPerSec::from_terabytes_per_sec(3.0)],
-            },
-            paper_profiles(),
-        );
-        spec.run.cache = CacheMode::Disk(dir.clone());
-        SweepEngine::new(Explorer::default()).run(&spec).unwrap();
+        let explorer = Explorer::default();
+        let profiles = paper_profiles();
+        let campaign = campaign_digest(&explorer, &profiles);
+        let (store, _) =
+            ShardStore::open(Some(&dir), Arc::new(RealFs), campaign, MODEL_VERSION).unwrap();
+        let point = DesignSpace::coarse().points()[0];
+        let Claim::Leader(token) = store.claim(point_key(campaign, &point)) else {
+            panic!("a fresh store leads every key");
+        };
+        store
+            .publish(token, explorer.evaluate_point(point, &profiles))
+            .unwrap();
+        drop(store);
         let file = std::fs::read_dir(&dir)
             .unwrap()
             .filter_map(Result::ok)
             .map(|e| e.path())
             .find(|p| p.extension().is_some_and(|x| x == "sweep"))
-            .expect("sweep wrote a cache file");
+            .expect("the store wrote a cache file");
         let out = execute(Command::CacheVerify { path: file }).unwrap();
         assert!(out.contains("record: dse-point/1"), "{out}");
         assert!(out.contains("records: 1"), "{out}");

@@ -234,7 +234,8 @@ impl FaultCampaign {
 
     /// Simulates `total_hours` of machine time with failures drawn from an
     /// exponential distribution (deterministic from `seed`), returning the
-    /// measured useful-work fraction.
+    /// measured useful-work fraction. Only checkpoint segments that end
+    /// within the horizon earn credit, so the fraction stays in [0, 1].
     pub fn simulate(&self, total_hours: f64, seed: u64) -> f64 {
         let mut state = seed | 1;
         let mut next_unit = move || {
@@ -248,22 +249,22 @@ impl FaultCampaign {
         let mut clock = 0.0f64;
         let mut useful = 0.0f64;
         let mut next_failure = draw_failure();
-        // Work accumulated since the last durable checkpoint.
-        let mut uncheckpointed = 0.0f64;
 
         while clock < total_hours {
             // One segment: compute for `interval`, then checkpoint.
             let segment_end = clock + self.interval_hours + self.checkpoint_hours;
+            if segment_end > total_hours {
+                // Past the horizon: the segment never completes in the
+                // measured window, and no later one can either.
+                break;
+            }
             if next_failure >= segment_end {
                 clock = segment_end;
                 useful += self.interval_hours;
-                uncheckpointed = 0.0;
             } else {
                 // Failure mid-segment: lose everything since the last
                 // checkpoint, pay the restart.
-                let _ = uncheckpointed;
                 clock = next_failure + self.restart_hours;
-                uncheckpointed = 0.0;
                 next_failure = clock + draw_failure();
             }
         }

@@ -2,6 +2,7 @@
 
 use ena_core::node::{EvalOptions, NodeSimulator};
 use ena_core::perf::PerfModel;
+use ena_core::resilience::FaultCampaign;
 use ena_model::config::EhpConfig;
 use ena_model::units::{GigabytesPerSec, Megahertz};
 use ena_testkit::prelude::*;
@@ -87,5 +88,33 @@ proptest! {
         prop_assert!(node >= pkg);
         prop_assert!(node < 600.0, "node {node}");
         prop_assert!(eval.efficiency().is_finite());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The Monte Carlo leg measures a fraction of its horizon: useful
+    /// work never exceeds the time simulated, whatever the campaign.
+    #[test]
+    fn simulated_efficiency_stays_in_the_unit_interval(
+        mttf_hours in 1.0f64..2e6,
+        checkpoint_hours in 0.001f64..2.0,
+        interval_hours in 0.01f64..5000.0,
+        restart_hours in 0.0f64..2.0,
+        total_hours in 10.0f64..20_000.0,
+        seed in 0u64..u64::MAX,
+    ) {
+        let campaign = FaultCampaign {
+            mttf_hours,
+            checkpoint_hours,
+            interval_hours,
+            restart_hours,
+        };
+        let efficiency = campaign.simulate(total_hours, seed);
+        prop_assert!(
+            (0.0..=1.0).contains(&efficiency),
+            "{campaign:?} over {total_hours} h: {efficiency}"
+        );
     }
 }

@@ -28,8 +28,8 @@
 //!   schedules can additionally be priced for per-link CRC retransmits
 //!   ([`schedule_with_retransmits`]).
 //! - [`sweep`] — (node count x topology) and (checkpoint-interval x
-//!   nodes) as two more axes of the memoized, parallel, supervised
-//!   `ena-sweep` driver.
+//!   nodes) as two more axes of the parallel, supervised `ena-sweep`
+//!   driver.
 //!
 //! Everything is a pure function of its inputs: same spec, byte-identical
 //! reports, in this process or any other.

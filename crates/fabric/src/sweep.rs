@@ -10,26 +10,25 @@
 //! scaled away from Daly's optimum, scoring recovered
 //! (efficiency-weighted) fleet throughput.
 //!
-//! Both run through the one memoizing driver ([`Memo`], aliased here as
+//! Both run through the one sweep driver ([`Memo`], aliased here as
 //! [`MultiNodeSweep`] and [`RecoverySweep`]), so they share the node
-//! axis's caching, checkpoint/resume, supervision (retries, quarantine,
-//! failpoints) and determinism contract: the outcome is byte-identical
-//! to the sequential oracle for any job count, cache temperature, or
-//! interruption history.
+//! axis's supervision (retries, quarantine, failpoints) and determinism
+//! contract: the outcome is byte-identical to the sequential oracle for
+//! any job count. Every run evaluates every point; nothing persists.
 
 use std::collections::BTreeMap;
 
 use ena_core::resilience::RecoveryModel;
 use ena_model::hash::{digest, StableHash, StableHasher};
-use ena_sweep::{frontier_indices, Axis, CacheRecord, Memo, RunOptions};
+use ena_sweep::{frontier_indices, Axis, Memo, RunOptions};
 
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
 
-/// The memoizing multi-node sweep driver.
+/// The multi-node sweep driver.
 pub type MultiNodeSweep = Memo;
 
-/// The memoizing (checkpoint-interval x nodes) sweep driver.
+/// The (checkpoint-interval x nodes) sweep driver.
 pub type RecoverySweep = Memo;
 
 /// Everything in a [`ScaleOutSpec`] that determines an evaluation: the
@@ -43,7 +42,7 @@ impl StableHash for ScaleOutSpec {
     }
 }
 
-/// Memoization key of a fabric grid point within `campaign`.
+/// Key of a fabric grid point within `campaign`.
 fn keyed(campaign: u64, point: &impl StableHash) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(campaign);
@@ -105,7 +104,7 @@ impl MultiNodeSpace {
     }
 }
 
-/// One evaluated multi-node point, as memoized and persisted.
+/// One evaluated multi-node point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct MultiNodeRecord {
     /// The evaluated point.
@@ -145,35 +144,6 @@ impl MultiNodeRecord {
     }
 }
 
-impl CacheRecord for MultiNodeRecord {
-    const TAG: &'static str = "multinode/1";
-
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {:016x} {:016x} {:016x} {:016x}",
-            self.point.nodes,
-            self.point.kind.label(),
-            self.exaflops.to_bits(),
-            self.power_mw.to_bits(),
-            self.efficiency.to_bits(),
-            self.comm_us.to_bits(),
-        )
-    }
-
-    fn decode(fields: &mut std::str::Split<'_, char>) -> Option<Self> {
-        let nodes: u32 = fields.next()?.parse().ok()?;
-        let kind = FabricKind::parse(fields.next()?).ok()?;
-        let mut f = || Some(f64::from_bits(ena_sweep::hex_field(fields.next()?)?));
-        Some(Self {
-            point: MultiNodePoint { nodes, kind },
-            exaflops: f()?,
-            power_mw: f()?,
-            efficiency: f()?,
-            comm_us: f()?,
-        })
-    }
-}
-
 /// One multi-node sweep request: the (nodes x topology) axis.
 #[derive(Clone, Debug)]
 pub struct MultiNodeSweepSpec {
@@ -186,7 +156,7 @@ pub struct MultiNodeSweepSpec {
 }
 
 impl MultiNodeSweepSpec {
-    /// A sequential, uncached spec over `space`, 4 points per chunk.
+    /// A sequential spec over `space`, 4 points per chunk.
     pub fn new(space: MultiNodeSpace, scaleout: ScaleOutSpec) -> Self {
         Self {
             space,
@@ -206,10 +176,6 @@ impl Axis for MultiNodeSweepSpec {
 
     fn options(&self) -> &RunOptions {
         &self.run
-    }
-
-    fn options_mut(&mut self) -> &mut RunOptions {
-        &mut self.run
     }
 
     fn points(&self) -> Vec<MultiNodePoint> {
@@ -299,7 +265,7 @@ impl RecoverySpace {
     }
 }
 
-/// One evaluated recovery point, as memoized and persisted.
+/// One evaluated recovery point.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryRecord {
     /// The evaluated point.
@@ -329,38 +295,6 @@ impl RecoveryRecord {
     }
 }
 
-impl CacheRecord for RecoveryRecord {
-    const TAG: &'static str = "recovery/1";
-
-    fn encode(&self) -> String {
-        format!(
-            "{} {} {:016x} {:016x} {:016x} {:016x}",
-            self.point.nodes,
-            self.point.interval_scale_pct,
-            self.interval_hours.to_bits(),
-            self.analytic.to_bits(),
-            self.simulated.to_bits(),
-            self.recovered_exaflops.to_bits(),
-        )
-    }
-
-    fn decode(fields: &mut std::str::Split<'_, char>) -> Option<Self> {
-        let nodes: u32 = fields.next()?.parse().ok()?;
-        let interval_scale_pct: u32 = fields.next()?.parse().ok()?;
-        let mut f = || Some(f64::from_bits(ena_sweep::hex_field(fields.next()?)?));
-        Some(Self {
-            point: RecoveryPoint {
-                nodes,
-                interval_scale_pct,
-            },
-            interval_hours: f()?,
-            analytic: f()?,
-            simulated: f()?,
-            recovered_exaflops: f()?,
-        })
-    }
-}
-
 /// One recovery sweep request: the (checkpoint-interval x nodes) axis.
 #[derive(Clone, Debug)]
 pub struct RecoverySweepSpec {
@@ -379,7 +313,7 @@ pub struct RecoverySweepSpec {
 }
 
 impl RecoverySweepSpec {
-    /// A sequential, uncached spec over `space`, 4 points per chunk.
+    /// A sequential spec over `space`, 4 points per chunk.
     pub fn new(space: RecoverySpace, scaleout: ScaleOutSpec, recovery: RecoveryModel) -> Self {
         Self {
             space,
@@ -402,10 +336,6 @@ impl Axis for RecoverySweepSpec {
 
     fn options(&self) -> &RunOptions {
         &self.run
-    }
-
-    fn options_mut(&mut self) -> &mut RunOptions {
-        &mut self.run
     }
 
     fn points(&self) -> Vec<RecoveryPoint> {
@@ -458,7 +388,7 @@ impl Axis for RecoverySweepSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ena_sweep::{CacheMode, SweepError};
+    use ena_sweep::SweepError;
 
     fn spec() -> MultiNodeSweepSpec {
         MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"))
@@ -479,25 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn records_round_trip_through_the_cache_encoding() {
-        let record = MultiNodeRecord {
-            point: MultiNodePoint {
-                nodes: 64,
-                kind: FabricKind::DragonflyLite,
-            },
-            exaflops: 1.2345678901234567,
-            power_mw: 15.5,
-            efficiency: 0.9375,
-            comm_us: 312.0625,
-        };
-        let line = record.encode();
-        let mut fields = line.split(' ');
-        let back = MultiNodeRecord::decode(&mut fields).unwrap();
-        assert_eq!(back, record);
-        assert!(fields.next().is_none());
-    }
-
-    #[test]
     fn parallel_equals_sequential_for_any_job_count() {
         let oracle = MultiNodeSweep::new();
         let sequential = oracle.run(&spec()).unwrap();
@@ -511,13 +422,11 @@ mod tests {
     }
 
     #[test]
-    fn memory_reruns_on_one_driver_evaluate_every_point_again() {
+    fn reruns_on_one_driver_evaluate_every_point_again() {
         let engine = MultiNodeSweep::new();
         let first = engine.run(&spec()).unwrap();
-        assert_eq!(first.cache_hits, 0);
         assert_eq!(first.fresh_evals, 18);
         let second = engine.run(&spec()).unwrap();
-        assert_eq!(second.cache_hits, 0);
         assert_eq!(second.fresh_evals, second.total_points);
         assert_eq!(second.records, first.records);
     }
@@ -537,27 +446,6 @@ mod tests {
                 assert!(outcome.records.iter().any(|other| other.dominates(r)));
             }
         }
-    }
-
-    #[test]
-    fn disk_caches_resume_across_engine_instances() {
-        let dir = std::env::temp_dir().join("ena-fabric-sweep-test-resume");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut disk_spec = spec();
-        disk_spec.run.cache = CacheMode::Disk(dir.clone());
-        let cold_engine = MultiNodeSweep::new();
-        let cold = cold_engine.run(&disk_spec).unwrap();
-        assert_eq!(cold.fresh_evals, 18);
-        // A brand-new engine (fresh process, conceptually) hits disk.
-        let warm_engine = MultiNodeSweep::new();
-        let warm = warm_engine.run(&disk_spec).unwrap();
-        assert_eq!(warm.cache_hits, 18);
-        assert_eq!(warm.records, cold.records);
-        // A model-version bump evicts rather than replays stale numbers.
-        let bumped = MultiNodeSweep::new().with_version("ena-model/next");
-        let evicted = bumped.run(&disk_spec).unwrap();
-        assert_eq!(evicted.cache_hits, 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -600,25 +488,6 @@ mod tests {
     }
 
     #[test]
-    fn recovery_records_round_trip_through_the_cache_encoding() {
-        let record = RecoveryRecord {
-            point: RecoveryPoint {
-                nodes: 64,
-                interval_scale_pct: 200,
-            },
-            interval_hours: 0.3125,
-            analytic: 0.8671875,
-            simulated: 0.871234567,
-            recovered_exaflops: 0.123456789,
-        };
-        let line = record.encode();
-        let mut fields = line.split(' ');
-        let back = RecoveryRecord::decode(&mut fields).unwrap();
-        assert_eq!(back, record);
-        assert!(fields.next().is_none());
-    }
-
-    #[test]
     fn recovery_parallel_equals_sequential_and_reruns_evaluate_again() {
         let oracle = RecoverySweep::new();
         let sequential = oracle.run(&recovery_spec()).unwrap();
@@ -631,7 +500,6 @@ mod tests {
             assert_eq!(parallel.frontier, sequential.frontier, "jobs = {jobs}");
         }
         let rerun = oracle.run(&recovery_spec()).unwrap();
-        assert_eq!(rerun.cache_hits, 0);
         assert_eq!(rerun.fresh_evals, rerun.total_points);
         assert_eq!(rerun.records, sequential.records);
     }
@@ -672,22 +540,6 @@ mod tests {
                 assert!(at(100) > at(pct), "N={nodes} pct={pct}");
             }
         }
-    }
-
-    #[test]
-    fn recovery_disk_caches_resume_across_engine_instances() {
-        let dir = std::env::temp_dir().join("ena-fabric-recovery-sweep-test-resume");
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut disk_spec = recovery_spec();
-        disk_spec.run.cache = CacheMode::Disk(dir.clone());
-        let cold_engine = RecoverySweep::new();
-        let cold = cold_engine.run(&disk_spec).unwrap();
-        assert_eq!(cold.fresh_evals, 30);
-        let warm_engine = RecoverySweep::new();
-        let warm = warm_engine.run(&disk_spec).unwrap();
-        assert_eq!(warm.cache_hits, 30);
-        assert_eq!(warm.records, cold.records);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

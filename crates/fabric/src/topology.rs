@@ -118,7 +118,7 @@ impl FabricKind {
         FabricKind::DragonflyLite,
     ];
 
-    /// The CLI / cache-file label.
+    /// The CLI and report label.
     pub fn label(self) -> &'static str {
         match self {
             FabricKind::FatTree => "fat-tree",

@@ -13,12 +13,11 @@
 use std::fmt::Write as _;
 
 use ena_fabric::{
-    schedule, schedule_with_retransmits, CollectiveKind, FabricGraph, FabricKind, MultiNodeSpace,
-    MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel, RecoverySpace, RecoverySweep,
-    RecoverySweepSpec, RetransmitModel, ScaleOutSpec,
+    schedule, schedule_with_retransmits, CollectiveKind, FabricGraph, FabricKind, MultiNodeRecord,
+    MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel, RecoveryRecord,
+    RecoverySpace, RecoverySweep, RecoverySweepSpec, RetransmitModel, ScaleOutSpec,
 };
 use ena_model::config::EhpConfig;
-use ena_sweep::CacheRecord;
 
 /// Fleet sizes: both degenerate fabrics (2 and 3 nodes), a prime ring,
 /// and the grid, multi-group and 64-node cabinet shapes.
@@ -94,9 +93,35 @@ fn render_schedules() -> String {
     out
 }
 
+/// One multinode record: its point, then each `f64` field's bits.
+fn multinode_line(r: &MultiNodeRecord) -> String {
+    format!(
+        "{} {} {:016x} {:016x} {:016x} {:016x}",
+        r.point.nodes,
+        r.point.kind.label(),
+        r.exaflops.to_bits(),
+        r.power_mw.to_bits(),
+        r.efficiency.to_bits(),
+        r.comm_us.to_bits(),
+    )
+}
+
+/// One recovery record: its point, then each `f64` field's bits.
+fn recovery_line(r: &RecoveryRecord) -> String {
+    format!(
+        "{} {} {:016x} {:016x} {:016x} {:016x}",
+        r.point.nodes,
+        r.point.interval_scale_pct,
+        r.interval_hours.to_bits(),
+        r.analytic.to_bits(),
+        r.simulated.to_bits(),
+        r.recovered_exaflops.to_bits(),
+    )
+}
+
 /// Both fabric sweeps on the benchmark's fixture (CoMD, a checkpoint
-/// cost of 3 minutes on the node-assessed MTBF): every record in its
-/// cache encoding, which carries each field's bits, then the frontier.
+/// cost of 3 minutes on the node-assessed MTBF): every record with each
+/// field's bits, then the frontier.
 fn render_sweeps() -> String {
     let multinode =
         MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
@@ -111,11 +136,11 @@ fn render_sweeps() -> String {
     let r = RecoverySweep::new().run(&recovery).expect("clean sweep");
     let mut out = String::new();
     for record in &m.records {
-        writeln!(out, "multinode {}", record.encode()).unwrap();
+        writeln!(out, "multinode {}", multinode_line(record)).unwrap();
     }
     writeln!(out, "multinode frontier {:?}", m.frontier).unwrap();
     for record in &r.records {
-        writeln!(out, "recovery {}", record.encode()).unwrap();
+        writeln!(out, "recovery {}", recovery_line(record)).unwrap();
     }
     writeln!(out, "recovery frontier {:?}", r.frontier).unwrap();
     out
@@ -462,35 +487,35 @@ multinode 64 fat-tree 3f44290943596e22 3f8b51c98bc19e87 3feecddee6655312 4075615
 multinode 64 torus 3f43bbd73d4b6755 3f8b51c98bc19e87 3fee270631e8d116 4080df9555555554
 multinode 64 dragonfly 3f436528b4807c9b 3f8b51c98bc19e87 3feda293e2f357ed 4085f9b777777775
 multinode frontier [1, 2, 4, 5, 7, 9, 12, 15]
-recovery 2 25 404e204c82ed78bb 3feff8c6ec510f53 3ff000c5ede4f452 3ef481290c0b887d
-recovery 2 50 405e204c82ed78bb 3feffbc04ec6453f 3ff000c5ede4f456 3ef481290c0b8882
-recovery 2 100 406e204c82ed78bb 3feffc99d89e9dcc 3ff000c5ede4f457 3ef481290c0b8883
-recovery 2 200 407e204c82ed78bb 3feffbc04ec6453f 3ff03221c27ed877 3ef4c0673a748a30
-recovery 2 400 408e204c82ed78bb 3feff8c6ec510f53 3ff03221c27ed876 3ef4c0673a748a2f
-recovery 4 25 40454d6b388a692e 3feff5c902a8b7fe 3feff87db10427f5 3f0473c9d1a3ab58
-recovery 4 50 40554d6b388a692e 3feff9fdc5542fff 3ff004f890eb281d 3f047ef3bbb4f05a
-recovery 4 100 40654d6b388a692e 3feffb316aa9bffe 3ff0166c01bd50a6 3f0495478fd77ab5
-recovery 4 200 40754d6b388a692e 3feff9fdc5542fff 3ff0166c01bd50a8 3f0495478fd77ab8
-recovery 4 400 40854d6b388a692e 3feff5c902a8b7fe 3ff05c39c505f291 3f04ee96e061a3d9
-recovery 8 25 403e204c82ed78bb 3feff18dd8a21ea5 3feff534e6a36f44 3f13ea879c1cdd60
-recovery 8 50 404e204c82ed78bb 3feff7809d8c8a7f 3ff000c5ede4f452 3f13f23845db44a3
-recovery 8 100 405e204c82ed78bb 3feff933b13d3b98 3ff000c5ede4f456 3f13f23845db44a8
-recovery 8 200 406e204c82ed78bb 3feff7809d8c8a7f 3ff000c5ede4f457 3f13f23845db44a9
-recovery 8 400 407e204c82ed78bb 3feff18dd8a21ea5 3ff03221c27ed877 3f142fbd93ce7d09
-recovery 16 25 40354d6b388a692e 3fefeb9205516ffb 3fefefc3f89b13c3 3f23d08d067b8a62
-recovery 16 50 40454d6b388a692e 3feff3fb8aa85ffd 3feff87db10427f5 3f23d5f6e8b597e5
-recovery 16 100 40554d6b388a692e 3feff662d5537ffe 3ff004f890eb281d 3f23e0caad29b2d5
-recovery 16 200 40654d6b388a692e 3feff3fb8aa85ffd 3ff0166c01bd50a6 3f23f6723611e90c
-recovery 16 400 40754d6b388a692e 3fefeb9205516ffb 3ff0166c01bd50a8 3f23f6723611e90e
-recovery 32 25 402e204c82ed78bb 3fefe31bb1443d4a 3fefe8ddf17cf611 3f33a3eab1507e43
-recovery 32 50 403e204c82ed78bb 3fefef013b1914fe 3feff534e6a36f44 3f33ab8305e2675c
-recovery 32 100 404e204c82ed78bb 3feff267627a7732 3ff000c5ede4f452 3f33b31b5a745090
-recovery 32 200 405e204c82ed78bb 3fefef013b1914fe 3ff000c5ede4f456 3f33b31b5a745095
-recovery 32 400 406e204c82ed78bb 3fefe31bb1443d4a 3ff000c5ede4f457 3f33b31b5a745096
-recovery 64 25 40254d6b388a692e 3fefd7240aa2dff6 3fefd9f3ab94603b 3f434e191b101a67
-recovery 64 50 40354d6b388a692e 3fefe7f71550bffa 3fefefc3f89b13c3 3f435b51bdfe9db6
-recovery 64 100 40454d6b388a692e 3fefecc5aaa6fffc 3feff87db10427f5 3f43609b98c46b95
-recovery 64 200 40554d6b388a692e 3fefe7f71550bffa 3ff004f890eb281d 3f436b2f4e500740
-recovery 64 400 40654d6b388a692e 3fefd7240aa2dff6 3ff0166c01bd50a6 3f438056b9673ee9
-recovery frontier [9, 14, 19, 29]
+recovery 2 25 404e204c82ed78bb 3feff8c6ec510f53 3fefe8ddf17cf698 3ef4715980714814
+recovery 2 50 405e204c82ed78bb 3feffbc04ec6453f 3fefd03007300492 3ef46189f4d707af
+recovery 2 100 406e204c82ed78bb 3feffc99d89e9dcc 3fef9ed43296207b 3ef441eadda286de
+recovery 2 200 407e204c82ed78bb 3feffbc04ec6453f 3fef9ed432962086 3ef441eadda286e5
+recovery 2 400 408e204c82ed78bb 3feff8c6ec510f53 3feed964e02e901d 3ef3c36e80d0839a
+recovery 4 25 40454d6b388a692e 3feff5c902a8b7fe 3fefe70a4031ff7a 3f04689fe7926633
+recovery 4 50 40554d6b388a692e 3feff9fdc5542fff 3fefe70a4031ff45 3f04689fe7926611
+recovery 4 100 40654d6b388a692e 3feffb316aa9bffe 3fefe70a4031ff64 3f04689fe7926625
+recovery 4 200 40754d6b388a692e 3feff9fdc5542fff 3fefa13c7ce95d7e 3f043bf83f4d5196
+recovery 4 400 40854d6b388a692e 3feff5c902a8b7fe 3fefa13c7ce95d7f 3f043bf83f4d5197
+recovery 8 25 403e204c82ed78bb 3feff18dd8a21ea5 3fefe8ddf17cf63d 3f13e2d6f25e7654
+recovery 8 50 404e204c82ed78bb 3feff7809d8c8a7f 3fefe8ddf17cf698 3f13e2d6f25e768d
+recovery 8 100 405e204c82ed78bb 3feff933b13d3b98 3fefd03007300492 3f13d3759ee1a87b
+recovery 8 200 406e204c82ed78bb 3feff7809d8c8a7f 3fef9ed43296207b 3f13b4b2f7e80c51
+recovery 8 400 407e204c82ed78bb 3feff18dd8a21ea5 3fef9ed432962086 3f13b4b2f7e80c58
+recovery 16 25 40354d6b388a692e 3fefeb9205516ffb 3fefe70a4031ff87 3f23cb2324417cda
+recovery 16 50 40454d6b388a692e 3feff3fb8aa85ffd 3fefe70a4031ff7a 3f23cb2324417cd2
+recovery 16 100 40554d6b388a692e 3feff662d5537ffe 3fefe70a4031ff45 3f23cb2324417cb1
+recovery 16 200 40654d6b388a692e 3feff3fb8aa85ffd 3fefe70a4031ff64 3f23cb2324417cc4
+recovery 16 400 40754d6b388a692e 3fefeb9205516ffb 3fefa13c7ce95d7e 3f239fd41271107e
+recovery 32 25 402e204c82ed78bb 3fefe31bb1443d4a 3fefe2b276e9b98e 3f33a01e870789c5
+recovery 32 50 403e204c82ed78bb 3fefef013b1914fe 3fefe8ddf17cf63d 3f33a3eab1507e5e
+recovery 32 100 404e204c82ed78bb 3feff267627a7732 3fefe8ddf17cf698 3f33a3eab1507e96
+recovery 32 200 405e204c82ed78bb 3fefef013b1914fe 3fefd03007300492 3f3394ba082caca0
+recovery 32 400 406e204c82ed78bb 3fefe31bb1443d4a 3fef9ed43296207b 3f337658b5e508ad
+recovery 64 25 40254d6b388a692e 3fefd7240aa2dff6 3fefd596cf5fd61d 3f434b742dad3374
+recovery 64 50 40354d6b388a692e 3fefe7f71550bffa 3fefe70a4031ff87 3f435607e338cfd1
+recovery 64 100 40454d6b388a692e 3fefecc5aaa6fffc 3fefe70a4031ff7a 3f435607e338cfc9
+recovery 64 200 40554d6b388a692e 3fefe7f71550bffa 3fefe70a4031ff45 3f435607e338cfa9
+recovery 64 400 40654d6b388a692e 3fefd7240aa2dff6 3fefe70a4031ff64 3f435607e338cfbc
+recovery frontier [22, 26]
 ";

@@ -14,29 +14,24 @@
 //!    degradation) renders byte-identically across runs *and* processes.
 //! 3. **Parallel == sequential** — the multi-node sweep's records and
 //!    Pareto frontier are bit-identical to the sequential oracle for any
-//!    job count and cache temperature.
-//! 4. **Crash consistency** — seeded chaos campaigns (I/O faults plus
-//!    worker kills) hold every cache invariant on both fabric axes.
-//! 5. **Dense compile == map compile** — `schedule` and
+//!    job count, and a panicking point quarantines only its chunk.
+//! 4. **Dense compile == map compile** — `schedule` and
 //!    `schedule_with_retransmits` equal a per-round `BTreeMap` compile
 //!    over the public `FabricGraph::route`, bit for bit, on degraded
 //!    graphs.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use ena_fabric::{
     estimate, run_multinode_campaign, schedule, schedule_with_retransmits, CollectiveKind,
     CollectiveSchedule, FabricError, FabricGraph, FabricKind, MultiNodeCampaignSpec,
-    MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel, RecoverySpace,
-    RecoverySweep, RecoverySweepSpec, RetransmitModel, Round, ScaleOutSpec, Transfer,
+    MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RetransmitModel, Round, ScaleOutSpec,
+    Transfer,
 };
 use ena_model::hash::StableHasher;
 use ena_model::units::Microseconds;
-use ena_sweep::{
-    run_chaos_campaign, Axis, CacheMode, ChaosReport, ChaosSpec, Failpoint, SweepError,
-};
+use ena_sweep::{Axis, Failpoint};
 use ena_testkit::prelude::*;
 use ena_testkit::process::assert_same_digest_across_processes;
 
@@ -387,114 +382,6 @@ proptest! {
         prop_assert_eq!(&outcome.records, &survivors);
         prop_assert_eq!(outcome.fresh_evals, survivors.len());
     }
-
-    /// Stopping a recovery sweep after `k` fresh points checkpoints
-    /// exactly those `k`: a fresh engine resumes from disk with `k` hits
-    /// and reproduces the uninterrupted run.
-    #[test]
-    fn an_interrupted_recovery_sweep_resumes_from_its_checkpoint(k in 1usize..30) {
-        let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(format!("recovery-resume-{k}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let mut spec = RecoverySweepSpec::new(
-            RecoverySpace::standard(),
-            ScaleOutSpec::standard("CoMD"),
-            RecoveryModel::new(96.0, 3.0),
-        );
-        spec.run.jobs = 2;
-        let uninterrupted = RecoverySweep::new().run(&spec).unwrap();
-
-        spec.run.cache = CacheMode::Disk(dir.clone());
-        let mut limited = spec.clone();
-        limited.run.fresh_limit = Some(k);
-        match RecoverySweep::new().run(&limited) {
-            Err(SweepError::Interrupted { completed, remaining }) => {
-                prop_assert_eq!(completed, k);
-                prop_assert_eq!(completed + remaining, 30);
-            }
-            other => prop_assert!(false, "expected interruption, got {other:?}"),
-        }
-
-        let resumed = RecoverySweep::new().run(&spec).unwrap();
-        prop_assert_eq!(resumed.cache_hits, k);
-        prop_assert_eq!(resumed.fresh_evals, 30 - k);
-        prop_assert_eq!(&resumed.records, &uninterrupted.records);
-        prop_assert_eq!(&resumed.frontier, &uninterrupted.frontier);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-}
-
-/// Runs the seeded chaos campaign on `axis`; `Ok` means every invariant
-/// held (parseable caches, no acknowledged record lost, a clean resume
-/// that reproduces the fault-free frontier).
-fn chaos<A>(axis: &A, spec: &ChaosSpec) -> ChaosReport
-where
-    A: Axis + Clone,
-    A::Error: std::fmt::Display,
-    A::Frontier: std::fmt::Debug,
-{
-    let report = run_chaos_campaign(axis, spec)
-        .unwrap_or_else(|e| panic!("seed {:#x}: invariant violated: {e}", spec.seed));
-    assert_eq!(report.runs.len(), 3);
-    assert!(report.final_recovered <= report.total_points);
-    assert!(report.render().ends_with(
-        "invariants: all hold (caches parseable, no acknowledged record lost, \
-         frontier == fault-free)\n"
-    ));
-    report
-}
-
-/// Both fabric axes get the node axis's chaos campaign: across seeds and
-/// job counts every invariant holds, and a single-worker campaign
-/// replays its report exactly.
-#[test]
-fn chaos_campaigns_hold_every_invariant_on_both_fabric_axes() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fabric-chaos");
-    let multinode =
-        MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
-    let recovery = RecoverySweepSpec::new(
-        RecoverySpace::standard(),
-        ScaleOutSpec::standard("CoMD"),
-        RecoveryModel::new(96.0, 3.0),
-    );
-    let mut reports = Vec::new();
-    for seed in [0xC0FFEE, 1, 2, 3, 4, 5, 6, 7] {
-        let spec = ChaosSpec {
-            seed,
-            runs: 3,
-            ..ChaosSpec::new(dir.clone())
-        };
-        for jobs in [1, 2] {
-            let mut m = multinode.clone();
-            m.run.jobs = jobs;
-            let mut r = recovery.clone();
-            r.run.jobs = jobs;
-            let (m_report, r_report) = (chaos(&m, &spec), chaos(&r, &spec));
-            assert_eq!(
-                (m_report.record, m_report.total_points),
-                ("multinode/1", 18)
-            );
-            assert_eq!((r_report.record, r_report.total_points), ("recovery/1", 30));
-            if jobs == 1 {
-                assert_eq!(
-                    chaos(&m, &spec),
-                    m_report,
-                    "seed {seed:#x}: multinode replay"
-                );
-                assert_eq!(
-                    chaos(&r, &spec),
-                    r_report,
-                    "seed {seed:#x}: recovery replay"
-                );
-            }
-            reports.extend([m_report, r_report]);
-        }
-    }
-    // The campaigns are not vacuous: faults landed, runs failed, and the
-    // supervisor quarantined chunks somewhere along the way.
-    let runs = || reports.iter().flat_map(|r| &r.runs);
-    assert!(runs().any(|run| run.fs_faults_injected > 0));
-    assert!(runs().any(|run| run.outcome.starts_with("failed")));
-    assert!(runs().any(|run| run.outcome.contains("quarantined")));
 }
 
 /// Digest of the route tables and collective schedules of every shipped
@@ -551,25 +438,6 @@ fn acceptance_campaign_is_byte_identical_across_processes() {
             h.finish()
         },
     );
-}
-
-/// A warm disk cache replays the cold run's bytes exactly, across engine
-/// instances (checkpoint/resume for the multi-node axis).
-#[test]
-fn multinode_disk_cache_round_trips_bit_exactly() {
-    let dir = std::env::temp_dir().join("ena-fabric-props-disk-cache");
-    let _ = std::fs::remove_dir_all(&dir);
-    let mut spec =
-        MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
-    spec.run.jobs = 2;
-    spec.run.cache = CacheMode::Disk(dir.clone());
-    let cold = MultiNodeSweep::new().run(&spec).unwrap();
-    assert_eq!(cold.cache_hits, 0);
-    let warm = MultiNodeSweep::new().run(&spec).unwrap();
-    assert_eq!(warm.cache_hits, warm.total_points);
-    assert_eq!(warm.records, cold.records);
-    assert_eq!(warm.frontier, cold.frontier);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The campaign's straggler estimates agree with a direct scale-out

@@ -197,8 +197,8 @@ pub struct EvalPoint {
 
 impl EvalPoint {
     /// The sweep-engine design point this request addresses. Uses the
-    /// same unit conversions as the batch CLI, so the memoization key —
-    /// and therefore the cached record — is shared with `ena sweep`.
+    /// same unit conversions as the batch CLI, so a served record is the
+    /// one `ena sweep` computes for the same point.
     pub fn to_config_point(self) -> ConfigPoint {
         ConfigPoint {
             cus: self.cus,

@@ -26,7 +26,7 @@
 //! fault-free operation `lookups == hits + evals + waits` — the balance
 //! `STATS` exposes and CI asserts.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -37,11 +37,11 @@ use ena_model::hash::MODEL_VERSION;
 use ena_model::kernel::KernelProfile;
 use ena_sweep::{
     campaign_digest, evaluate_batch, pareto_frontier, point_key, CacheError, CacheRecord as _,
-    Failpoint, Vfs,
+    Failpoint, RealFs,
 };
 
 use crate::protocol::{write_frame, FrameReader, Request, BUSY};
-use crate::store::{Claim, ShardStore};
+use crate::store::{Claim, FollowerTicket, LeaderToken, ShardStore};
 
 /// Anything a handler can serve: a TCP stream, or an in-process pipe
 /// end from `ena_testkit::transport` in hermetic tests. Blanket-
@@ -158,8 +158,6 @@ pub struct ServeConfig {
     /// Directory for the persistent cache; `None` serves from memory
     /// only.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Filesystem the cache goes through (fault-injectable in tests).
-    pub fs: Arc<dyn Vfs>,
     /// Test hook invoked with the memoization key once per fresh engine
     /// evaluation — the observable the single-flight property counts.
     pub probe: Option<Failpoint>,
@@ -176,7 +174,6 @@ impl ServeConfig {
             queue_cap: 16,
             max_batch: 64,
             cache_dir: None,
-            fs: Arc::new(ena_sweep::RealFs),
             probe: None,
         }
     }
@@ -198,8 +195,15 @@ enum PendingPoint {
     /// Duplicate of a key this batch leads.
     LocalDup,
     /// Another request leads the key.
-    Wait(crate::store::FollowerTicket),
+    Wait(FollowerTicket),
 }
+
+/// A received frame, parsed once: the request, or why it is malformed.
+type Parsed = Result<Request, String>;
+
+/// What one point lookup came to: its key and record, or the error an
+/// `ERR` response carries.
+type Resolved = (u64, Result<Arc<PointRecord>, String>);
 
 /// The evaluation server (see the module docs).
 pub struct Server {
@@ -232,10 +236,10 @@ impl std::fmt::Debug for Server {
 
 impl Server {
     /// Builds the server: derives the campaign digest from the explorer
-    /// and profiles (the same digest `ena sweep` uses, so cache files
-    /// interoperate) and opens the store, warm-starting from any
-    /// surviving cache file. Returns the server and the number of
-    /// records restored.
+    /// and profiles (the digest the node sweep's former disk cache used,
+    /// so its files still warm-start a server) and opens the store,
+    /// warm-starting from any surviving cache file. Returns the server
+    /// and the number of records restored.
     ///
     /// # Errors
     ///
@@ -244,7 +248,7 @@ impl Server {
         let campaign = campaign_digest(&config.explorer, &config.profiles);
         let (store, restored) = ShardStore::open(
             config.cache_dir.as_deref(),
-            config.fs,
+            Arc::new(RealFs),
             campaign,
             MODEL_VERSION,
         )?;
@@ -378,15 +382,16 @@ impl Server {
     /// the full request path over an in-process pipe without sockets.
     pub fn handle<S: Read + Write>(&self, stream: S) {
         let mut reader = FrameReader::new(stream);
-        let mut pending: VecDeque<Vec<u8>> = VecDeque::new();
+        let mut pending: VecDeque<Parsed> = VecDeque::new();
         let mut framing_dead = false;
+        let parse = |frame: &[u8]| Request::parse(&String::from_utf8_lossy(frame));
         loop {
             if pending.is_empty() {
                 if framing_dead {
                     return;
                 }
                 match reader.read_frame() {
-                    Ok(Some(frame)) => pending.push_back(frame),
+                    Ok(Some(frame)) => pending.push_back(parse(&frame)),
                     Ok(None) => return, // clean close
                     Err(e) => {
                         Counters::bump(&self.counters.protocol_errors, 1);
@@ -398,7 +403,7 @@ impl Server {
                 // Fold in everything the client already pipelined.
                 while pending.len() < self.max_batch {
                     match reader.buffered_frame() {
-                        Ok(Some(frame)) => pending.push_back(frame),
+                        Ok(Some(frame)) => pending.push_back(parse(&frame)),
                         Ok(None) => break,
                         Err(_) => {
                             Counters::bump(&self.counters.protocol_errors, 1);
@@ -420,37 +425,12 @@ impl Server {
     fn step<S: Read + Write>(
         &self,
         reader: &mut FrameReader<S>,
-        pending: &mut VecDeque<Vec<u8>>,
+        pending: &mut VecDeque<Parsed>,
     ) -> bool {
-        let mut evals: Vec<ConfigPoint> = Vec::new();
-        while let Some(front) = pending.front() {
-            let line = String::from_utf8_lossy(front);
-            match Request::parse(&line) {
-                Ok(Request::Eval(point)) => {
-                    evals.push(point.to_config_point());
-                    pending.pop_front();
-                }
-                _ => break,
-            }
-        }
-        if !evals.is_empty() {
-            Counters::bump(&self.counters.eval_requests, evals.len() as u64);
-            for (key, result) in self.resolve_batch(&evals) {
-                let body = match result {
-                    Ok(record) => format!("OK {key:016x} {}", record.encode()),
-                    Err(message) => format!("ERR {message}"),
-                };
-                if write_frame(reader.get_mut(), body.as_bytes()).is_err() {
-                    return false;
-                }
-            }
-            return true;
-        }
         let Some(front) = pending.pop_front() else {
             return true;
         };
-        let line = String::from_utf8_lossy(&front).into_owned();
-        let request = match Request::parse(&line) {
+        let request = match front {
             Ok(request) => request,
             Err(message) => {
                 Counters::bump(&self.counters.protocol_errors, 1);
@@ -459,17 +439,24 @@ impl Server {
             }
         };
         let (body, keep_open) = match request {
-            // A leading EVAL is consumed by the batching loop above, so
-            // this arm is unreachable in practice; keep it total anyway.
             Request::Eval(point) => {
-                Counters::bump(&self.counters.eval_requests, 1);
-                let batch = [point.to_config_point()];
-                let body = match self.resolve_batch(&batch).pop() {
-                    Some((key, Ok(record))) => format!("OK {key:016x} {}", record.encode()),
-                    Some((_, Err(message))) => format!("ERR {message}"),
-                    None => "ERR evaluation produced no record".to_string(),
-                };
-                (body, true)
+                // Fold the rest of the leading EVAL run into one batch.
+                let mut evals = vec![point.to_config_point()];
+                while let Some(Ok(Request::Eval(point))) = pending.front() {
+                    evals.push(point.to_config_point());
+                    pending.pop_front();
+                }
+                Counters::bump(&self.counters.eval_requests, evals.len() as u64);
+                for (key, result) in self.resolve_batch(&evals) {
+                    let body = match result {
+                        Ok(record) => format!("OK {key:016x} {}", record.encode()),
+                        Err(message) => format!("ERR {message}"),
+                    };
+                    if write_frame(reader.get_mut(), body.as_bytes()).is_err() {
+                        return false;
+                    }
+                }
+                return true;
             }
             Request::Sweep { fine } => {
                 Counters::bump(&self.counters.sweep_requests, 1);
@@ -506,10 +493,7 @@ impl Server {
     /// single-flight semantics: every key this batch claims leadership
     /// of is evaluated in ONE engine dispatch; follower entries block on
     /// their leaders. Returns `(key, record-or-error)` in input order.
-    fn resolve_batch(
-        &self,
-        points: &[ConfigPoint],
-    ) -> Vec<(u64, Result<Arc<PointRecord>, String>)> {
+    fn resolve_batch(&self, points: &[ConfigPoint]) -> Vec<Resolved> {
         Counters::bump(&self.counters.lookups, points.len() as u64);
         let keyed: Vec<(u64, ConfigPoint)> = points
             .iter()
@@ -518,50 +502,34 @@ impl Server {
 
         // Claim every key, collecting the set this batch must evaluate.
         let mut states: Vec<PendingPoint> = Vec::with_capacity(keyed.len());
-        let mut tokens: BTreeMap<u64, crate::store::LeaderToken<'_>> = BTreeMap::new();
-        let mut to_eval: Vec<(u64, ConfigPoint)> = Vec::new();
-        for (key, point) in &keyed {
-            if tokens.contains_key(key) {
+        let mut led: BTreeSet<u64> = BTreeSet::new();
+        let mut leads: Vec<(u64, ConfigPoint, LeaderToken<'_>)> = Vec::new();
+        for &(key, point) in &keyed {
+            if led.contains(&key) {
                 states.push(PendingPoint::LocalDup);
                 continue;
             }
-            match self.store.claim(*key) {
+            match self.store.claim(key) {
                 Claim::Ready(record) => states.push(PendingPoint::Ready(record)),
                 Claim::Leader(token) => {
-                    tokens.insert(*key, token);
-                    to_eval.push((*key, *point));
+                    led.insert(key);
+                    leads.push((key, point, token));
                     states.push(PendingPoint::Lead);
                 }
                 Claim::Follower(ticket) => states.push(PendingPoint::Wait(ticket)),
             }
         }
-
-        // One engine dispatch for the whole leading set, then publish.
-        let mut resolved: BTreeMap<u64, Result<Arc<PointRecord>, String>> = BTreeMap::new();
-        if !to_eval.is_empty() {
-            Counters::bump(&self.counters.batches, 1);
-            Counters::bump(&self.counters.batched_evals, to_eval.len() as u64);
-            if let Some(probe) = &self.probe {
-                for (key, _) in &to_eval {
-                    probe(*key);
-                }
-            }
-            for (key, record) in evaluate_batch(&self.explorer, &to_eval, &self.profiles) {
-                let Some(token) = tokens.remove(&key) else {
-                    continue;
-                };
-                let outcome = match self.store.publish(token, record) {
-                    Ok(record) => {
-                        if self.store.is_persistent() {
-                            Counters::bump(&self.counters.appended, 1);
-                        }
-                        Ok(record)
-                    }
-                    Err(e) => Err(e.to_string()),
-                };
-                resolved.insert(key, outcome);
-            }
-        }
+        let resolved: BTreeMap<u64, Result<Arc<PointRecord>, String>> = if leads.is_empty() {
+            BTreeMap::new()
+        } else {
+            self.evaluate_leads(leads).into_iter().collect()
+        };
+        let led_result = |key: &u64| {
+            resolved
+                .get(key)
+                .cloned()
+                .unwrap_or_else(|| Err("evaluation produced no record".into()))
+        };
 
         // Settle every entry in input order.
         states
@@ -573,23 +541,45 @@ impl Server {
                         Counters::bump(&self.counters.hits, 1);
                         Ok(record)
                     }
-                    PendingPoint::Lead => {
-                        Counters::bump(&self.counters.evals, 1);
-                        resolved
-                            .get(&key)
-                            .cloned()
-                            .unwrap_or_else(|| Err("evaluation produced no record".into()))
-                    }
+                    PendingPoint::Lead => led_result(&key),
                     PendingPoint::LocalDup => {
                         Counters::bump(&self.counters.hits, 1);
-                        resolved
-                            .get(&key)
-                            .cloned()
-                            .unwrap_or_else(|| Err("evaluation produced no record".into()))
+                        led_result(&key)
                     }
                     PendingPoint::Wait(ticket) => self.settle_wait(key, point, ticket),
                 };
                 (key, result)
+            })
+            .collect()
+    }
+
+    /// The one path by which the server evaluates: every point in `leads`
+    /// (keys this request leads) goes through ONE engine dispatch, and
+    /// each record is published through its token. Returns `(key,
+    /// record-or-error)` in `leads` order.
+    fn evaluate_leads(&self, leads: Vec<(u64, ConfigPoint, LeaderToken<'_>)>) -> Vec<Resolved> {
+        let n = leads.len() as u64;
+        Counters::bump(&self.counters.evals, n);
+        Counters::bump(&self.counters.batches, 1);
+        Counters::bump(&self.counters.batched_evals, n);
+        let (batch, tokens): (Vec<(u64, ConfigPoint)>, Vec<LeaderToken<'_>>) = leads
+            .into_iter()
+            .map(|(key, point, token)| ((key, point), token))
+            .unzip();
+        if let Some(probe) = &self.probe {
+            for (key, _) in &batch {
+                probe(*key);
+            }
+        }
+        evaluate_batch(&self.explorer, &batch, &self.profiles)
+            .into_iter()
+            .zip(tokens)
+            .map(|((key, record), token)| {
+                let outcome = self.store.publish(token, record).map_err(|e| e.to_string());
+                if outcome.is_ok() && self.store.is_persistent() {
+                    Counters::bump(&self.counters.appended, 1);
+                }
+                (key, outcome)
             })
             .collect()
     }
@@ -601,7 +591,7 @@ impl Server {
         &self,
         key: u64,
         point: ConfigPoint,
-        ticket: crate::store::FollowerTicket,
+        ticket: FollowerTicket,
     ) -> Result<Arc<PointRecord>, String> {
         let mut outcome = self.store.wait(ticket);
         loop {
@@ -616,22 +606,10 @@ impl Server {
                 }
                 Claim::Follower(ticket) => outcome = self.store.wait(ticket),
                 Claim::Leader(token) => {
-                    Counters::bump(&self.counters.evals, 1);
-                    Counters::bump(&self.counters.batches, 1);
-                    Counters::bump(&self.counters.batched_evals, 1);
-                    if let Some(probe) = &self.probe {
-                        probe(key);
-                    }
-                    let record = self.explorer.evaluate_point(point, &self.profiles);
-                    return match self.store.publish(token, record) {
-                        Ok(record) => {
-                            if self.store.is_persistent() {
-                                Counters::bump(&self.counters.appended, 1);
-                            }
-                            Ok(record)
-                        }
-                        Err(e) => Err(e.to_string()),
-                    };
+                    return self
+                        .evaluate_leads(vec![(key, point, token)])
+                        .pop()
+                        .map_or_else(|| Err("evaluation produced no record".into()), |(_, r)| r);
                 }
             }
         }

@@ -1,6 +1,6 @@
-//! The shared memoization layer: a sharded, in-memory concurrent store
-//! over the sweep's crash-consistent disk cache, with single-flight
-//! deduplication.
+//! The shared record store: a sharded, in-memory concurrent store over
+//! the crash-consistent disk cache, with single-flight deduplication. It
+//! is the toolkit's one persistence path.
 //!
 //! # Sharding
 //!
@@ -24,14 +24,15 @@
 //!
 //! # Durability
 //!
-//! With a cache directory configured, every publish appends to the same
-//! `ena-sweep-cache/2` file a batch sweep of the same campaign would
-//! write — the append happens *before* the record is acknowledged to
-//! any client, and every append is fsynced, so an `OK` response implies
-//! the record survives a crash or power loss. [`ShardStore::snapshot`]
-//! additionally rewrites the whole file from the in-memory store through
-//! the write-temp → fsync → atomic-rename path, compacting repair
-//! lineage and healing a poisoned append handle.
+//! With a cache directory configured, every publish appends to the
+//! campaign's `ena-sweep-cache/2` file — the append happens *before* the
+//! record is acknowledged to any client, and every append is fsynced, so
+//! an `OK` response implies the record survives a crash or power loss.
+//! [`ShardStore::snapshot`] additionally rewrites the whole file from the
+//! in-memory store through the write-temp → fsync → atomic-rename path,
+//! compacting repair lineage and healing a poisoned append handle. The
+//! seeded campaign in [`crate::chaos`] holds both promises under injected
+//! I/O faults and killed leaders.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -1,5 +1,5 @@
-//! Persistent content-addressed sweep cache with checkpoint/resume,
-//! hardened for crash consistency.
+//! Persistent content-addressed record cache, hardened for crash
+//! consistency: the record file behind `ena-serve`'s store.
 //!
 //! One campaign (a fixed budget, evaluation options, and profile set)
 //! maps to one append-only file under the cache directory, named by the
@@ -8,11 +8,10 @@
 //! as an IEEE-754 bit pattern in hex — so a record round-trips through
 //! disk *bit-exactly* — and a CRC32 trailer over the rest of the line.
 //!
-//! The cache is generic over its record type through [`CacheRecord`]:
-//! the node-level sweep persists [`PointRecord`]s, the multi-node fabric
-//! sweeps persist their own records, and all share the same header,
-//! CRC, eviction, and torn-tail machinery. Crash-consistency rests on
-//! three mechanisms:
+//! The cache is generic over its record type through [`CacheRecord`];
+//! the serve store persists [`PointRecord`]s, and any other record type
+//! gets the same header, CRC, eviction, and torn-tail machinery.
+//! Crash-consistency rests on three mechanisms:
 //!
 //! - **Per-line CRC32.** A damaged line — torn tail, flipped bytes, even
 //!   a flip that stays valid hex — fails its checksum and degrades the
@@ -33,7 +32,7 @@
 //!
 //! All filesystem access goes through [`Vfs`], so the whole layer can be
 //! driven by `ena-testkit`'s seeded [`ChaosFs`](ena_testkit::chaos::ChaosFs)
-//! fault injector in chaos campaigns.
+//! fault injector, as `ena-serve`'s chaos campaign does.
 
 use std::io::{self, Write};
 use std::marker::PhantomData;
@@ -339,8 +338,7 @@ impl<R: CacheRecord> DiskCache<R> {
         Ok(())
     }
 
-    /// Appends one evaluated record, then flushes and fsyncs it (each
-    /// record is a checkpoint).
+    /// Appends one evaluated record, then flushes and fsyncs it.
     ///
     /// # Errors
     ///
@@ -441,7 +439,7 @@ impl std::error::Error for VerifyError {}
 
 /// Strictly verifies a cache file on the real filesystem: the header
 /// must parse for this record type and every line up to an optional torn
-/// tail must pass its CRC. Used by chaos campaigns to assert that a
+/// tail must pass its CRC. Used by the chaos campaign to assert that a
 /// faulted run can never leave an unparseable file behind.
 ///
 /// # Errors
@@ -1187,11 +1185,8 @@ mod tests {
             "{cache_err}"
         );
 
-        let sweep_err: crate::engine::SweepError = crate::engine::SweepError::Cache(cache_err);
-        let chained = sweep_err.source().expect("cache source");
-        assert!(chained.to_string().contains("/tmp/x.sweep"), "{chained}");
-        let empty: crate::engine::SweepError = crate::engine::SweepError::EmptySpace;
-        assert!(empty.source().is_none());
+        let chained = cache_err.source().expect("io source");
+        assert!(chained.to_string().contains("disk on fire"), "{chained}");
 
         let verify_err = VerifyError::Unreadable {
             path: PathBuf::from("/tmp/y.sweep"),

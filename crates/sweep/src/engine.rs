@@ -1,58 +1,43 @@
-//! The sweep driver: memoized, parallel, resumable exploration of any
-//! [`Axis`] that is byte-identical to the sequential oracle.
+//! The sweep driver: parallel, supervised exploration of any [`Axis`]
+//! that is byte-identical to the sequential oracle.
 //!
 //! One driver, [`Memo::run`], serves every axis: the node-configuration
 //! sweep ([`SweepEngine`]) and the fabric axes in `ena-fabric`. An axis
 //! says what its grid is and how to address, evaluate and rank a point;
-//! the driver owns everything else — the disk-cache open, hit
-//! resolution, the `fresh_limit` checkpoint, chunking, the supervised
-//! pool, streaming appends, quarantine and the grid-order merge.
+//! the driver owns everything else — chunking, the supervised pool,
+//! quarantine and the grid-order merge. It evaluates every point of
+//! every run in memory and persists nothing: an analytic sweep costs
+//! less than opening a cache of its records would, and the one store
+//! that must survive a crash is `ena-serve`'s, which acknowledges
+//! records to clients.
 //!
-//! Determinism argument, in three parts:
+//! Determinism argument, in two parts:
 //!
 //! 1. **Same kernel.** Every point is evaluated by [`Axis::evaluate`] —
 //!    for the node axis, [`Explorer::evaluate_point`], the exact function
 //!    the sequential [`Explorer::explore`] calls — and the models
 //!    underneath are deterministic, so a point's record does not depend
-//!    on *when*, *where*, or *how often* it is computed.
+//!    on *when* or *where* it is computed.
 //! 2. **Order-independent merge.** Workers return chunks tagged with
 //!    their index; the driver reassembles records in grid point order
 //!    before reducing. Scheduling order never reaches the reduction.
-//! 3. **Bit-exact memoization.** Cached records store `f64`s by bit
-//!    pattern on disk, so a cache hit replays the very bits a fresh
-//!    evaluation would produce.
 //!
 //! Hence `reduce(merge(...))` sees the same bytes whatever the thread
-//! count, cache temperature, or interruption history.
+//! count.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
-use std::path::PathBuf;
 use std::sync::Arc;
 
 use ena_core::dse::{ConfigPoint, DesignSpace, DseError, DseResult, PointRecord};
 use ena_core::Explorer;
-use ena_model::hash::{StableHash, StableHasher, MODEL_VERSION};
+use ena_model::hash::{StableHash, StableHasher};
 use ena_model::kernel::KernelProfile;
-use ena_testkit::chaos::{RealFs, Vfs};
 
-use crate::cache::{CacheError, CacheRecord, DiskCache};
 use crate::pareto::{pareto_frontier, FrontierPoint};
 use crate::pool::{map_chunks_supervised, PoolError, RetryPolicy, WorkerStats};
 
-/// Whether evaluated records persist between runs, and where.
-#[derive(Clone, Debug)]
-pub enum CacheMode {
-    /// Nothing persists: every run evaluates every point.
-    Memory,
-    /// Persistent under the given directory: hits across processes, and
-    /// checkpoint/resume of interrupted campaigns.
-    Disk(PathBuf),
-}
-
 /// How a sweep runs, whatever its axis: every axis's spec carries one.
-/// Every append is flushed and fsynced, and a panicking chunk gets the
-/// default [`RetryPolicy`] before quarantine.
+/// A panicking chunk gets the default [`RetryPolicy`] before quarantine.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Worker count including the calling thread, which is worker 0
@@ -60,28 +45,14 @@ pub struct RunOptions {
     pub jobs: usize,
     /// Points per work-stealing chunk.
     pub chunk_points: usize,
-    /// Memoization layer.
-    pub cache: CacheMode,
-    /// Evaluate at most this many *fresh* (uncached) points, then stop
-    /// with [`SweepError::Interrupted`] — everything evaluated so far is
-    /// already checkpointed. `None` runs to completion. Exists to make
-    /// interruption deterministic and testable.
-    pub fresh_limit: Option<usize>,
-    /// Filesystem the disk cache talks through: [`RealFs`] in
-    /// production, a seeded `ChaosFs` in chaos campaigns.
-    pub fs: Arc<dyn Vfs>,
 }
 
 impl RunOptions {
-    /// Sequential, uncached, uninterrupted runs on the real
-    /// filesystem, `chunk_points` points per chunk.
+    /// Sequential runs, `chunk_points` points per chunk.
     pub fn new(chunk_points: usize) -> Self {
         Self {
             jobs: 1,
             chunk_points,
-            cache: CacheMode::Memory,
-            fresh_limit: None,
-            fs: Arc::new(RealFs),
         }
     }
 }
@@ -91,8 +62,8 @@ impl RunOptions {
 pub trait Axis: Sync {
     /// One grid point.
     type Point: Copy + Send + Sync;
-    /// The memoized, persisted result of evaluating one point.
-    type Record: CacheRecord + Send;
+    /// The result of evaluating one point.
+    type Record: Send;
     /// Why a point failed to evaluate.
     type Error: Send;
     /// What [`Axis::frontier`] extracts from the merged records.
@@ -101,23 +72,19 @@ pub trait Axis: Sync {
     /// How this sweep runs.
     fn options(&self) -> &RunOptions;
 
-    /// How this sweep runs, for callers that re-point it (a chaos
-    /// campaign swaps in its own cache and filesystem).
-    fn options_mut(&mut self) -> &mut RunOptions;
-
     /// Every point, in the order records are merged and reported.
     fn points(&self) -> Vec<Self::Point>;
 
     /// Digest of everything besides the point coordinates that
-    /// determines an evaluation; it names the campaign's cache file.
+    /// determines an evaluation.
     fn campaign_digest(&self) -> u64;
 
-    /// Content address of one point within `campaign`: its key in the
-    /// disk cache and in quarantine reports.
+    /// Content address of one point within `campaign`: its name in
+    /// quarantine reports and the key a [`Failpoint`] sees.
     fn point_key(&self, campaign: u64, point: &Self::Point) -> u64;
 
     /// Evaluates one point. Must be a pure function of the axis and the
-    /// point: memoization replays its result.
+    /// point.
     fn evaluate(&self, point: &Self::Point) -> Result<Self::Record, Self::Error>;
 
     /// The Pareto frontier over `records`, which are in point order.
@@ -129,9 +96,8 @@ pub trait Axis: Sync {
 pub struct Telemetry {
     /// Points in the swept space.
     pub total_points: usize,
-    /// Points answered from the memoization cache.
-    pub cache_hits: usize,
-    /// Points evaluated fresh this run.
+    /// Points evaluated this run (every point outside a quarantined
+    /// chunk).
     pub fresh_evals: usize,
     /// Chunks handed to the pool.
     pub chunks: usize,
@@ -142,24 +108,13 @@ pub struct Telemetry {
     pub workers: Vec<WorkerStats>,
 }
 
-impl Telemetry {
-    /// Fraction of points served by the cache.
-    pub fn hit_rate(&self) -> f64 {
-        if self.total_points == 0 {
-            0.0
-        } else {
-            self.cache_hits as f64 / self.total_points as f64
-        }
-    }
-}
-
 /// One chunk the supervisor pulled out of the sweep, with the point
 /// keys it was carrying.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuarantineEntry {
     /// Index of the chunk in submission order.
     pub chunk_index: usize,
-    /// Memoization keys of the points in the chunk.
+    /// Point keys of the points in the chunk.
     pub keys: Vec<u64>,
     /// Attempts made before quarantine (1 + retries).
     pub attempts: u32,
@@ -247,27 +202,12 @@ pub enum SweepError<E = Infallible> {
     EmptySpace,
     /// No application profiles were supplied (node axis).
     EmptyProfiles,
-    /// The run hit its `fresh_limit`; progress is checkpointed.
-    Interrupted {
-        /// Fresh points evaluated (and checkpointed) before stopping.
-        completed: usize,
-        /// Fresh points the full campaign still needs.
-        remaining: usize,
-    },
     /// A point failed to evaluate.
     Evaluate(E),
-    /// The persistent cache failed.
-    Cache(CacheError),
     /// The worker pool lost chunks before completing the sweep.
     Pool(PoolError),
     /// The reduction over the merged records failed (node axis).
     Dse(DseError),
-    /// A point's record vanished between evaluation and merge — a
-    /// driver-internal invariant violation, reported rather than assumed.
-    MissingRecord {
-        /// The memoization key with no record.
-        key: u64,
-    },
 }
 
 impl<E: std::fmt::Display> std::fmt::Display for SweepError<E> {
@@ -275,20 +215,9 @@ impl<E: std::fmt::Display> std::fmt::Display for SweepError<E> {
         match self {
             Self::EmptySpace => write!(f, "empty design space"),
             Self::EmptyProfiles => write!(f, "no profiles to evaluate"),
-            Self::Interrupted {
-                completed,
-                remaining,
-            } => write!(
-                f,
-                "sweep interrupted after {completed} fresh evaluations ({remaining} remaining, checkpointed)"
-            ),
             Self::Evaluate(e) => write!(f, "sweep point: {e}"),
-            Self::Cache(e) => write!(f, "sweep cache: {e}"),
             Self::Pool(e) => write!(f, "sweep pool: {e}"),
             Self::Dse(e) => write!(f, "sweep reduction: {e}"),
-            Self::MissingRecord { key } => {
-                write!(f, "no record for point key {key:#018x} at merge time")
-            }
         }
     }
 }
@@ -297,17 +226,10 @@ impl<E: std::error::Error + 'static> std::error::Error for SweepError<E> {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             Self::Evaluate(e) => Some(e),
-            Self::Cache(e) => Some(e),
             Self::Pool(e) => Some(e),
             Self::Dse(e) => Some(e),
             _ => None,
         }
-    }
-}
-
-impl<E> From<CacheError> for SweepError<E> {
-    fn from(e: CacheError) -> Self {
-        Self::Cache(e)
     }
 }
 
@@ -323,9 +245,9 @@ impl<E> From<DseError> for SweepError<E> {
     }
 }
 
-/// A hook invoked with each point's memoization key just before the
-/// point is evaluated. May panic — that is its purpose: chaos campaigns
-/// inject deterministic worker kills through it, and the supervised pool
+/// A hook invoked with each point's key just before the point is
+/// evaluated. May panic — that is its purpose: tests inject
+/// deterministic worker kills through it, and the supervised pool
 /// catches them. Production sweeps leave it unset.
 pub type Failpoint = Arc<dyn Fn(u64) + Send + Sync>;
 
@@ -334,63 +256,43 @@ type AxisRun<A> =
     Result<Swept<<A as Axis>::Record, <A as Axis>::Frontier>, SweepError<<A as Axis>::Error>>;
 
 /// The sweep driver: the one loop every [`Axis`] runs through. It keeps
-/// nothing between runs; only a [`CacheMode::Disk`] cache carries
-/// records from one run to the next.
+/// nothing between runs, in memory or on disk: every run evaluates every
+/// point.
+#[derive(Default)]
 pub struct Memo {
-    version: String,
     failpoint: Option<Failpoint>,
 }
 
 impl std::fmt::Debug for Memo {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Memo")
-            .field("version", &self.version)
             .field("failpoint", &self.failpoint.is_some())
             .finish()
     }
 }
 
-impl Default for Memo {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl Memo {
-    /// A driver stamped with the current [`MODEL_VERSION`].
+    /// A driver with no failpoint.
     pub fn new() -> Self {
-        Self {
-            version: MODEL_VERSION.to_string(),
-            failpoint: None,
-        }
+        Self::default()
     }
 
-    /// Installs a [`Failpoint`] invoked before every fresh evaluation
-    /// (chaos/test hook; production sweeps leave it unset).
+    /// Installs a [`Failpoint`] invoked before every evaluation (test
+    /// hook; production sweeps leave it unset).
     pub fn with_failpoint(mut self, failpoint: Failpoint) -> Self {
         self.failpoint = Some(failpoint);
         self
     }
 
-    /// Overrides the model-version stamp (test hook for the eviction
-    /// path; production code keeps the default).
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.version = version.into();
-        self
-    }
-
-    /// Runs one sweep along `axis`: fills the grid slots the disk cache
-    /// already holds, evaluates the remainder on the supervised
-    /// work-stealing pool (checkpointing each record as it lands), moves
-    /// each fresh record into its grid slot, and extracts the frontier.
+    /// Runs one sweep along `axis`: evaluates every point on the
+    /// supervised work-stealing pool, concatenates the chunks' records in
+    /// grid order, and extracts the frontier.
     ///
     /// # Errors
     ///
-    /// [`SweepError::Interrupted`] when `fresh_limit` stops the run early
-    /// (already-evaluated points are checkpointed),
     /// [`SweepError::Evaluate`] when a point fails to evaluate,
-    /// [`SweepError::Cache`] / [`SweepError::Pool`] on infrastructure
-    /// failures, and [`SweepError::EmptySpace`] for a pointless grid.
+    /// [`SweepError::Pool`] when the pool loses a chunk, and
+    /// [`SweepError::EmptySpace`] for a pointless grid.
     pub fn run<A: Axis>(&self, axis: &A) -> AxisRun<A> {
         let points = axis.points();
         if points.is_empty() {
@@ -398,88 +300,44 @@ impl Memo {
         }
         let opts = axis.options();
         let campaign = axis.campaign_digest();
-        let keys: Vec<u64> = points.iter().map(|p| axis.point_key(campaign, p)).collect();
-        let mut slots: Vec<Option<A::Record>> = (0..points.len()).map(|_| None).collect();
-        let mut disk = match &opts.cache {
-            CacheMode::Memory => None,
-            CacheMode::Disk(dir) => {
-                let (cache, entries) =
-                    DiskCache::open_with(opts.fs.clone(), dir, campaign, &self.version)?;
-                let hits: BTreeMap<u64, A::Record> = entries.into_iter().collect();
-                for (slot, key) in slots.iter_mut().zip(&keys) {
-                    *slot = hits.get(key).cloned();
-                }
-                Some(cache)
-            }
-        };
-
-        let fresh: Vec<(usize, u64, A::Point)> = keys
+        let keyed: Vec<(u64, A::Point)> = points
             .iter()
-            .zip(&points)
-            .enumerate()
-            .filter(|(index, _)| slots[*index].is_none())
-            .map(|(index, (key, point))| (index, *key, *point))
+            .map(|p| (axis.point_key(campaign, p), *p))
             .collect();
-        let cache_hits = points.len() - fresh.len();
-        let scheduled = opts.fresh_limit.map_or(fresh.len(), |l| l.min(fresh.len()));
         let chunk_points = opts.chunk_points.max(1);
-        let chunks: Vec<Vec<(usize, u64, A::Point)>> = fresh[..scheduled]
-            .chunks(chunk_points)
-            .map(<[_]>::to_vec)
-            .collect();
+        let chunks: Vec<Vec<(u64, A::Point)>> =
+            keyed.chunks(chunk_points).map(<[_]>::to_vec).collect();
         let n_chunks = chunks.len();
 
         let failpoint = &self.failpoint;
-        let mut io_error: Option<CacheError> = None;
         let (verdicts, workers) = map_chunks_supervised(
             opts.jobs,
             chunks,
             &RetryPolicy::default(),
-            |&(index, key, point)| {
+            |&(key, point)| {
                 if let Some(fp) = failpoint {
                     fp(key);
                 }
-                (index, axis.evaluate(&point))
-            },
-            |_, results| {
-                // Checkpoint every fresh record as it lands; an error here
-                // aborts the run after the pool drains.
-                if let Some(cache) = disk.as_mut() {
-                    if io_error.is_none() {
-                        for (index, record) in results {
-                            if let Ok(record) = record {
-                                if let Err(e) = cache.append(keys[*index], record) {
-                                    io_error = Some(e);
-                                    break;
-                                }
-                            }
-                        }
-                    }
-                }
+                axis.evaluate(&point)
             },
         )?;
-        if let Some(e) = io_error {
-            return Err(SweepError::Cache(e));
-        }
 
-        // Verdicts come back in chunk-index order, so the report does too.
+        // Verdicts come back in chunk-index order and every chunk is a
+        // contiguous run of the grid, so concatenating them yields the
+        // records in grid point order — the only order the reduction ever
+        // sees — minus the quarantined chunks, which the report lists.
+        let mut records = Vec::with_capacity(points.len());
         let mut quarantine = QuarantineReport::default();
-        for verdict in verdicts {
+        for (verdict, chunk) in verdicts.into_iter().zip(keyed.chunks(chunk_points)) {
             match verdict {
                 Ok(results) => {
-                    for (index, record) in results {
-                        slots[index] = Some(record.map_err(SweepError::Evaluate)?);
+                    for record in results {
+                        records.push(record.map_err(SweepError::Evaluate)?);
                     }
                 }
                 Err(q) => quarantine.entries.push(QuarantineEntry {
                     chunk_index: q.index,
-                    keys: fresh[..scheduled]
-                        .chunks(chunk_points)
-                        .nth(q.index)
-                        .unwrap_or_default()
-                        .iter()
-                        .map(|(_, key, _)| *key)
-                        .collect(),
+                    keys: chunk.iter().map(|(key, _)| *key).collect(),
                     attempts: q.attempts,
                     message: q.message,
                     backoff_us: q.backoff_us,
@@ -487,36 +345,10 @@ impl Memo {
             }
         }
 
-        if scheduled < fresh.len() {
-            return Err(SweepError::Interrupted {
-                completed: scheduled,
-                remaining: fresh.len() - scheduled,
-            });
-        }
-
-        // The slots are in grid point order: the only order the reduction
-        // ever sees. Quarantined points are excluded (and accounted for in
-        // the report); any *other* empty slot is a driver-internal
-        // invariant violation.
-        let quarantined: BTreeSet<u64> = quarantine
-            .entries
-            .iter()
-            .flat_map(|e| e.keys.iter().copied())
-            .collect();
-        let mut records = Vec::with_capacity(slots.len());
-        for (slot, key) in slots.into_iter().zip(&keys) {
-            match slot {
-                Some(record) => records.push(record),
-                None if quarantined.contains(key) => {}
-                None => return Err(SweepError::MissingRecord { key: *key }),
-            }
-        }
-
         let frontier = axis.frontier(&records);
         let telemetry = Telemetry {
             total_points: points.len(),
-            cache_hits,
-            fresh_evals: scheduled - quarantine.points(),
+            fresh_evals: points.len() - quarantine.points(),
             chunks: n_chunks,
             jobs: opts.jobs.max(1),
             workers,
@@ -542,8 +374,8 @@ pub struct SweepSpec {
 }
 
 impl SweepSpec {
-    /// A sequential, uncached spec over `space` and `profiles`, on
-    /// the real filesystem, 16 points per chunk.
+    /// A sequential spec over `space` and `profiles`, 16 points per
+    /// chunk.
     pub fn new(space: DesignSpace, profiles: Vec<KernelProfile>) -> Self {
         Self {
             space,
@@ -577,8 +409,8 @@ pub struct SweepOutcome {
 /// cache-file header so a bump is detected and evicted rather than
 /// silently shunted to a fresh file next to the stale one.
 ///
-/// Public so other memoization layers (e.g. `ena-serve`'s shard store)
-/// address the *same* cache files the sweep engine writes.
+/// Public because `ena-serve`'s shard store names its cache file by it,
+/// so caches written before the sweep stopped persisting stay warm.
 pub fn campaign_digest(explorer: &Explorer, profiles: &[KernelProfile]) -> u64 {
     let mut h = StableHasher::new();
     h.write_f64(explorer.budget.value());
@@ -589,9 +421,9 @@ pub fn campaign_digest(explorer: &Explorer, profiles: &[KernelProfile]) -> u64 {
     h.finish()
 }
 
-/// Content address of one design point within a campaign — the
-/// memoization key used in memory and on disk. Shared with `ena-serve`
-/// so a serving cache and a sweep cache are interchangeable.
+/// Content address of one design point within a campaign — the key the
+/// sweep's quarantine reports and `ena-serve`'s store (in memory and on
+/// disk) both use.
 pub fn point_key(campaign: u64, point: &ConfigPoint) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(campaign);
@@ -636,10 +468,6 @@ impl Axis for NodeAxis {
         &self.spec.run
     }
 
-    fn options_mut(&mut self) -> &mut RunOptions {
-        &mut self.spec.run
-    }
-
     fn points(&self) -> Vec<ConfigPoint> {
         self.spec.space.points()
     }
@@ -661,7 +489,7 @@ impl Axis for NodeAxis {
     }
 }
 
-/// The memoizing node-configuration sweep engine.
+/// The node-configuration sweep engine.
 #[derive(Debug)]
 pub struct SweepEngine {
     explorer: Explorer,
@@ -669,20 +497,12 @@ pub struct SweepEngine {
 }
 
 impl SweepEngine {
-    /// An engine evaluating through `explorer`, stamped with the current
-    /// [`MODEL_VERSION`].
+    /// An engine evaluating through `explorer`.
     pub fn new(explorer: Explorer) -> Self {
         Self {
             explorer,
             memo: Memo::new(),
         }
-    }
-
-    /// Overrides the model-version stamp (test hook for the eviction
-    /// path; production code keeps the default).
-    pub fn with_version(mut self, version: impl Into<String>) -> Self {
-        self.memo = self.memo.with_version(version);
-        self
     }
 
     /// The explorer this engine evaluates through.
@@ -737,18 +557,5 @@ mod tests {
             engine.run(&SweepSpec::new(DesignSpace::coarse(), vec![])),
             Err(SweepError::EmptyProfiles)
         ));
-    }
-
-    #[test]
-    fn telemetry_rates_are_sane() {
-        let t = Telemetry {
-            total_points: 100,
-            cache_hits: 90,
-            fresh_evals: 10,
-            chunks: 2,
-            jobs: 2,
-            workers: vec![],
-        };
-        assert!((t.hit_rate() - 0.9).abs() < 1e-12);
     }
 }

@@ -9,33 +9,27 @@
 //!   worker 0 (`jobs = 1` starts no thread), with an order-independent,
 //!   index-keyed merge and per-chunk supervision (caught panics, bounded
 //!   retries, deterministic quarantine).
-//! - [`cache`] — the crate's only memoization: a content-addressed,
-//!   crash-consistent disk cache (bit-exact round-trip, per-line CRC32,
-//!   flush+fsync per record, atomic temp-and-rename repair, generation
-//!   header) enabling checkpoint/resume, all behind the injectable
-//!   [`Vfs`] filesystem trait. Nothing is memoized in memory: a
-//!   [`CacheMode::Memory`] run evaluates every point.
 //! - [`pareto`] — frontier extraction over (mean perf, peak power, peak
 //!   DRAM temperature).
 //! - [`engine`] — the one sweep driver tying them together: an [`Axis`]
 //!   names its grid, campaign digest, point key, evaluation and
-//!   frontier; [`Memo::run`] owns the cache open, hit resolution,
-//!   `fresh_limit`, chunking, the supervised pool, streaming appends,
+//!   frontier; [`Memo::run`] owns chunking, the supervised pool,
 //!   quarantine and the merge by grid index, and reports [`Telemetry`]
-//!   (cache hit rate, chunks, per-worker utilization). The node axis
+//!   (points evaluated, chunks, per-worker utilization). The node axis
 //!   ([`NodeAxis`]) runs through [`SweepEngine`]; `ena-fabric`'s
 //!   multi-node and recovery axes are two more impls, sharing one
-//!   [`RunOptions`].
-//! - [`chaos`] — seeded chaos campaigns that drive any axis through
-//!   injected I/O faults and worker kills and assert the serving
-//!   invariants (parseable caches, no lost acknowledged records,
-//!   fault-free frontier).
+//!   [`RunOptions`]. Every run evaluates every point in memory.
+//! - [`cache`] — the content-addressed, crash-consistent disk cache
+//!   (bit-exact round-trip, per-line CRC32, flush+fsync per record,
+//!   atomic temp-and-rename repair, generation header) behind the
+//!   injectable [`Vfs`] filesystem trait. No sweep uses it: it is the
+//!   record file of `ena-serve`'s store, the one place an acknowledged
+//!   record has to survive a crash.
 //!
 //! The headline property: a sweep along any axis is **byte-identical**
 //! to its sequential oracle (for the node axis, the
-//! [`Explorer`](ena_core::Explorer)) for any thread count, cache state,
-//! or interruption history — parallelism and memoization are pure
-//! go-faster knobs, never sources of drift.
+//! [`Explorer`](ena_core::Explorer)) for any thread count — parallelism
+//! is a pure go-faster knob, never a source of drift.
 //!
 //! # Example
 //!
@@ -64,7 +58,6 @@
 #![forbid(unsafe_code)]
 
 pub mod cache;
-pub mod chaos;
 pub mod engine;
 pub mod pareto;
 pub mod pool;
@@ -73,13 +66,12 @@ pub use cache::{
     crc32, hex_field, read_file_info, verify_file, CacheError, CacheFileInfo, CacheRecord,
     DiskCache, VerifyError, VerifyReport,
 };
-pub use chaos::{run_chaos_campaign, ChaosError, ChaosReport, ChaosSpec};
 pub use engine::{
-    campaign_digest, evaluate_batch, point_key, Axis, CacheMode, Failpoint, Memo, NodeAxis,
-    QuarantineEntry, QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome,
-    SweepSpec, Swept, Telemetry,
+    campaign_digest, evaluate_batch, point_key, Axis, Failpoint, Memo, NodeAxis, QuarantineEntry,
+    QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome, SweepSpec, Swept,
+    Telemetry,
 };
 pub use pareto::{frontier_indices, pareto_frontier, FrontierPoint};
 pub use pool::{map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
 
-pub use ena_testkit::chaos::{ChaosConfig, ChaosFs, RealFs, Vfs};
+pub use ena_testkit::chaos::{RealFs, Vfs};

@@ -5,12 +5,11 @@
 //! pops its own work from the front, and steals from a sibling's back
 //! when it runs dry. The calling thread is worker 0 and `jobs - 1`
 //! scoped helper threads join it, so a one-job pool starts no thread and
-//! sends nothing across threads. Completed chunks reach the caller's
-//! `on_chunk` (for checkpointing) tagged with their chunk index — its
-//! own directly, the helpers' over a channel it drains between its own
-//! chunks — and the final result vector is assembled *by index*, so the
-//! merged output is independent of scheduling order and worker count by
-//! construction.
+//! sends nothing across threads. Completed chunks reach the caller
+//! tagged with their chunk index — its own directly, the helpers' over a
+//! channel it drains between its own chunks — and the final result
+//! vector is assembled *by index*, so the merged output is independent
+//! of scheduling order and worker count by construction.
 //!
 //! Supervision ([`map_chunks_supervised`]) catches panics *per chunk*
 //! rather than letting them kill the worker: a panicking chunk is
@@ -188,29 +187,25 @@ where
 /// `Err(`[`QuarantinedChunk`]`)` in its result slot while the rest of
 /// the sweep completes normally.
 ///
-/// `on_chunk` runs on the calling thread, once per *completed* chunk in
-/// completion order (suitable for streaming checkpoints) — quarantined
-/// chunks are never checkpointed. The returned verdicts are ordered by
-/// chunk index regardless of which worker computed them or when, and
-/// the returned stats hold one entry per worker, the caller's first.
+/// The returned verdicts are ordered by chunk index regardless of which
+/// worker computed them or when, and the returned stats hold one entry
+/// per worker, the caller's first.
 ///
 /// # Errors
 ///
 /// Returns [`PoolError::WorkerLost`] only if a helper vanished without
 /// delivering a verdict for its chunks (a bug, not a caught panic —
 /// caught panics become quarantines, not errors).
-pub fn map_chunks_supervised<T, R, F, C>(
+pub fn map_chunks_supervised<T, R, F>(
     jobs: usize,
     chunks: Vec<Vec<T>>,
     retry: &RetryPolicy,
     f: F,
-    mut on_chunk: C,
 ) -> Result<(Vec<Result<Vec<R>, QuarantinedChunk>>, Vec<WorkerStats>), PoolError>
 where
     T: Send,
     R: Send,
     F: Fn(&T) -> R + Sync,
-    C: FnMut(usize, &[R]),
 {
     let jobs = jobs.max(1);
     let n_chunks = chunks.len();
@@ -224,14 +219,9 @@ where
     let mut results: Vec<Option<Verdict<R>>> = (0..n_chunks).map(|_| None).collect();
     let mut worker_stats = vec![WorkerStats::default(); jobs];
     // Every verdict and every worker's stats pass through here, on the
-    // caller's thread, so `on_chunk` needs no synchronization.
+    // caller's thread.
     let mut accept = |message: Message<R>| match message {
-        Message::Verdict { index, verdict } => {
-            if let Ok(chunk_results) = &verdict {
-                on_chunk(index, chunk_results);
-            }
-            results[index] = Some(verdict);
-        }
+        Message::Verdict { index, verdict } => results[index] = Some(verdict),
         Message::Done { worker, stats } => worker_stats[worker] = stats,
     };
 
@@ -299,10 +289,9 @@ mod tests {
         jobs: usize,
         chunks: Vec<Vec<u64>>,
         f: impl Fn(&u64) -> u64 + Sync,
-        on_chunk: impl FnMut(usize, &[u64]),
     ) -> (Vec<Vec<u64>>, Vec<WorkerStats>) {
         let (verdicts, stats) =
-            map_chunks_supervised(jobs, chunks, &RetryPolicy::default(), f, on_chunk).unwrap();
+            map_chunks_supervised(jobs, chunks, &RetryPolicy::default(), f).unwrap();
         (verdicts.into_iter().map(Result::unwrap).collect(), stats)
     }
 
@@ -314,7 +303,7 @@ mod tests {
             .map(|c| c.iter().map(|x| x * 3).collect())
             .collect();
         for jobs in [1, 2, 7, 32] {
-            let (got, stats) = map_all(jobs, input.clone(), |x| x * 3, |_, _| {});
+            let (got, stats) = map_all(jobs, input.clone(), |x| x * 3);
             assert_eq!(got, expect, "jobs = {jobs}");
             assert_eq!(stats.len(), jobs);
             assert_eq!(stats.iter().map(|s| s.points).sum::<u64>(), 65);
@@ -324,41 +313,13 @@ mod tests {
     }
 
     #[test]
-    fn on_chunk_streams_every_chunk_exactly_once() {
-        for jobs in [1, 2, 3, 8] {
-            let mut seen = vec![0u32; 13];
-            map_all(
-                jobs,
-                chunks(),
-                |x| *x,
-                |index, results| {
-                    assert_eq!(results.len(), 5);
-                    seen[index] += 1;
-                },
-            );
-            assert!(seen.iter().all(|&n| n == 1), "jobs = {jobs}: {seen:?}");
-        }
-    }
-
-    #[test]
     fn one_job_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let mut order = Vec::new();
-        let (verdicts, stats) = map_chunks_supervised(
-            1,
-            chunks(),
-            &RetryPolicy::default(),
-            |x| {
-                assert_eq!(std::thread::current().id(), caller, "f left the caller");
-                *x
-            },
-            |index, _| {
-                assert_eq!(std::thread::current().id(), caller);
-                order.push(index);
-            },
-        )
+        let (verdicts, stats) = map_chunks_supervised(1, chunks(), &RetryPolicy::default(), |x| {
+            assert_eq!(std::thread::current().id(), caller, "f left the caller");
+            *x
+        })
         .unwrap();
-        assert_eq!(order, (0..13).collect::<Vec<_>>());
         assert!(verdicts.iter().all(Result::is_ok), "{verdicts:?}");
         assert_eq!(stats.len(), 1);
         assert_eq!((stats[0].chunks, stats[0].steals), (13, 0));
@@ -366,23 +327,17 @@ mod tests {
 
     #[test]
     fn zero_jobs_clamps_to_one_and_empty_input_is_fine() {
-        let (got, stats) = map_all(0, Vec::new(), |x| *x, |_, _| {});
+        let (got, stats) = map_all(0, Vec::new(), |x| *x);
         assert!(got.is_empty());
         assert_eq!(stats.len(), 1);
     }
 
     #[test]
     fn a_persistent_panic_is_quarantined_not_fatal() {
-        let (results, stats) = map_chunks_supervised(
-            2,
-            chunks(),
-            &RetryPolicy::default(),
-            |x| {
-                assert!(*x != 62, "injected failure on item 62");
-                *x * 3
-            },
-            |index, _| assert_ne!(index, 6, "quarantined chunk must not checkpoint"),
-        )
+        let (results, stats) = map_chunks_supervised(2, chunks(), &RetryPolicy::default(), |x| {
+            assert!(*x != 62, "injected failure on item 62");
+            *x * 3
+        })
         .unwrap();
         assert_eq!(results.len(), 13);
         for (i, slot) in results.iter().enumerate() {

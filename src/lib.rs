@@ -21,14 +21,17 @@
 //!   seeded failure campaigns, the `Degradable` contract, and degradation
 //!   reports with the machine's analytic and Monte Carlo availability.
 //! - [`sweep`] — the deterministic parallel design-space-exploration
-//!   engine: work-stealing sweep, content-addressed memoization with
-//!   checkpoint/resume, and Pareto-frontier extraction, byte-identical
-//!   to the sequential explorer.
+//!   engine: supervised work-stealing sweep and Pareto-frontier
+//!   extraction, byte-identical to the sequential explorer and evaluated
+//!   in memory, plus the crash-consistent record cache format.
 //! - [`fabric`] — the inter-node layer: Infinity-Fabric-style links with
 //!   asymmetric per-direction latency/bandwidth, cabinet topologies
 //!   (fat-tree, torus, dragonfly-lite), collective schedules with
 //!   per-link contention, multi-node fault campaigns, and the
-//!   (nodes x topology) sweep axis.
+//!   (nodes x topology) and (checkpoint-interval x nodes) sweep axes.
+//! - [`serve`] — the evaluation service: a TCP server over a sharded
+//!   single-flight store, the one persistence path, with the seeded
+//!   chaos campaign that tests its durability.
 //!
 //! # Quickstart
 //!

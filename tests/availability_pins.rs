@@ -55,11 +55,11 @@ fn standard_campaign_availability_is_pinned_at_0xc0ffee() {
     let (healthy, degraded) = standard_campaign_bits(0xC0FFEE);
     assert_eq!(
         healthy,
-        [0x40273bf4947601e4, 0x3fed07f3b0476890, 0x3fed0289e70a4a06]
+        [0x40273bf4947601e4, 0x3fed07f3b0476890, 0x3fed0218e25abf3a]
     );
     assert_eq!(
         degraded,
-        [0x402f4781cd3b7ee9, 0x3fed70f2806b8574, 0x3fed6bfabccacd25]
+        [0x402f4781cd3b7ee9, 0x3fed70f2806b8574, 0x3fed6b779a9ed81a]
     );
 }
 
@@ -68,11 +68,11 @@ fn standard_campaign_availability_is_pinned_at_seed_2() {
     let (healthy, degraded) = standard_campaign_bits(2);
     assert_eq!(
         healthy,
-        [0x40273bf4947601e4, 0x3fed07f3b0476890, 0x3fecffe3caed093e]
+        [0x40273bf4947601e4, 0x3fed07f3b0476890, 0x3fecff72c63d7e72]
     );
     assert_eq!(
         degraded,
-        [0x4037c3a672dbfc18, 0x3fedec97a3ae242a, 0x3fede6c54e8dbd96]
+        [0x4037c3a672dbfc18, 0x3fedec97a3ae242a, 0x3fede623a9749424]
     );
 }
 
@@ -87,7 +87,7 @@ fn explicit_recovery_model_is_pinned() {
                     0x4048000000000000,
                     0x400186f174f88473,
                     0x3fee8a168b95f4f6,
-                    0x3fee7e623e58e888
+                    0x3fee7d7c8315e397
                 ]
             ),
             (
@@ -96,7 +96,7 @@ fn explicit_recovery_model_is_pinned() {
                     0x4028000000000000,
                     0x3ff186f174f88473,
                     0x3fed142d172be9ec,
-                    0x3fed16150cbca68c
+                    0x3fed15a22f1b2414
                 ]
             ),
             (
@@ -105,7 +105,7 @@ fn explicit_recovery_model_is_pinned() {
                     0x3ff8000000000000,
                     0x3fd8c97ef43f7248,
                     0x3fe7bcd5ae958492,
-                    0x3fe79fbbc7e0bc84
+                    0x3fe79f932b6ad8c8
                 ]
             ),
             (
@@ -134,7 +134,7 @@ fn node_assessed_recovery_model_is_pinned() {
                     0x4121b9ee09844851,
                     0x406e204c82ed78bb,
                     0x3feffc99d89e9dcc,
-                    0x3ff000c5ede4f457
+                    0x3fef9ed43296207b
                 ]
             ),
             (
@@ -143,7 +143,7 @@ fn node_assessed_recovery_model_is_pinned() {
                     0x4101b9ee09844851,
                     0x405e204c82ed78bb,
                     0x3feff933b13d3b98,
-                    0x3ff000c5ede4f456
+                    0x3fefd03007300492
                 ]
             ),
             (
@@ -152,7 +152,7 @@ fn node_assessed_recovery_model_is_pinned() {
                     0x40d1b9ee09844851,
                     0x40454d6b388a692e,
                     0x3fefecc5aaa6fffc,
-                    0x3feff87db10427f5
+                    0x3fefe70a4031ff7a
                 ]
             ),
             (
@@ -161,7 +161,7 @@ fn node_assessed_recovery_model_is_pinned() {
                     0x40273bf4947601e4,
                     0x3ff13ec7091da6d7,
                     0x3fed07f3b0476890,
-                    0x3fed0289e70a4a06
+                    0x3fed0218e25abf3a
                 ]
             ),
         ]

@@ -1,23 +1,20 @@
-//! End-to-end acceptance for the `ena-sweep` engine (ISSUE 4).
+//! End-to-end acceptance for the `ena-sweep` engine.
 //!
 //! A parallel sweep (`jobs > 1`) of the full paper design space must
 //! reproduce the sequential `Explorer` oracle byte-for-byte — best-mean
-//! point, feasible count, and the Table II per-application oracle — and
-//! a cold/warm disk-cache pair must show a nonzero hit rate on the warm
-//! run while returning identical results. Every sweep axis must also
-//! keep the cache address existing cache files carry.
+//! point, feasible count, and the Table II per-application oracle. The
+//! sweep persists nothing; the serve store, which now holds the only
+//! cache files, must keep the address the node sweep's files carried.
 
 use std::path::{Path, PathBuf};
 
 use ena::core::dse::{DesignSpace, PointRecord};
 use ena::core::Explorer;
-use ena::fabric::{
-    MultiNodeRecord, MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel,
-    RecoveryRecord, RecoverySpace, RecoverySweep, RecoverySweepSpec, ScaleOutSpec,
-};
 use ena::model::hash::{StableHasher, MODEL_VERSION};
-use ena::sweep::{read_file_info, verify_file, CacheMode, CacheRecord, SweepEngine, SweepSpec};
+use ena::serve::{Client, ServeConfig, Server};
+use ena::sweep::{read_file_info, verify_file, SweepEngine, SweepSpec};
 use ena::workloads::paper_profiles;
+use ena_testkit::transport::pair;
 
 /// Byte-level view of a value: `{:?}` on `f64` prints the shortest
 /// decimal that round-trips, so distinct bit patterns render distinctly.
@@ -65,45 +62,17 @@ fn parallel_paper_sweep_matches_the_sequential_oracle_byte_for_byte() {
     );
 }
 
-#[test]
-fn cold_then_warm_disk_sweep_hits_the_cache_and_returns_identical_results() {
-    let dir = scratch("sweep-e2e-cache");
-    let mut spec = SweepSpec::new(DesignSpace::paper(), paper_profiles());
-    spec.run.jobs = 2;
-    spec.run.cache = CacheMode::Disk(dir);
-
-    let cold_engine = SweepEngine::new(Explorer::default());
-    let cold = cold_engine.run(&spec).expect("cold sweep completes");
-    assert_eq!(cold.telemetry.cache_hits, 0, "cold run starts empty");
-
-    // A fresh engine sees only the disk layer — no in-memory carryover.
-    let warm_engine = SweepEngine::new(Explorer::default());
-    let warm = warm_engine.run(&spec).expect("warm sweep completes");
-
-    assert!(
-        warm.telemetry.hit_rate() > 0.0,
-        "warm run must hit the disk cache (got {} hits)",
-        warm.telemetry.cache_hits
-    );
-    assert_eq!(
-        warm.telemetry.cache_hits, warm.telemetry.total_points,
-        "every point of the warm run should come from the cache"
-    );
-    assert_eq!(render(&warm.result), render(&cold.result));
-    assert_eq!(render(&warm.frontier), render(&cold.frontier));
-}
-
-/// The one cache file a sweep wrote into `dir`: its name and an FNV-1a
-/// digest of its sorted keys (append order follows the scheduler).
-fn cache_address<R: CacheRecord>(dir: &Path) -> (String, u64) {
+/// The serve store's cache file for a `SWEEP coarse` request: its name
+/// and an FNV-1a digest of its sorted keys.
+fn cache_address(dir: &Path) -> (String, u64) {
     let files: Vec<PathBuf> = std::fs::read_dir(dir)
-        .expect("sweep created its cache dir")
+        .expect("the server created its cache dir")
         .map(|entry| entry.expect("readable dir entry").path())
         .collect();
     assert_eq!(files.len(), 1, "one campaign, one file: {files:?}");
     let path = &files[0];
     let info = read_file_info(path).expect("cache header parses");
-    let mut keys = verify_file::<R>(path, info.campaign, MODEL_VERSION)
+    let mut keys = verify_file::<PointRecord>(path, info.campaign, MODEL_VERSION)
         .expect("cache verifies")
         .keys;
     keys.sort_unstable();
@@ -115,55 +84,31 @@ fn cache_address<R: CacheRecord>(dir: &Path) -> (String, u64) {
     (name.into_owned(), h.finish())
 }
 
-/// Every axis's default campaign keeps the cache file name and point
-/// keys it had before the sweep driver was shared, so caches users
-/// already hold stay warm across the refactor.
+/// A server that serves `SWEEP coarse` writes the cache file name and
+/// point keys the node sweep wrote when it still persisted, so caches
+/// users already hold keep warm-starting the server.
 #[test]
-fn every_axis_keeps_its_cache_address() {
+fn the_serve_store_keeps_the_node_sweep_cache_address() {
     let dir = scratch("sweep-e2e-pin-node");
-    let mut node = SweepSpec::new(DesignSpace::coarse(), paper_profiles());
-    node.run.cache = CacheMode::Disk(dir.clone());
-    SweepEngine::new(Explorer::default())
-        .run(&node)
-        .expect("node sweep completes");
+    let mut config = ServeConfig::new(Explorer::default(), paper_profiles());
+    config.cache_dir = Some(dir.clone());
+    let (server, restored) = Server::new(config).expect("server opens");
+    assert_eq!(restored, 0);
+    let (client_end, server_end) = pair();
+    let response = std::thread::scope(|s| {
+        let server = &server;
+        s.spawn(move || server.handle(server_end));
+        Client::new(client_end)
+            .request("SWEEP coarse")
+            .expect("sweep response")
+    });
+    assert!(response.starts_with("OK sweep points="), "{response}");
+    drop(server);
     assert_eq!(
-        cache_address::<PointRecord>(&dir),
+        cache_address(&dir),
         (
             "campaign-463968def6f7dc8f.sweep".into(),
             0xd99d_0507_c568_f0e2
-        )
-    );
-
-    let dir = scratch("sweep-e2e-pin-multinode");
-    let mut multinode =
-        MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
-    multinode.run.cache = CacheMode::Disk(dir.clone());
-    MultiNodeSweep::new()
-        .run(&multinode)
-        .expect("multinode sweep completes");
-    assert_eq!(
-        cache_address::<MultiNodeRecord>(&dir),
-        (
-            "campaign-42c7277d5a7cd894.sweep".into(),
-            0x6ce2_9296_acb3_467d
-        )
-    );
-
-    let dir = scratch("sweep-e2e-pin-recovery");
-    let mut recovery = RecoverySweepSpec::new(
-        RecoverySpace::standard(),
-        ScaleOutSpec::standard("CoMD"),
-        RecoveryModel::new(96.0, 3.0),
-    );
-    recovery.run.cache = CacheMode::Disk(dir.clone());
-    RecoverySweep::new()
-        .run(&recovery)
-        .expect("recovery sweep completes");
-    assert_eq!(
-        cache_address::<RecoveryRecord>(&dir),
-        (
-            "campaign-1fc48582dfe5cabd.sweep".into(),
-            0xbf44_731e_06da_5ff1
         )
     );
 }

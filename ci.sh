@@ -73,6 +73,15 @@ if ! diff <(echo "$frontier_out") artifacts/sweep_frontier.txt; then
   exit 1
 fi
 
+echo "==> fabric sweep smoke: the multinode and recovery frontiers must match the golden report"
+if ! diff <(
+  cargo run --release -p ena-cli --bin ena -- multinode --sweep --frontier --jobs 1
+  cargo run --release -p ena-cli --bin ena -- multinode --sweep --checkpoint-cost 3 --frontier --jobs 1
+) artifacts/fabric_sweeps.txt; then
+  echo "ci.sh: fabric sweep reports diverged from artifacts/fabric_sweeps.txt" >&2
+  exit 1
+fi
+
 echo "==> multinode campaign smoke: the seeded campaign must match the golden report"
 cargo run --release -p ena-cli --bin ena -- multinode --nodes 8 --seed 0xC0FFEE >/dev/null
 multinode_out=$(cargo run --release -p ena-cli --bin ena -- multinode --seed 0xC0FFEE)

@@ -167,31 +167,23 @@ pub struct PointRecord {
     pub evals: Vec<PointEval>,
 }
 
-/// Per-app throughput maxima across the given records — the
-/// normalization base of the geometric-mean score.
-pub fn app_maxima<'a>(
-    records: impl IntoIterator<Item = &'a PointRecord>,
-    n_apps: usize,
-) -> Vec<f64> {
-    let mut app_max = vec![0.0f64; n_apps];
-    for record in records {
-        for (i, e) in record.evals.iter().enumerate() {
-            app_max[i] = app_max[i].max(e.throughput);
-        }
-    }
-    app_max
+/// What every reduction over one run's records reads, computed once per
+/// run by [`Explorer::score`]: the records that fit the budget, each with
+/// its geometric-mean score.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Scores {
+    feasible: Vec<(usize, f64)>,
 }
 
-/// Geometric-mean score of one record's evals against per-app maxima:
-/// mean of `ln(throughput / max)` with the throughput ratio floored at
-/// `1e-12` so a zero-throughput app cannot produce `-inf`.
-pub fn geomean_score(evals: &[PointEval], app_max: &[f64]) -> f64 {
-    evals
-        .iter()
-        .enumerate()
-        .map(|(i, e)| (e.throughput / app_max[i]).max(1e-12).ln())
-        .sum::<f64>()
-        / evals.len() as f64
+impl Scores {
+    /// `(record index, score)` of every budget-feasible record, in record
+    /// order. The score is the mean over apps of `ln(throughput / max)`,
+    /// `max` being the app's highest throughput on any feasible record,
+    /// with the ratio floored at `1e-12` so a zero-throughput app cannot
+    /// produce `-inf`.
+    pub fn feasible(&self) -> &[(usize, f64)] {
+        &self.feasible
+    }
 }
 
 /// The best configuration found for one application.
@@ -244,7 +236,8 @@ impl Default for Explorer {
 }
 
 impl Explorer {
-    /// Evaluates every profile at `point`.
+    /// Evaluates every profile at `point`: the configuration stage of
+    /// the node model once, then its profile stage per profile.
     ///
     /// This is the pure per-point kernel of the exploration: no shared
     /// state, no ordering dependence. The sequential [`Explorer::explore`]
@@ -265,10 +258,11 @@ impl Explorer {
                 .collect();
             return PointRecord { point, evals };
         };
+        let node = self.sim.configure(&config);
         let evals = profiles
             .iter()
             .map(|p| {
-                let eval = self.sim.evaluate(&config, p, &self.options);
+                let eval = node.evaluate(p, &self.options);
                 PointEval {
                     throughput: eval.perf.throughput.value(),
                     package_power: eval.package_power().value(),
@@ -287,8 +281,38 @@ impl Explorer {
             .all(|e| e.package_power <= self.budget.value())
     }
 
-    /// Reduces per-point records (in design-space point order) to the
-    /// best-mean and per-app oracle results.
+    /// Scores one run's records (in design-space point order) against
+    /// `n_apps` profiles: the feasible set and its geomean scores, which
+    /// [`Explorer::reduce`] and the sweep's Pareto frontier both read.
+    pub fn score(&self, records: &[PointRecord], n_apps: usize) -> Scores {
+        let feasible: Vec<usize> = (0..records.len())
+            .filter(|&i| self.is_feasible(&records[i]))
+            .collect();
+        // Per-app maxima across feasible points, for normalization.
+        let mut app_max = vec![0.0f64; n_apps];
+        for &i in &feasible {
+            for (max, e) in app_max.iter_mut().zip(&records[i].evals) {
+                *max = max.max(e.throughput);
+            }
+        }
+        let feasible = feasible
+            .into_iter()
+            .map(|i| {
+                let evals = &records[i].evals;
+                let score = evals
+                    .iter()
+                    .zip(&app_max)
+                    .map(|(e, max)| (e.throughput / max).max(1e-12).ln())
+                    .sum::<f64>()
+                    / evals.len() as f64;
+                (i, score)
+            })
+            .collect();
+        Scores { feasible }
+    }
+
+    /// Reduces per-point records (in design-space point order) and their
+    /// [`Explorer::score`] to the best-mean and per-app oracle results.
     ///
     /// Pure function of its inputs: feeding it records produced by
     /// [`Explorer::evaluate_point`] in point order reproduces
@@ -302,6 +326,7 @@ impl Explorer {
     pub fn reduce(
         &self,
         records: &[PointRecord],
+        scores: &Scores,
         profiles: &[KernelProfile],
     ) -> Result<DseResult, DseError> {
         if records.is_empty() {
@@ -311,26 +336,22 @@ impl Explorer {
             return Err(DseError::EmptyProfiles);
         }
 
-        let feasible: Vec<&PointRecord> = records.iter().filter(|r| self.is_feasible(r)).collect();
-
-        // Per-app maxima across feasible points, for normalization.
-        let app_max = app_maxima(feasible.iter().copied(), profiles.len());
-
         // Best mean: geometric mean of normalized per-app throughput.
         // Strict `>` keeps the earliest point on ties, matching the
         // sequential sweep order.
-        let Some((_, best_record)) = feasible
-            .iter()
-            .map(|&r| (geomean_score(&r.evals, &app_max), r))
-            .reduce(|best, cand| if cand.0 > best.0 { cand } else { best })
+        let Some(&(best, _)) =
+            scores
+                .feasible
+                .iter()
+                .reduce(|best, cand| if cand.1 > best.1 { cand } else { best })
         else {
             return Err(DseError::NoFeasiblePoint);
         };
+        let best_record = &records[best];
         let best_mean = best_record.point;
-        let best_evals: &[PointEval] = &best_record.evals;
         let mean_config_throughput: Vec<(String, f64)> = profiles
             .iter()
-            .zip(best_evals)
+            .zip(&best_record.evals)
             .map(|(p, e)| (p.name.clone(), e.throughput))
             .collect();
 
@@ -361,7 +382,7 @@ impl Explorer {
             mean_config_throughput,
             per_app,
             evaluated: records.len(),
-            feasible: feasible.len(),
+            feasible: scores.feasible.len(),
         })
     }
 
@@ -388,7 +409,7 @@ impl Explorer {
             .into_iter()
             .map(|point| self.evaluate_point(point, profiles))
             .collect();
-        self.reduce(&records, profiles)
+        self.reduce(&records, &self.score(&records, profiles.len()), profiles)
     }
 }
 

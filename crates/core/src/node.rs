@@ -6,17 +6,25 @@
 //! the Section V-E optimizations applied), and can push the resulting
 //! per-chiplet power into the thermal model, or read its peak DRAM
 //! temperature from the model's closed form.
+//!
+//! An evaluation runs in two stages. The configuration stage computes
+//! every term that depends on the configuration alone (peak throughput,
+//! both memory tiers' bandwidths, the NVM capacity fraction, the V/f
+//! scaling and the background power components); the profile stage then
+//! evaluates any number of profiles against it. [`NodeSimulator::evaluate`]
+//! is the two stages composed, so the design-space sweep, which
+//! configures once per point, and the one-off callers run the same code.
 
 use ena_model::config::EhpConfig;
 use ena_model::kernel::KernelProfile;
 use ena_model::units::{Celsius, Watts};
 use ena_power::breakdown::{Component, PowerBreakdown};
-use ena_power::model::{ActivityVector, NodePowerModel, VoltageMode};
+use ena_power::model::{ActivityVector, ConfiguredPower, NodePowerModel};
 use ena_power::opts::{apply_optimizations, OptimizationContext, PowerOptimization};
 use ena_thermal::ehp::{ChipletPower, ChipletTemperatures, ChipletThermalModel, DramTempEstimator};
 use ena_thermal::solver::TemperatureError;
 
-use crate::perf::{PerfEstimate, PerfModel};
+use crate::perf::{ConfiguredPerf, PerfEstimate, PerfModel};
 
 /// Evaluation knobs.
 #[derive(Clone, Debug, Default)]
@@ -96,56 +104,29 @@ impl NodeSimulator {
         Self::default()
     }
 
-    /// Derives the power-model activity vector from a performance estimate.
-    pub fn activity(
-        &self,
-        config: &EhpConfig,
-        profile: &KernelProfile,
-        perf: &PerfEstimate,
-        miss_fraction: f64,
-    ) -> ActivityVector {
-        let m = miss_fraction.clamp(0.0, 1.0);
-        let traffic = perf.traffic_gbps;
-        ActivityVector {
-            achieved_gflops: perf.throughput.value(),
-            hbm_traffic_gbps: traffic * (1.0 - m),
-            ext_traffic_gbps: traffic * m,
-            write_fraction: profile.write_fraction,
-            nvm_traffic_fraction: config.external.nvm_capacity_fraction(),
-            noc_traffic_gbps: traffic * profile.out_of_chiplet_fraction,
-            cpu_activity: (profile.serial_fraction * 20.0).clamp(0.0, 1.0),
-        }
-    }
-
-    /// Evaluates one kernel on one configuration.
+    /// Evaluates one kernel on one configuration: the configuration
+    /// stage, then the profile stage.
     pub fn evaluate(
         &self,
         config: &EhpConfig,
         profile: &KernelProfile,
         options: &EvalOptions,
     ) -> NodeEvaluation {
-        let miss = options
-            .miss_fraction
-            .unwrap_or(profile.ext_traffic_fraction)
-            .clamp(0.0, 1.0);
-        let perf = self.perf_model.evaluate(config, profile, miss);
-        let activity = self.activity(config, profile, &perf, miss);
-        let base = self
-            .power_model
-            .evaluate(config, &activity, VoltageMode::default());
-        let power = if options.optimizations.is_empty() {
-            base
-        } else {
-            let ctx = OptimizationContext {
+        self.configure(config).evaluate(profile, options)
+    }
+
+    /// The configuration stage: every term of the performance and power
+    /// models that depends on `config` alone, computed once for any
+    /// number of profiles.
+    pub(crate) fn configure(&self, config: &EhpConfig) -> ConfiguredNode<'_> {
+        ConfiguredNode {
+            perf: self.perf_model.configure(config),
+            power: self.power_model.configure(config),
+            nvm_fraction: config.external.nvm_capacity_fraction(),
+            opt_context: OptimizationContext {
                 gpu_clock: config.gpu.clock,
                 curve: self.power_model.curve,
-            };
-            apply_optimizations(&base, &ctx, &options.optimizations)
-        };
-        NodeEvaluation {
-            perf,
-            activity,
-            power,
+            },
         }
     }
 
@@ -186,6 +167,55 @@ impl NodeSimulator {
     /// convergence figures.
     pub fn peak_dram(&self, config: &EhpConfig, eval: &NodeEvaluation) -> Celsius {
         DramTempEstimator::peak_dram(&self.chiplet_power(config, eval))
+    }
+}
+
+/// A [`NodeSimulator`] bound to one configuration (see
+/// [`NodeSimulator::configure`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ConfiguredNode<'a> {
+    perf: ConfiguredPerf,
+    power: ConfiguredPower<'a>,
+    /// Fraction of external capacity that is NVM, the share of external
+    /// traffic the power model prices at NVM energies.
+    nvm_fraction: f64,
+    opt_context: OptimizationContext,
+}
+
+impl ConfiguredNode<'_> {
+    /// The profile stage of [`NodeSimulator::evaluate`]: the performance
+    /// estimate, the activity vector it implies, and the power it costs.
+    pub(crate) fn evaluate(
+        &self,
+        profile: &KernelProfile,
+        options: &EvalOptions,
+    ) -> NodeEvaluation {
+        let miss = options
+            .miss_fraction
+            .unwrap_or(profile.ext_traffic_fraction)
+            .clamp(0.0, 1.0);
+        let perf = self.perf.evaluate(profile, miss);
+        let traffic = perf.traffic_gbps;
+        let activity = ActivityVector {
+            achieved_gflops: perf.throughput.value(),
+            hbm_traffic_gbps: traffic * (1.0 - miss),
+            ext_traffic_gbps: traffic * miss,
+            write_fraction: profile.write_fraction,
+            nvm_traffic_fraction: self.nvm_fraction,
+            noc_traffic_gbps: traffic * profile.out_of_chiplet_fraction,
+            cpu_activity: (profile.serial_fraction * 20.0).clamp(0.0, 1.0),
+        };
+        let base = self.power.evaluate(&activity);
+        let power = if options.optimizations.is_empty() {
+            base
+        } else {
+            apply_optimizations(&base, &self.opt_context, &options.optimizations)
+        };
+        NodeEvaluation {
+            perf,
+            activity,
+            power,
+        }
     }
 }
 

@@ -75,22 +75,52 @@ impl PerfModel {
     /// Evaluates `profile` on `config`, with `miss_fraction` of its DRAM
     /// traffic serviced by external memory (the Fig. 8 knob; pass the
     /// profile's own `ext_traffic_fraction` for capacity-limited runs, or
-    /// 0.0 for footprints that fit in-package).
+    /// 0.0 for footprints that fit in-package). The two stages composed:
+    /// the configuration's terms, then the profile's.
     pub fn evaluate(
         &self,
         config: &EhpConfig,
         profile: &KernelProfile,
         miss_fraction: f64,
     ) -> PerfEstimate {
-        let m = miss_fraction.clamp(0.0, 1.0);
-        let peak = config.gpu.peak_throughput().value();
-        let serial_slowdown = 1.0 + profile.serial_fraction * 10.0;
-        let compute_roof = peak * profile.utilization / serial_slowdown;
+        self.configure(config).evaluate(profile, miss_fraction)
+    }
 
-        let b_hbm = config.hbm.total_bandwidth().value();
-        let b_ext = config.external.total_bandwidth().value();
+    /// The configuration stage: every term that depends on `config`
+    /// alone, computed once for any number of profiles.
+    pub(crate) fn configure(&self, config: &EhpConfig) -> ConfiguredPerf {
+        ConfiguredPerf {
+            latency: self.latency,
+            peak: config.gpu.peak_throughput().value(),
+            b_hbm: config.hbm.total_bandwidth().value(),
+            b_ext: config.external.total_bandwidth().value(),
+        }
+    }
+}
+
+/// [`PerfModel`] bound to one configuration: peak throughput and both
+/// memory tiers' bandwidths, ready to evaluate any profile.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct ConfiguredPerf {
+    latency: LatencyModel,
+    /// Peak GPU throughput, GFLOP/s.
+    peak: f64,
+    /// Aggregate in-package bandwidth, GB/s.
+    b_hbm: f64,
+    /// Aggregate external bandwidth, GB/s.
+    b_ext: f64,
+}
+
+impl ConfiguredPerf {
+    /// The profile stage of [`PerfModel::evaluate`].
+    pub(crate) fn evaluate(&self, profile: &KernelProfile, miss_fraction: f64) -> PerfEstimate {
+        let m = miss_fraction.clamp(0.0, 1.0);
+        let serial_slowdown = 1.0 + profile.serial_fraction * 10.0;
+        let compute_roof = self.peak * profile.utilization / serial_slowdown;
+
+        let b_hbm = self.b_hbm;
         // Harmonic-mean service bandwidth across the two tiers.
-        let b_eff = 1.0 / ((1.0 - m) / b_hbm + m / b_ext);
+        let b_eff = 1.0 / ((1.0 - m) / b_hbm + m / self.b_ext);
 
         // Demand the compute side would generate, GB/s.
         let demand = compute_roof / profile.ops_per_byte;

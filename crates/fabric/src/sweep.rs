@@ -4,11 +4,14 @@
 //! [`MultiNodeSweepSpec`] is an [`Axis`]: every [`MultiNodePoint`] of a
 //! [`MultiNodeSpace`] evaluates to a healthy-fleet scale-out estimate,
 //! and the Pareto frontier (maximize exaflops and efficiency, minimize
-//! power) comes from the shared [`frontier_indices`] kernel.
+//! power) comes from the shared [`frontier`] scan.
 //! [`RecoverySweepSpec`] is the second fabric axis: each point is a
 //! Young/Daly analytic-vs-simulated recovery assessment at an interval
 //! scaled away from Daly's optimum, scoring recovered
-//! (efficiency-weighted) fleet throughput.
+//! (efficiency-weighted) fleet throughput. The healthy-fleet estimate
+//! depends on the node count alone, so one run computes it once per
+//! node count, at the first point of that count to evaluate, and shares
+//! it with the run's other interval scales.
 //!
 //! Both run through the one sweep driver ([`Memo`], aliased here as
 //! [`MultiNodeSweep`] and [`RecoverySweep`]), so they share the node
@@ -17,10 +20,11 @@
 //! any job count. Every run evaluates every point; nothing persists.
 
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use ena_core::resilience::RecoveryModel;
 use ena_model::hash::{digest, StableHash, StableHasher};
-use ena_sweep::{frontier_indices, Axis, Memo, RunOptions};
+use ena_sweep::{frontier, Axis, Memo, RunOptions};
 
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
@@ -130,17 +134,10 @@ impl MultiNodeRecord {
         }
     }
 
-    /// True when `self` Pareto-dominates `other`: no worse on every
-    /// objective (exaflops up, efficiency up, power down) and strictly
-    /// better on at least one.
-    pub fn dominates(&self, other: &MultiNodeRecord) -> bool {
-        let no_worse = self.exaflops >= other.exaflops
-            && self.efficiency >= other.efficiency
-            && self.power_mw <= other.power_mw;
-        let better = self.exaflops > other.exaflops
-            || self.efficiency > other.efficiency
-            || self.power_mw < other.power_mw;
-        no_worse && better
+    /// The objectives the frontier maximizes: exaflops up, efficiency
+    /// up, power down.
+    pub fn objectives(&self) -> [f64; 3] {
+        [self.exaflops, self.efficiency, -self.power_mw]
     }
 }
 
@@ -173,6 +170,7 @@ impl Axis for MultiNodeSweepSpec {
     /// Indices into the records on the Pareto frontier (exaflops up,
     /// efficiency up, power down), in grid order.
     type Frontier = Vec<usize>;
+    type Shared = ();
 
     fn options(&self) -> &RunOptions {
         &self.run
@@ -191,15 +189,17 @@ impl Axis for MultiNodeSweepSpec {
         keyed(campaign, point)
     }
 
+    fn shared(&self) {}
+
     /// Builds the fabric and estimates the healthy fleet.
-    fn evaluate(&self, point: &MultiNodePoint) -> Result<MultiNodeRecord, FabricError> {
+    fn evaluate(&self, _: &(), point: &MultiNodePoint) -> Result<MultiNodeRecord, FabricError> {
         let graph = FabricGraph::build(point.kind, point.nodes)?;
         let est = estimate(&graph, &self.scaleout, &BTreeMap::new())?;
         Ok(MultiNodeRecord::from_estimate(*point, &est))
     }
 
     fn frontier(&self, records: &[MultiNodeRecord]) -> Vec<usize> {
-        frontier_indices(records, MultiNodeRecord::dominates)
+        frontier(records, MultiNodeRecord::objectives)
     }
 }
 
@@ -282,16 +282,12 @@ pub struct RecoveryRecord {
 }
 
 impl RecoveryRecord {
-    /// True when `self` Pareto-dominates `other`: no worse on recovered
-    /// throughput and simulated efficiency, strictly better on one.
-    /// (Bigger fleets deliver more exaflops but recover less efficiently,
-    /// so the frontier traces the genuine scale-vs-resilience tradeoff.)
-    pub fn dominates(&self, other: &RecoveryRecord) -> bool {
-        let no_worse = self.recovered_exaflops >= other.recovered_exaflops
-            && self.simulated >= other.simulated;
-        let better =
-            self.recovered_exaflops > other.recovered_exaflops || self.simulated > other.simulated;
-        no_worse && better
+    /// The objectives the frontier maximizes: recovered throughput and
+    /// simulated efficiency. (Bigger fleets deliver more exaflops but
+    /// recover less efficiently, so the frontier traces the genuine
+    /// scale-vs-resilience tradeoff.)
+    pub fn objectives(&self) -> [f64; 2] {
+        [self.recovered_exaflops, self.simulated]
     }
 }
 
@@ -333,6 +329,9 @@ impl Axis for RecoverySweepSpec {
     /// Indices into the records on the Pareto frontier (recovered
     /// throughput up, simulated efficiency up), in grid order.
     type Frontier = Vec<usize>;
+    /// The run's healthy-fleet throughput (EF) per node count, set by the
+    /// first point of that count to evaluate.
+    type Shared = Vec<(u32, OnceLock<f64>)>;
 
     fn options(&self) -> &RunOptions {
         &self.run
@@ -357,11 +356,38 @@ impl Axis for RecoverySweepSpec {
         keyed(campaign, point)
     }
 
-    /// Healthy fleet estimate at `nodes`, both recovery legs at the
-    /// scaled interval.
-    fn evaluate(&self, point: &RecoveryPoint) -> Result<RecoveryRecord, FabricError> {
-        let graph = FabricGraph::build(self.kind, point.nodes)?;
-        let est = estimate(&graph, &self.scaleout, &BTreeMap::new())?;
+    fn shared(&self) -> Vec<(u32, OnceLock<f64>)> {
+        self.space
+            .node_counts
+            .iter()
+            .map(|&nodes| (nodes, OnceLock::new()))
+            .collect()
+    }
+
+    /// Healthy fleet estimate at `nodes` (once per node count and run:
+    /// a failed estimate is not kept, so every point at that count
+    /// reports it), both recovery legs at the scaled interval.
+    fn evaluate(
+        &self,
+        fleets: &Vec<(u32, OnceLock<f64>)>,
+        point: &RecoveryPoint,
+    ) -> Result<RecoveryRecord, FabricError> {
+        let fleet = fleets
+            .iter()
+            .find_map(|(nodes, fleet)| (*nodes == point.nodes).then_some(fleet));
+        let exaflops = match fleet.and_then(OnceLock::get) {
+            Some(&exaflops) => exaflops,
+            None => {
+                let graph = FabricGraph::build(self.kind, point.nodes)?;
+                let exaflops = estimate(&graph, &self.scaleout, &BTreeMap::new())?.exaflops;
+                if let Some(fleet) = fleet {
+                    // Err only when a racing worker set it first, to the
+                    // same value: the estimate is deterministic.
+                    let _ = fleet.set(exaflops);
+                }
+                exaflops
+            }
+        };
         let interval_hours = self.recovery.optimal_interval_hours(point.nodes)
             * f64::from(point.interval_scale_pct)
             / 100.0;
@@ -376,19 +402,19 @@ impl Axis for RecoverySweepSpec {
             interval_hours,
             analytic,
             simulated,
-            recovered_exaflops: est.exaflops * simulated,
+            recovered_exaflops: exaflops * simulated,
         })
     }
 
     fn frontier(&self, records: &[RecoveryRecord]) -> Vec<usize> {
-        frontier_indices(records, RecoveryRecord::dominates)
+        frontier(records, RecoveryRecord::objectives)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ena_sweep::SweepError;
+    use ena_sweep::{dominates, SweepError};
 
     fn spec() -> MultiNodeSweepSpec {
         MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"))
@@ -438,12 +464,18 @@ mod tests {
         assert!(!outcome.frontier.is_empty());
         for &i in &outcome.frontier {
             let f = &outcome.records[i];
-            assert!(outcome.records.iter().all(|r| !r.dominates(f)));
+            assert!(outcome
+                .records
+                .iter()
+                .all(|r| !dominates(&r.objectives(), &f.objectives())));
         }
         // Every point not on the frontier is dominated by someone.
         for (i, r) in outcome.records.iter().enumerate() {
             if !outcome.frontier.contains(&i) {
-                assert!(outcome.records.iter().any(|other| other.dominates(r)));
+                assert!(outcome
+                    .records
+                    .iter()
+                    .any(|other| dominates(&other.objectives(), &r.objectives())));
             }
         }
     }
@@ -511,7 +543,10 @@ mod tests {
         assert!(!outcome.frontier.is_empty());
         for &i in &outcome.frontier {
             let f = &outcome.records[i];
-            assert!(outcome.records.iter().all(|r| !r.dominates(f)));
+            assert!(outcome
+                .records
+                .iter()
+                .all(|r| !dominates(&r.objectives(), &f.objectives())));
         }
         // Daly-optimal points agree with their analytic prediction.
         for r in &outcome.records {

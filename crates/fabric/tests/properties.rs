@@ -19,19 +19,26 @@
 //!    `schedule_with_retransmits` equal a per-round `BTreeMap` compile
 //!    over the public `FabricGraph::route`, bit for bit, on degraded
 //!    graphs.
+//! 5. **Ordered frontier scan == all-pairs scan** — `ena_sweep::frontier`
+//!    returns exactly the indices an all-pairs dominance scan keeps, for
+//!    the node, multinode and recovery axes' relations, on random sets
+//!    with duplicate points, ties on every objective, signed zeros,
+//!    infinities and NaNs.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use ena_core::dse::ConfigPoint;
 use ena_fabric::{
     estimate, run_multinode_campaign, schedule, schedule_with_retransmits, CollectiveKind,
     CollectiveSchedule, FabricError, FabricGraph, FabricKind, MultiNodeCampaignSpec,
     MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RetransmitModel, Round, ScaleOutSpec,
     Transfer,
 };
+use ena_fabric::{MultiNodePoint, MultiNodeRecord, RecoveryPoint, RecoveryRecord};
 use ena_model::hash::StableHasher;
-use ena_model::units::Microseconds;
-use ena_sweep::{Axis, Failpoint};
+use ena_model::units::{GigabytesPerSec, Megahertz, Microseconds};
+use ena_sweep::{frontier, Axis, Failpoint, FrontierPoint};
 use ena_testkit::prelude::*;
 use ena_testkit::process::assert_same_digest_across_processes;
 
@@ -466,4 +473,115 @@ fn campaign_steps_are_reproducible_from_first_principles() {
     }
     let direct = estimate(&g, &spec.scaleout, &stragglers).unwrap();
     assert_eq!(&direct, report.final_estimate());
+}
+
+/// Objective values drawn for the frontier property: few enough that
+/// duplicates and per-objective ties are common, with both zeros.
+const OBJECTIVE_VALUES: [f64; 8] = [
+    f64::NEG_INFINITY,
+    -1.0,
+    -0.0,
+    0.0,
+    0.5,
+    1.0,
+    f64::INFINITY,
+    f64::NAN,
+];
+
+/// The all-pairs oracle: the indices of `items` no other item
+/// dominates, in input order.
+fn all_pairs_frontier<T>(items: &[T], dominates: impl Fn(&T, &T) -> bool) -> Vec<usize> {
+    (0..items.len())
+        .filter(|&i| !items.iter().any(|other| dominates(other, &items[i])))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn the_ordered_frontier_scan_matches_the_all_pairs_oracle(
+        picks in ena_testkit::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..24),
+    ) {
+        let v = |i: usize| OBJECTIVE_VALUES[i];
+
+        // Node axis: score up, peak power down, peak temperature down.
+        let node: Vec<FrontierPoint> = picks
+            .iter()
+            .map(|&(a, b, c)| FrontierPoint {
+                point: ConfigPoint {
+                    cus: 320,
+                    clock: Megahertz::new(1000.0),
+                    bandwidth: GigabytesPerSec::new(3000.0),
+                },
+                score: v(a),
+                peak_power_w: v(b),
+                peak_dram_c: v(c),
+            })
+            .collect();
+        let node_oracle = all_pairs_frontier(&node, |x, y| {
+            let no_worse = x.score >= y.score
+                && x.peak_power_w <= y.peak_power_w
+                && x.peak_dram_c <= y.peak_dram_c;
+            let better = x.score > y.score
+                || x.peak_power_w < y.peak_power_w
+                || x.peak_dram_c < y.peak_dram_c;
+            no_worse && better
+        });
+        prop_assert_eq!(frontier(&node, FrontierPoint::objectives), node_oracle);
+
+        // Multinode axis: exaflops up, efficiency up, power down.
+        let multinode: Vec<MultiNodeRecord> = picks
+            .iter()
+            .map(|&(a, b, c)| MultiNodeRecord {
+                point: MultiNodePoint {
+                    nodes: 8,
+                    kind: FabricKind::Torus,
+                },
+                exaflops: v(a),
+                efficiency: v(b),
+                power_mw: v(c),
+                comm_us: 0.0,
+            })
+            .collect();
+        let multinode_oracle = all_pairs_frontier(&multinode, |x, y| {
+            let no_worse = x.exaflops >= y.exaflops
+                && x.efficiency >= y.efficiency
+                && x.power_mw <= y.power_mw;
+            let better = x.exaflops > y.exaflops
+                || x.efficiency > y.efficiency
+                || x.power_mw < y.power_mw;
+            no_worse && better
+        });
+        prop_assert_eq!(
+            frontier(&multinode, MultiNodeRecord::objectives),
+            multinode_oracle
+        );
+
+        // Recovery axis: recovered throughput up, simulated efficiency up.
+        let recovery: Vec<RecoveryRecord> = picks
+            .iter()
+            .map(|&(a, b, _)| RecoveryRecord {
+                point: RecoveryPoint {
+                    nodes: 8,
+                    interval_scale_pct: 100,
+                },
+                interval_hours: 1.0,
+                analytic: 1.0,
+                simulated: v(b),
+                recovered_exaflops: v(a),
+            })
+            .collect();
+        let recovery_oracle = all_pairs_frontier(&recovery, |x, y| {
+            let no_worse =
+                x.recovered_exaflops >= y.recovered_exaflops && x.simulated >= y.simulated;
+            let better =
+                x.recovered_exaflops > y.recovered_exaflops || x.simulated > y.simulated;
+            no_worse && better
+        });
+        prop_assert_eq!(
+            frontier(&recovery, RecoveryRecord::objectives),
+            recovery_oracle
+        );
+    }
 }

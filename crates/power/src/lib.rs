@@ -6,7 +6,10 @@
 //!   paper's Fig. 9 display categories.
 //! - [`model`] — the node power model
 //!   ([`NodePowerModel`](model::NodePowerModel)): activity x energy
-//!   coefficients per component.
+//!   coefficients per component, in two stages — the V/f scaling and the
+//!   background components once per configuration
+//!   ([`ConfiguredPower`]), the activity-driven
+//!   components per activity vector.
 //! - [`opts`] — the five power optimizations of Section V-E (NTC,
 //!   asynchronous CUs, asynchronous routers, low-power links, DRAM-traffic
 //!   compression).
@@ -15,12 +18,12 @@
 //!
 //! ```
 //! use ena_model::config::EhpConfig;
-//! use ena_power::model::{ActivityVector, NodePowerModel, VoltageMode};
+//! use ena_power::model::{ActivityVector, NodePowerModel};
 //! use ena_power::opts::{savings_fraction, OptimizationContext, PowerOptimization};
 //!
 //! let config = EhpConfig::paper_baseline();
 //! let model = NodePowerModel::default();
-//! let breakdown = model.evaluate(&config, &ActivityVector::idle(), VoltageMode::default());
+//! let breakdown = model.evaluate(&config, &ActivityVector::idle());
 //!
 //! let ctx = OptimizationContext::new(config.gpu.clock);
 //! let saved = savings_fraction(&breakdown, &ctx, &PowerOptimization::ALL);
@@ -37,5 +40,5 @@ pub mod opts;
 
 pub use breakdown::{Component, PowerBreakdown};
 pub use dvfs::VfCurve;
-pub use model::{ActivityVector, NodePowerModel, VoltageMode};
+pub use model::{ActivityVector, ConfiguredPower, NodePowerModel};
 pub use opts::PowerOptimization;

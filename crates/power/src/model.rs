@@ -12,7 +12,7 @@ use ena_model::config::{EhpConfig, ExternalModuleKind};
 use ena_model::units::Watts;
 
 use crate::breakdown::{Component, PowerBreakdown};
-use crate::dvfs::{NtcCurve, VfCurve};
+use crate::dvfs::VfCurve;
 
 /// Activity inputs measured or predicted for one kernel execution.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -120,13 +120,6 @@ impl Default for PowerCoefficients {
     }
 }
 
-/// Optional voltage overrides applied by power optimizations.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct VoltageMode {
-    /// Near-threshold CU operation (Section V-E), if enabled.
-    pub ntc: Option<NtcCurve>,
-}
-
 /// The node power model.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct NodePowerModel {
@@ -146,37 +139,91 @@ impl Default for NodePowerModel {
 }
 
 impl NodePowerModel {
-    /// Evaluates the full node breakdown for `config` running `activity`.
-    pub fn evaluate(
-        &self,
-        config: &EhpConfig,
-        activity: &ActivityVector,
-        mode: VoltageMode,
-    ) -> PowerBreakdown {
+    /// Evaluates the full node breakdown for `config` running `activity`:
+    /// the two stages composed, [`NodePowerModel::configure`] then
+    /// [`ConfiguredPower::evaluate`].
+    pub fn evaluate(&self, config: &EhpConfig, activity: &ActivityVector) -> PowerBreakdown {
+        self.configure(config).evaluate(activity)
+    }
+
+    /// The configuration stage: the V/f scaling and every background
+    /// component, which depend on `config` alone, computed once for any
+    /// number of activity vectors.
+    pub fn configure(&self, config: &EhpConfig) -> ConfiguredPower<'_> {
         let k = &self.coefficients;
         let f = config.gpu.clock;
-        let (dyn_scale, leak_scale) = match mode.ntc {
-            Some(ntc) => (ntc.dynamic_scale(f), ntc.leakage_scale(f)),
-            None => (self.curve.dynamic_scale(f), self.curve.leakage_scale(f)),
-        };
+        let dyn_scale = self.curve.dynamic_scale(f);
+        let leak_scale = self.curve.leakage_scale(f);
         // dynamic_scale already contains the f/f_nom factor; the achieved
         // FLOP rate also scales with f. Dividing out the frequency leaves
         // the pure V^2 factor for per-op energy.
         let v2 = dyn_scale / (f.value() / 1000.0);
 
-        let mut b = PowerBreakdown::new();
-
-        // GPU compute units.
-        let peak_gflops = config.gpu.peak_throughput().value();
-        let active = activity.achieved_gflops.min(peak_gflops);
-        let idle = (peak_gflops - active).max(0.0) * k.cu_idle_activity;
-        b.set(
-            Component::CuDynamic,
-            Watts::new((active + idle) * 1e9 * k.cu_pj_per_flop * 1e-12 * v2),
-        );
-        b.set(
+        let mut background = PowerBreakdown::new();
+        background.set(
             Component::CuStatic,
             Watts::new(f64::from(config.gpu.total_cus()) * k.cu_leakage_w * leak_scale),
+        );
+        background.set(
+            Component::HbmStatic,
+            Watts::new(
+                config.hbm.total_bandwidth().terabytes_per_sec() * k.hbm_phy_w_per_tbps
+                    + config.hbm.total_capacity().value() * k.hbm_static_w_per_gb,
+            ),
+        );
+        let mut ext_static = 0.0;
+        for &kind in &config.external.chain {
+            let cap = config.external.module_capacity(kind).value();
+            let per_gb = match kind {
+                ExternalModuleKind::Dram => k.ext_dram_static_w_per_gb,
+                ExternalModuleKind::Nvm => k.ext_nvm_static_w_per_gb,
+            };
+            ext_static += cap * per_gb * f64::from(config.external.interfaces);
+        }
+        background.set(Component::ExtStatic, Watts::new(ext_static));
+        background.set(
+            Component::SerdesStatic,
+            Watts::new(config.external.total_links() as f64 * k.serdes_static_w_per_link),
+        );
+        background.set(Component::Other, Watts::new(k.other_w));
+
+        ConfiguredPower {
+            coefficients: k,
+            peak_gflops: config.gpu.peak_throughput().value(),
+            v2,
+            background,
+        }
+    }
+}
+
+/// [`NodePowerModel`] bound to one configuration: its V/f factor, its
+/// peak FLOP rate and its background components, ready to price any
+/// activity vector.
+#[derive(Clone, Copy, Debug)]
+pub struct ConfiguredPower<'a> {
+    coefficients: &'a PowerCoefficients,
+    /// Peak GPU throughput, GFLOP/s.
+    peak_gflops: f64,
+    /// Per-op energy scale, `(V / V_nom)^2`.
+    v2: f64,
+    /// The activity-independent components (CU and in-package DRAM
+    /// static, external module and SerDes background, other); every
+    /// activity-driven component is zero.
+    background: PowerBreakdown,
+}
+
+impl ConfiguredPower<'_> {
+    /// The activity stage of [`NodePowerModel::evaluate`].
+    pub fn evaluate(&self, activity: &ActivityVector) -> PowerBreakdown {
+        let k = self.coefficients;
+        let mut b = self.background;
+
+        // GPU compute units.
+        let active = activity.achieved_gflops.min(self.peak_gflops);
+        let idle = (self.peak_gflops - active).max(0.0) * k.cu_idle_activity;
+        b.set(
+            Component::CuDynamic,
+            Watts::new((active + idle) * 1e9 * k.cu_pj_per_flop * 1e-12 * self.v2),
         );
 
         // CPU complex.
@@ -202,15 +249,8 @@ impl NodePowerModel {
             Component::HbmDynamic,
             Watts::new(hbm_bits * k.hbm_pj_per_bit * 1e-12),
         );
-        b.set(
-            Component::HbmStatic,
-            Watts::new(
-                config.hbm.total_bandwidth().terabytes_per_sec() * k.hbm_phy_w_per_tbps
-                    + config.hbm.total_capacity().value() * k.hbm_static_w_per_gb,
-            ),
-        );
 
-        // External memory modules.
+        // External memory modules and SerDes.
         let ext_bits = activity.ext_traffic_gbps * 8e9;
         let nvm_bits = ext_bits * activity.nvm_traffic_fraction.clamp(0.0, 1.0);
         let dram_bits = ext_bits - nvm_bits;
@@ -220,28 +260,10 @@ impl NodePowerModel {
             Component::ExtDynamic,
             Watts::new((dram_bits * k.ext_dram_pj_per_bit + nvm_bits * nvm_pj) * 1e-12),
         );
-        let mut ext_static = 0.0;
-        for &kind in &config.external.chain {
-            let cap = config.external.module_capacity(kind).value();
-            let per_gb = match kind {
-                ExternalModuleKind::Dram => k.ext_dram_static_w_per_gb,
-                ExternalModuleKind::Nvm => k.ext_nvm_static_w_per_gb,
-            };
-            ext_static += cap * per_gb * f64::from(config.external.interfaces);
-        }
-        b.set(Component::ExtStatic, Watts::new(ext_static));
-
-        // SerDes.
-        b.set(
-            Component::SerdesStatic,
-            Watts::new(config.external.total_links() as f64 * k.serdes_static_w_per_link),
-        );
         b.set(
             Component::SerdesDynamic,
             Watts::new(ext_bits * k.serdes_pj_per_bit_hop * k.serdes_avg_hops * 1e-12),
         );
-
-        b.set(Component::Other, Watts::new(k.other_w));
         b
     }
 }
@@ -249,6 +271,7 @@ impl NodePowerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::opts::{apply_optimizations, OptimizationContext, PowerOptimization};
     use ena_model::config::ExternalMemoryConfig;
     use ena_model::units::{Gigabytes, GigabytesPerSec, Megahertz};
 
@@ -274,9 +297,7 @@ mod tests {
             .build()
             .unwrap();
         let model = NodePowerModel::default();
-        let total = model
-            .evaluate(&config, &maxflops_activity(), VoltageMode::default())
-            .total();
+        let total = model.evaluate(&config, &maxflops_activity()).total();
         assert!(
             (90.0..175.0).contains(&total.value()),
             "node power = {total}"
@@ -288,7 +309,7 @@ mod tests {
         // DRAM-only: ~27 W module static + ~10 W SerDes background.
         let config = EhpConfig::paper_baseline();
         let model = NodePowerModel::default();
-        let b = model.evaluate(&config, &ActivityVector::idle(), VoltageMode::default());
+        let b = model.evaluate(&config, &ActivityVector::idle());
         let ext_s = b.get(Component::ExtStatic).value();
         let serdes_s = b.get(Component::SerdesStatic).value();
         assert!((ext_s - 27.0).abs() < 1.0, "external static = {ext_s}");
@@ -302,8 +323,8 @@ mod tests {
         let mut hybrid = dram.clone();
         hybrid.external = ExternalMemoryConfig::hybrid(4, Gigabytes::new(768.0));
         let idle = ActivityVector::idle();
-        let b_dram = model.evaluate(&dram, &idle, VoltageMode::default());
-        let b_hyb = model.evaluate(&hybrid, &idle, VoltageMode::default());
+        let b_dram = model.evaluate(&dram, &idle);
+        let b_hyb = model.evaluate(&hybrid, &idle);
         let s_dram =
             (b_dram.get(Component::ExtStatic) + b_dram.get(Component::SerdesStatic)).value();
         let s_hyb = (b_hyb.get(Component::ExtStatic) + b_hyb.get(Component::SerdesStatic)).value();
@@ -319,9 +340,9 @@ mod tests {
         act.ext_traffic_gbps = 300.0;
         act.write_fraction = 0.3;
         act.nvm_traffic_fraction = 0.0;
-        let dram_only = model.evaluate(&config, &act, VoltageMode::default());
+        let dram_only = model.evaluate(&config, &act);
         act.nvm_traffic_fraction = 0.5;
-        let with_nvm = model.evaluate(&config, &act, VoltageMode::default());
+        let with_nvm = model.evaluate(&config, &act);
         assert!(
             with_nvm.get(Component::ExtDynamic).value()
                 > 2.0 * dram_only.get(Component::ExtDynamic).value()
@@ -331,16 +352,14 @@ mod tests {
     #[test]
     fn ntc_reduces_cu_power_at_one_gigahertz() {
         let config = EhpConfig::paper_baseline();
+        assert_eq!(config.gpu.clock, Megahertz::new(1000.0));
         let model = NodePowerModel::default();
-        let act = maxflops_activity();
-        let base = model.evaluate(&config, &act, VoltageMode::default());
-        let ntc = model.evaluate(
-            &config,
-            &act,
-            VoltageMode {
-                ntc: Some(model.curve.with_near_threshold(1.0)),
-            },
-        );
+        let base = model.evaluate(&config, &maxflops_activity());
+        let ctx = OptimizationContext {
+            gpu_clock: config.gpu.clock,
+            curve: model.curve,
+        };
+        let ntc = apply_optimizations(&base, &ctx, &[PowerOptimization::NearThreshold]);
         assert!(ntc.get(Component::CuDynamic).value() < base.get(Component::CuDynamic).value());
         assert!(ntc.get(Component::CuStatic).value() < base.get(Component::CuStatic).value());
         // Non-CU components are untouched.
@@ -362,12 +381,8 @@ mod tests {
             .hbm_bandwidth(GigabytesPerSec::from_terabytes_per_sec(7.0))
             .build()
             .unwrap();
-        let p_lo = model
-            .evaluate(&lo, &idle, VoltageMode::default())
-            .package_total();
-        let p_hi = model
-            .evaluate(&hi, &idle, VoltageMode::default())
-            .package_total();
+        let p_lo = model.evaluate(&lo, &idle).package_total();
+        let p_hi = model.evaluate(&hi, &idle).package_total();
         assert!(p_hi.value() - p_lo.value() > 30.0);
     }
 }

@@ -4,7 +4,7 @@ use ena_model::config::EhpConfig;
 use ena_model::units::{GigabytesPerSec, Megahertz};
 use ena_power::breakdown::Component;
 use ena_power::dvfs::VfCurve;
-use ena_power::model::{ActivityVector, NodePowerModel, VoltageMode};
+use ena_power::model::{ActivityVector, NodePowerModel};
 use ena_power::opts::{apply_optimizations, OptimizationContext, PowerOptimization};
 use ena_testkit::prelude::*;
 
@@ -50,7 +50,7 @@ proptest! {
     #[test]
     fn all_components_are_non_negative(activity in arbitrary_activity()) {
         let model = NodePowerModel::default();
-        let b = model.evaluate(&EhpConfig::paper_baseline(), &activity, VoltageMode::default());
+        let b = model.evaluate(&EhpConfig::paper_baseline(), &activity);
         for c in Component::ALL {
             prop_assert!(b.get(c).value() >= 0.0, "{c}: {}", b.get(c));
         }
@@ -69,7 +69,7 @@ proptest! {
             .build()
             .unwrap();
         let model = NodePowerModel::default();
-        let base = model.evaluate(&config, &activity, VoltageMode::default());
+        let base = model.evaluate(&config, &activity);
         let ctx = OptimizationContext::new(config.gpu.clock);
         let opt = apply_optimizations(&base, &ctx, &PowerOptimization::ALL);
         for c in Component::ALL {
@@ -81,10 +81,10 @@ proptest! {
     fn power_is_monotone_in_traffic(activity in arbitrary_activity(), extra in 0.0f64..1000.0) {
         let model = NodePowerModel::default();
         let config = EhpConfig::paper_baseline();
-        let base = model.evaluate(&config, &activity, VoltageMode::default()).total();
+        let base = model.evaluate(&config, &activity).total();
         let mut more = activity;
         more.hbm_traffic_gbps += extra;
-        let grown = model.evaluate(&config, &more, VoltageMode::default()).total();
+        let grown = model.evaluate(&config, &more).total();
         prop_assert!(grown.value() >= base.value() - 1e-12);
     }
 }

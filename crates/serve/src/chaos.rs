@@ -312,7 +312,10 @@ pub fn run_chaos_campaign(
         .iter()
         .map(|p| explorer.evaluate_point(*p, profiles))
         .collect();
-    let expected_frontier = render_frontier(&pareto_frontier(explorer, &oracle, profiles.len()));
+    let expected_frontier = render_frontier(&pareto_frontier(
+        &oracle,
+        &explorer.score(&oracle, profiles.len()),
+    ));
     let path = spec.dir.join(DiskCache::<PointRecord>::file_name(campaign));
     match std::fs::remove_file(&path) {
         Err(e) if e.kind() != io::ErrorKind::NotFound => {
@@ -456,7 +459,8 @@ pub fn run_chaos_campaign(
         records.push((*record).clone());
     }
     drop(store);
-    if render_frontier(&pareto_frontier(explorer, &records, profiles.len())) != expected_frontier {
+    let frontier = pareto_frontier(&records, &explorer.score(&records, profiles.len()));
+    if render_frontier(&frontier) != expected_frontier {
         return Err(violated(
             "frontier differs from the fault-free frontier".into(),
         ));

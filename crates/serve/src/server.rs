@@ -633,7 +633,8 @@ impl Server {
                 }
             }
         }
-        match self.explorer.reduce(&records, &self.profiles) {
+        let scores = self.explorer.score(&records, self.profiles.len());
+        match self.explorer.reduce(&records, &scores, &self.profiles) {
             Ok(result) => format!(
                 "OK sweep points={} feasible={} best cus={} mhz={} gbps={}",
                 result.evaluated,
@@ -655,7 +656,8 @@ impl Server {
             .into_iter()
             .map(|(_, record)| (*record).clone())
             .collect();
-        let frontier = pareto_frontier(&self.explorer, &records, self.profiles.len());
+        let scores = self.explorer.score(&records, self.profiles.len());
+        let frontier = pareto_frontier(&records, &scores);
         let mut body = format!("OK frontier n={}", frontier.len());
         for fp in &frontier {
             use std::fmt::Write as _;

@@ -28,11 +28,12 @@
 //! campaign's `ena-sweep-cache/2` file — the append happens *before* the
 //! record is acknowledged to any client, and every append is fsynced, so
 //! an `OK` response implies the record survives a crash or power loss.
-//! [`ShardStore::snapshot`] additionally rewrites the whole file from the
-//! in-memory store through the write-temp → fsync → atomic-rename path,
-//! compacting repair lineage and healing a poisoned append handle. The
-//! seeded campaign in [`crate::chaos`] holds both promises under injected
-//! I/O faults and killed leaders.
+//! A failed append costs only its own publish: the next publish repairs
+//! the file's tail before appending. [`ShardStore::snapshot`]
+//! additionally rewrites the whole file from the in-memory store through
+//! the write-temp → fsync → atomic-rename path, compacting repair
+//! lineage. The seeded campaign in [`crate::chaos`] holds both promises
+//! under injected I/O faults and killed leaders.
 
 use std::collections::BTreeMap;
 use std::path::Path;

@@ -228,7 +228,10 @@ fn sweep_then_frontier_matches_the_batch_engine() {
         .into_iter()
         .map(|(_, r)| (*r).clone())
         .collect();
-    let served = pareto_frontier(&Explorer::default(), &records, profiles.len());
+    let served = pareto_frontier(
+        &records,
+        &Explorer::default().score(&records, profiles.len()),
+    );
     // The server's store is key-ordered while the batch engine walks the
     // space in grid order, so compare the frontiers as sets.
     let as_set = |frontier: &[ena_sweep::FrontierPoint]| -> std::collections::BTreeSet<String> {

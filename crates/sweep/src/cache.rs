@@ -122,11 +122,11 @@ pub struct DiskCache<R: CacheRecord = PointRecord> {
     campaign: u64,
     version: String,
     generation: u64,
-    /// Set when an append fails: the file tail is then in an unknown
-    /// state, and blindly appending after it could strand acknowledged
-    /// records behind garbage (prefix degradation stops at the first
-    /// damaged line). A poisoned handle refuses further appends; the
-    /// next open repairs the tail.
+    /// Set when an append or a snapshot fails: the file tail is then in
+    /// an unknown state, and blindly appending after it could strand
+    /// acknowledged records behind garbage (prefix degradation stops at
+    /// the first damaged line). The next append on a poisoned handle
+    /// repairs the tail first, exactly as an open does.
     poisoned: bool,
     _record: PhantomData<fn() -> R>,
 }
@@ -196,21 +196,7 @@ impl<R: CacheRecord> DiskCache<R> {
         fs.create_dir_all(dir)
             .map_err(|e| CacheError::new("create directory", dir, e))?;
         let path = dir.join(Self::file_name(campaign));
-
-        let loaded = Self::load(fs.as_ref(), &path, campaign, version)?;
-        if loaded.rewrite {
-            Self::rewrite(
-                fs.as_ref(),
-                &path,
-                campaign,
-                version,
-                loaded.generation,
-                &loaded.entries,
-            )?;
-        }
-        let writer = fs
-            .open_append(&path)
-            .map_err(|e| CacheError::new("open for append", &path, e))?;
+        let (writer, loaded) = Self::repair(fs.as_ref(), &path, campaign, version)?;
         Ok((
             Self {
                 fs,
@@ -266,6 +252,32 @@ impl<R: CacheRecord> DiskCache<R> {
                 Err(e)
             }
         }
+    }
+
+    /// Loads the image at `path`, rewrites it if it is damaged or
+    /// missing, and reopens it for append: the repair behind every open
+    /// and behind the first append on a poisoned handle.
+    fn repair(
+        fs: &dyn Vfs,
+        path: &Path,
+        campaign: u64,
+        version: &str,
+    ) -> Result<(Box<dyn VfsFile>, Loaded<R>), CacheError> {
+        let loaded = Self::load(fs, path, campaign, version)?;
+        if loaded.rewrite {
+            Self::rewrite(
+                fs,
+                path,
+                campaign,
+                version,
+                loaded.generation,
+                &loaded.entries,
+            )?;
+        }
+        let writer = fs
+            .open_append(path)
+            .map_err(|e| CacheError::new("open for append", path, e))?;
+        Ok((writer, loaded))
     }
 
     /// Reads and validates the on-disk image, degrading damage to the
@@ -344,16 +356,18 @@ impl<R: CacheRecord> DiskCache<R> {
     ///
     /// Returns a [`CacheError`] for any I/O fault during the append; the
     /// record is only *acknowledged* — promised to survive — when this
-    /// returns `Ok`. After a failed append the handle is poisoned (the
-    /// file tail may hold a partial line) and every further append
-    /// fails; reopening the cache repairs the tail.
+    /// returns `Ok`. A failed append poisons the handle (the file tail
+    /// may hold a partial line); the next append first repairs the tail
+    /// as [`DiskCache::open_with`] does — write-temp → fsync → atomic
+    /// rename when the tail is damaged — and clears the poison. If that
+    /// repair fails, so does the append, and the handle stays poisoned.
     pub fn append(&mut self, key: u64, record: &R) -> Result<(), CacheError> {
         if self.poisoned {
-            return Err(CacheError::new(
-                "append after failed append",
-                &self.path,
-                io::Error::other("cache handle poisoned; reopen to repair the tail"),
-            ));
+            let (writer, loaded) =
+                Self::repair(self.fs.as_ref(), &self.path, self.campaign, &self.version)?;
+            self.writer = writer;
+            self.generation = loaded.generation;
+            self.poisoned = false;
         }
         let result = self.append_inner(key, record);
         if result.is_err() {
@@ -1166,8 +1180,90 @@ mod tests {
         let err = cache.snapshot(&[(99, record(9.0))]).unwrap_err();
         assert!(err.to_string().contains("injected create failure"), "{err}");
         assert_eq!(fs::read(&path).unwrap(), before);
-        // Poisoned until the next open.
-        assert!(cache.append(22, &record(1.0)).is_err());
+        // The next append repairs the poisoned handle: the live file is
+        // intact, so the repair only reopens it (no temp file needed).
+        cache.append(22, &record(1.0)).unwrap();
+        drop(cache);
+        let (_, loaded) = DiskCache::<PointRecord>::open(&dir, 7, "v1").unwrap();
+        assert_eq!(loaded, vec![(11, record(0.0)), (22, record(1.0))]);
+    }
+
+    #[test]
+    fn the_append_after_a_failed_append_repairs_the_tail() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+
+        /// Real files whose first append tears: half the line lands,
+        /// then the write fails.
+        #[derive(Debug, Default)]
+        struct TearFirstAppend {
+            torn: Arc<AtomicBool>,
+        }
+        struct Tearing {
+            inner: Box<dyn VfsFile>,
+            torn: Arc<AtomicBool>,
+        }
+        impl Write for Tearing {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                if self.torn.swap(true, Ordering::SeqCst) {
+                    return self.inner.write(buf);
+                }
+                self.inner.write_all(&buf[..buf.len() / 2])?;
+                Err(io::Error::other("injected torn append"))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                self.inner.flush()
+            }
+        }
+        impl VfsFile for Tearing {
+            fn sync_all(&mut self) -> io::Result<()> {
+                self.inner.sync_all()
+            }
+        }
+        impl Vfs for TearFirstAppend {
+            fn create_dir_all(&self, dir: &Path) -> io::Result<()> {
+                RealFs.create_dir_all(dir)
+            }
+            fn read_bytes(&self, path: &Path) -> io::Result<Vec<u8>> {
+                RealFs.read_bytes(path)
+            }
+            fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+                Ok(Box::new(Tearing {
+                    inner: RealFs.open_append(path)?,
+                    torn: self.torn.clone(),
+                }))
+            }
+            fn create(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+                RealFs.create(path)
+            }
+            fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+                RealFs.rename(from, to)
+            }
+        }
+
+        let dir = tmp("append-heal");
+        let (mut cache, _) = DiskCache::<PointRecord>::open_with(
+            Arc::new(TearFirstAppend::default()),
+            &dir,
+            7,
+            "v1",
+        )
+        .unwrap();
+        let path = cache.path().to_path_buf();
+        let err = cache.append(11, &record(0.0)).unwrap_err();
+        assert!(err.to_string().contains("injected torn append"), "{err}");
+        // The poisoned handle repairs the torn tail (a rewrite, so the
+        // generation moves) and then appends.
+        cache.append(22, &record(1.0)).unwrap();
+        assert_eq!(cache.generation(), 1);
+        drop(cache);
+
+        // The acknowledged record is intact; the unacknowledged torn one
+        // is gone.
+        let (_, loaded) = DiskCache::<PointRecord>::open(&dir, 7, "v1").unwrap();
+        assert_eq!(loaded, vec![(22, record(1.0))]);
+        let report = verify_file::<PointRecord>(&path, 7, "v1").unwrap();
+        assert_eq!(report.keys, vec![22]);
+        assert!(!report.torn_tail);
     }
 
     #[test]

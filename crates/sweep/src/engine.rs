@@ -28,7 +28,7 @@
 use std::convert::Infallible;
 use std::sync::Arc;
 
-use ena_core::dse::{ConfigPoint, DesignSpace, DseError, DseResult, PointRecord};
+use ena_core::dse::{ConfigPoint, DesignSpace, DseError, DseResult, PointRecord, Scores};
 use ena_core::Explorer;
 use ena_model::hash::{StableHash, StableHasher};
 use ena_model::kernel::KernelProfile;
@@ -68,6 +68,10 @@ pub trait Axis: Sync {
     type Error: Send;
     /// What [`Axis::frontier`] extracts from the merged records.
     type Frontier;
+    /// State the evaluations of one run share (`()` for none): built by
+    /// [`Axis::shared`] when a run starts and dropped when it ends, so
+    /// nothing carries over from one run to the next.
+    type Shared: Sync;
 
     /// How this sweep runs.
     fn options(&self) -> &RunOptions;
@@ -83,9 +87,16 @@ pub trait Axis: Sync {
     /// quarantine reports and the key a [`Failpoint`] sees.
     fn point_key(&self, campaign: u64, point: &Self::Point) -> u64;
 
+    /// A fresh [`Axis::Shared`] for one run.
+    fn shared(&self) -> Self::Shared;
+
     /// Evaluates one point. Must be a pure function of the axis and the
-    /// point.
-    fn evaluate(&self, point: &Self::Point) -> Result<Self::Record, Self::Error>;
+    /// point: `shared` may save repeated work, never change a record.
+    fn evaluate(
+        &self,
+        shared: &Self::Shared,
+        point: &Self::Point,
+    ) -> Result<Self::Record, Self::Error>;
 
     /// The Pareto frontier over `records`, which are in point order.
     fn frontier(&self, records: &[Self::Record]) -> Self::Frontier;
@@ -284,9 +295,10 @@ impl Memo {
         self
     }
 
-    /// Runs one sweep along `axis`: evaluates every point on the
-    /// supervised work-stealing pool, concatenates the chunks' records in
-    /// grid order, and extracts the frontier.
+    /// Runs one sweep along `axis`: builds the run's [`Axis::shared`]
+    /// state, evaluates every point on the supervised work-stealing pool,
+    /// concatenates the chunks' records in grid order, and extracts the
+    /// frontier.
     ///
     /// # Errors
     ///
@@ -310,6 +322,7 @@ impl Memo {
         let n_chunks = chunks.len();
 
         let failpoint = &self.failpoint;
+        let shared = axis.shared();
         let (verdicts, workers) = map_chunks_supervised(
             opts.jobs,
             chunks,
@@ -318,7 +331,7 @@ impl Memo {
                 if let Some(fp) = failpoint {
                     fp(key);
                 }
-                axis.evaluate(&point)
+                axis.evaluate(&shared, &point)
             },
         )?;
 
@@ -462,7 +475,10 @@ impl Axis for NodeAxis {
     type Point = ConfigPoint;
     type Record = PointRecord;
     type Error = Infallible;
-    type Frontier = Vec<FrontierPoint>;
+    /// The run's [`Scores`], which the reduction reads too, and the
+    /// Pareto frontier over them.
+    type Frontier = (Scores, Vec<FrontierPoint>);
+    type Shared = ();
 
     fn options(&self) -> &RunOptions {
         &self.spec.run
@@ -480,12 +496,16 @@ impl Axis for NodeAxis {
         point_key(campaign, point)
     }
 
-    fn evaluate(&self, point: &ConfigPoint) -> Result<PointRecord, Infallible> {
+    fn shared(&self) {}
+
+    fn evaluate(&self, _: &(), point: &ConfigPoint) -> Result<PointRecord, Infallible> {
         Ok(self.explorer.evaluate_point(*point, &self.spec.profiles))
     }
 
-    fn frontier(&self, records: &[PointRecord]) -> Vec<FrontierPoint> {
-        pareto_frontier(&self.explorer, records, self.spec.profiles.len())
+    fn frontier(&self, records: &[PointRecord]) -> (Scores, Vec<FrontierPoint>) {
+        let scores = self.explorer.score(records, self.spec.profiles.len());
+        let frontier = pareto_frontier(records, &scores);
+        (scores, frontier)
     }
 }
 
@@ -511,7 +531,8 @@ impl SweepEngine {
     }
 
     /// Runs one sweep through [`Memo::run`], then reduces the merged
-    /// records to the oracle's best-mean and per-app answers.
+    /// records to the oracle's best-mean and per-app answers, reading the
+    /// scores the frontier was extracted from.
     ///
     /// # Errors
     ///
@@ -523,16 +544,21 @@ impl SweepEngine {
         if spec.profiles.is_empty() && !spec.space.is_empty() {
             return Err(SweepError::EmptyProfiles);
         }
-        let swept = self.memo.run(&NodeAxis {
+        let Swept {
+            records,
+            frontier: (scores, frontier),
+            quarantine,
+            telemetry,
+        } = self.memo.run(&NodeAxis {
             explorer: self.explorer.clone(),
             spec: spec.clone(),
         })?;
         Ok(SweepOutcome {
-            result: self.explorer.reduce(&swept.records, &spec.profiles)?,
-            frontier: swept.frontier,
-            records: swept.records,
-            quarantine: swept.quarantine,
-            telemetry: swept.telemetry,
+            result: self.explorer.reduce(&records, &scores, &spec.profiles)?,
+            frontier,
+            records,
+            quarantine,
+            telemetry,
         })
     }
 }

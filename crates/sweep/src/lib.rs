@@ -9,12 +9,14 @@
 //!   worker 0 (`jobs = 1` starts no thread), with an order-independent,
 //!   index-keyed merge and per-chunk supervision (caught panics, bounded
 //!   retries, deterministic quarantine).
-//! - [`pareto`] — frontier extraction over (mean perf, peak power, peak
-//!   DRAM temperature).
+//! - [`pareto`] — one ordered-scan frontier routine over objective
+//!   vectors, which every axis's frontier runs, and the node frontier
+//!   over (mean perf, peak power, peak DRAM temperature).
 //! - [`engine`] — the one sweep driver tying them together: an [`Axis`]
 //!   names its grid, campaign digest, point key, evaluation and
 //!   frontier; [`Memo::run`] owns chunking, the supervised pool,
-//!   quarantine and the merge by grid index, and reports [`Telemetry`]
+//!   quarantine, the merge by grid index and the state one run's
+//!   evaluations share ([`Axis::Shared`]), and reports [`Telemetry`]
 //!   (points evaluated, chunks, per-worker utilization). The node axis
 //!   ([`NodeAxis`]) runs through [`SweepEngine`]; `ena-fabric`'s
 //!   multi-node and recovery axes are two more impls, sharing one
@@ -71,7 +73,7 @@ pub use engine::{
     QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome, SweepSpec, Swept,
     Telemetry,
 };
-pub use pareto::{frontier_indices, pareto_frontier, FrontierPoint};
+pub use pareto::{dominates, frontier, pareto_frontier, FrontierPoint};
 pub use pool::{map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
 
 pub use ena_testkit::chaos::{RealFs, Vfs};

@@ -8,8 +8,9 @@ cd "$(dirname "$0")"
 export CARGO_NET_OFFLINE=true
 
 # --workspace: a root `cargo build` builds only the `ena` library, so the
-# binaries the smokes below run (target/release/ena among them) would
-# otherwise be whatever an earlier build left there.
+# binaries the smokes below run (the serve smoke's release `ena`, under
+# ${CARGO_TARGET_DIR:-target}, among them) would otherwise be whatever an
+# earlier build left there.
 echo "==> cargo build --release --workspace"
 cargo build --release --workspace
 
@@ -122,7 +123,7 @@ fi
 
 echo "==> serve smoke: cold mix, kill -9, warm restart must serve from the store"
 rm -rf artifacts/serve-cache artifacts/serve-port
-ENA=target/release/ena
+ENA=${CARGO_TARGET_DIR:-target}/release/ena
 serve_wait_port() {
   for _ in $(seq 1 100); do
     [ -s artifacts/serve-port ] && return 0

@@ -1,10 +1,10 @@
 //! `stable-hash-coverage`: every field of a struct that implements
 //! `StableHash` must be folded into the hash.
 //!
-//! The sweep cache is content-addressed by `StableHash`. When a config
-//! struct grows a field that the hand-written impl forgets, two
-//! configurations differing only in that field collide — and the cache
-//! silently serves results computed for the *other* one. This is the
+//! The serve store is content-addressed by `StableHash`. When a struct
+//! it hashes grows a field that the hand-written impl forgets, two
+//! values differing only in that field collide — and the store silently
+//! serves results computed for the *other* one. This is the
 //! nastiest failure mode in the workspace (wrong numbers, no error), so
 //! the rule cross-references `struct` definitions with their impls at
 //! crate scope and demands every named field appear inside the impl

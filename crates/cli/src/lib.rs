@@ -34,7 +34,7 @@ use ena_core::node::{EvalOptions, NodeSimulator};
 use ena_fabric::{
     run_multinode_campaign, FabricKind, MultiNodeCampaignSpec, MultiNodeSpace, MultiNodeSweep,
     MultiNodeSweepSpec, RecoveryModel, RecoverySpace, RecoverySweep, RecoverySweepSpec,
-    ScaleOutSpec,
+    ScaleOutSpec, KW_PER_MW, TF_PER_EF,
 };
 use ena_faults::{
     run_campaign, run_transient_campaign, CampaignSpec, NodeFaultPlan, TransientCampaignSpec,
@@ -257,12 +257,6 @@ fn parse_point(args: &mut Vec<String>) -> Result<Point, String> {
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
-
-/// Teraflops per exaflop and kilowatts per megawatt. A fabric sweep's
-/// cabinets deliver hundreds of teraflops on a few kilowatts, so its
-/// reports print TF and kW: in EF and MW nearly every cell rounds to zero.
-const TF_PER_EF: f64 = 1e6;
-const KW_PER_MW: f64 = 1e3;
 
 /// The Pareto frontier table of a fabric sweep, whose frontier indexes
 /// its records: `header` names the columns, `row` renders one record.

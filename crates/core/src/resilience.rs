@@ -23,7 +23,6 @@
 use core::fmt;
 
 use ena_model::config::EhpConfig;
-use ena_model::hash::{StableHash, StableHasher};
 use ena_model::kernel::KernelProfile;
 use ena_workloads::profile_for;
 
@@ -385,13 +384,6 @@ impl RecoveryModel {
             analytic: checkpoint_efficiency(campaign.mttf_hours, self.checkpoint_minutes),
             simulated: campaign.simulate(RECOVERY_CAMPAIGN_HOURS, seed),
         }
-    }
-}
-
-impl StableHash for RecoveryModel {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_f64(self.node_mttf_hours);
-        h.write_f64(self.checkpoint_minutes);
     }
 }
 

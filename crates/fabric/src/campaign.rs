@@ -33,6 +33,14 @@ use crate::collective::{schedule, CollectiveKind};
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
 
+/// Teraflops per exaflop. A cabinet delivers hundreds of teraflops on a
+/// few kilowatts, so the campaign report and the fabric sweep reports
+/// print TF and kW: in EF and MW nearly every figure rounds to zero.
+pub const TF_PER_EF: f64 = 1e6;
+
+/// Kilowatts per megawatt (see [`TF_PER_EF`]).
+pub const KW_PER_MW: f64 = 1e3;
+
 /// Everything needed to run one multi-node campaign.
 #[derive(Clone, Debug)]
 pub struct MultiNodeCampaignSpec {
@@ -201,10 +209,10 @@ impl MultiNodeReport {
         let _ = writeln!(out, "analytic cross-check (at built size)");
         let _ = writeln!(
             out,
-            "  linear {:.3} EF | derated {:.3} EF | simulated final {:.3} EF | gap to linear {:.1} %",
-            self.projection.exaflops,
-            derated.exaflops,
-            self.final_estimate().exaflops,
+            "  linear {:.1} TF | derated {:.1} TF | simulated final {:.1} TF | gap to linear {:.1} %",
+            TF_PER_EF * self.projection.exaflops,
+            TF_PER_EF * derated.exaflops,
+            TF_PER_EF * self.final_estimate().exaflops,
             100.0 * self.final_estimate().analytic_gap(&self.projection)
         );
         for (node, report) in &self.straggler_reports {
@@ -236,8 +244,8 @@ impl MultiNodeReport {
             );
             let _ = writeln!(
                 out,
-                "  recovered throughput {:.3} EF",
-                recovery.recovered_exaflops
+                "  recovered throughput {:.1} TF",
+                TF_PER_EF * recovery.recovered_exaflops
             );
         }
         out
@@ -256,8 +264,10 @@ fn render_estimate(out: &mut String, e: &ScaleOutEstimate) {
     );
     let _ = writeln!(
         out,
-        "  fleet {:.3} EF | {:.2} MW | node {:.2} TF",
-        e.exaflops, e.power_mw, e.node_teraflops
+        "  fleet {:.1} TF | {:.2} kW | node {:.2} TF",
+        TF_PER_EF * e.exaflops,
+        KW_PER_MW * e.power_mw,
+        e.node_teraflops
     );
 }
 

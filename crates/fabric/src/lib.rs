@@ -57,6 +57,7 @@ pub mod topology;
 
 pub use campaign::{
     run_multinode_campaign, MultiNodeCampaignSpec, MultiNodeReport, MultiNodeStep, RecoveryOutcome,
+    KW_PER_MW, TF_PER_EF,
 };
 pub use collective::{
     schedule, schedule_with_retransmits, CollectiveKind, CollectiveSchedule, RetransmitModel,

@@ -13,7 +13,7 @@
 //! node count, at the first point of that count to evaluate, and shares
 //! it with the run's other interval scales.
 //!
-//! Both run through the one sweep driver ([`Memo`], aliased here as
+//! Both run through the one sweep driver ([`Driver`], aliased here as
 //! [`MultiNodeSweep`] and [`RecoverySweep`]), so they share the node
 //! axis's supervision (retries, quarantine, failpoints) and determinism
 //! contract: the outcome is byte-identical to the sequential oracle for
@@ -23,36 +23,16 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use ena_core::resilience::RecoveryModel;
-use ena_model::hash::{digest, StableHash, StableHasher};
-use ena_sweep::{frontier, Axis, Memo, RunOptions};
+use ena_sweep::{frontier, Axis, Driver, RunOptions};
 
 use crate::scaleout::{estimate, ScaleOutEstimate, ScaleOutSpec};
 use crate::topology::{FabricError, FabricGraph, FabricKind};
 
 /// The multi-node sweep driver.
-pub type MultiNodeSweep = Memo;
+pub type MultiNodeSweep = Driver;
 
 /// The (checkpoint-interval x nodes) sweep driver.
-pub type RecoverySweep = Memo;
-
-/// Everything in a [`ScaleOutSpec`] that determines an evaluation: the
-/// workload, the node hardware, and the payloads.
-impl StableHash for ScaleOutSpec {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_str(&self.workload);
-        self.base.stable_hash(h);
-        h.write_f64(self.payload_bytes);
-        h.write_f64(self.reduce_bytes);
-    }
-}
-
-/// Key of a fabric grid point within `campaign`.
-fn keyed(campaign: u64, point: &impl StableHash) -> u64 {
-    let mut h = StableHasher::new();
-    h.write_u64(campaign);
-    point.stable_hash(&mut h);
-    h.finish()
-}
+pub type RecoverySweep = Driver;
 
 /// One multi-node design point.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -67,13 +47,6 @@ impl MultiNodePoint {
     /// Compact display label, e.g. `64@dragonfly`.
     pub fn label(&self) -> String {
         format!("{}@{}", self.nodes, self.kind)
-    }
-}
-
-impl StableHash for MultiNodePoint {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(self.nodes);
-        self.kind.stable_hash(h);
     }
 }
 
@@ -180,15 +153,6 @@ impl Axis for MultiNodeSweepSpec {
         self.space.points()
     }
 
-    /// The workload, the node hardware, and the payloads.
-    fn campaign_digest(&self) -> u64 {
-        digest(&self.scaleout)
-    }
-
-    fn point_key(&self, campaign: u64, point: &MultiNodePoint) -> u64 {
-        keyed(campaign, point)
-    }
-
     fn shared(&self) {}
 
     /// Builds the fabric and estimates the healthy fleet.
@@ -220,13 +184,6 @@ impl RecoveryPoint {
     /// Compact display label, e.g. `64@100%`.
     pub fn label(&self) -> String {
         format!("{}@{}%", self.nodes, self.interval_scale_pct)
-    }
-}
-
-impl StableHash for RecoveryPoint {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(self.nodes);
-        h.write_u32(self.interval_scale_pct);
     }
 }
 
@@ -339,21 +296,6 @@ impl Axis for RecoverySweepSpec {
 
     fn points(&self) -> Vec<RecoveryPoint> {
         self.space.points()
-    }
-
-    /// Workload, hardware, payloads, topology, recovery parameters, and
-    /// the Monte Carlo seed.
-    fn campaign_digest(&self) -> u64 {
-        let mut h = StableHasher::new();
-        self.scaleout.stable_hash(&mut h);
-        self.kind.stable_hash(&mut h);
-        self.recovery.stable_hash(&mut h);
-        h.write_u64(self.seed);
-        h.finish()
-    }
-
-    fn point_key(&self, campaign: u64, point: &RecoveryPoint) -> u64 {
-        keyed(campaign, point)
     }
 
     fn shared(&self) -> Vec<(u32, OnceLock<f64>)> {

@@ -14,7 +14,8 @@
 //!    degradation) renders byte-identically across runs *and* processes.
 //! 3. **Parallel == sequential** — the multi-node sweep's records and
 //!    Pareto frontier are bit-identical to the sequential oracle for any
-//!    job count, and a panicking point quarantines only its chunk.
+//!    job count, and on every sweep axis (node, multinode, recovery) a
+//!    panicking point quarantines only its chunk.
 //! 4. **Dense compile == map compile** — `schedule` and
 //!    `schedule_with_retransmits` equal a per-round `BTreeMap` compile
 //!    over the public `FabricGraph::route`, bit for bit, on degraded
@@ -26,21 +27,23 @@
 //!    infinities and NaNs.
 
 use std::collections::BTreeMap;
+use std::fmt::Debug;
 use std::sync::Arc;
 
-use ena_core::dse::ConfigPoint;
+use ena_core::dse::{ConfigPoint, DesignSpace, Explorer};
 use ena_fabric::{
     estimate, run_multinode_campaign, schedule, schedule_with_retransmits, CollectiveKind,
     CollectiveSchedule, FabricError, FabricGraph, FabricKind, MultiNodeCampaignSpec,
-    MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RetransmitModel, Round, ScaleOutSpec,
-    Transfer,
+    MultiNodeSpace, MultiNodeSweep, MultiNodeSweepSpec, RecoveryModel, RecoverySpace,
+    RecoverySweepSpec, RetransmitModel, Round, ScaleOutSpec, Transfer,
 };
 use ena_fabric::{MultiNodePoint, MultiNodeRecord, RecoveryPoint, RecoveryRecord};
 use ena_model::hash::StableHasher;
 use ena_model::units::{GigabytesPerSec, Megahertz, Microseconds};
-use ena_sweep::{frontier, Axis, Failpoint, FrontierPoint};
+use ena_sweep::{frontier, Axis, Driver, Failpoint, FrontierPoint, NodeAxis, SweepSpec};
 use ena_testkit::prelude::*;
 use ena_testkit::process::assert_same_digest_across_processes;
+use ena_workloads::paper_profiles;
 
 fn any_kind() -> impl Strategy<Value = FabricKind> {
     prop_oneof![
@@ -354,40 +357,90 @@ proptest! {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
-
-    /// The fabric axes run under the node axis's supervision: a point
-    /// whose evaluation panics on every attempt quarantines its chunk,
-    /// and every other record equals a clean run's.
-    #[test]
-    fn a_panicking_multinode_point_is_quarantined(victim in 0usize..18, jobs in 1usize..4) {
-        let mut spec =
-            MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
-        spec.run.jobs = jobs;
-        let clean = MultiNodeSweep::new().run(&spec).unwrap();
-        let campaign = spec.campaign_digest();
-        let poisoned = spec.point_key(campaign, &spec.space.points()[victim]);
+/// Runs `axis` clean, then once per victim with a failpoint that panics
+/// at that grid index: at `victim` (taken modulo the grid size) and at
+/// the last point, whose chunk is short when the chunk size does not
+/// divide the grid. Checks that the driver quarantines exactly the
+/// victim's chunk, names its grid range, and returns every other record
+/// as the clean run did.
+fn victim_chunk_is_quarantined<A>(axis: &A, victim: usize) -> Result<(), TestCaseError>
+where
+    A: Axis,
+    A::Record: Clone + PartialEq + Debug,
+    A::Error: Debug,
+{
+    let clean = Driver::new().run(axis).expect("a clean run completes");
+    let total = clean.total_points;
+    let chunk_points = axis.options().chunk_points;
+    for victim in [victim % total, total - 1] {
         let failpoint: Failpoint =
-            Arc::new(move |key| assert!(key != poisoned, "poisoned point {key:#x}"));
-        let outcome = MultiNodeSweep::new()
+            Arc::new(move |index| assert!(index != victim, "poisoned point {index}"));
+        let outcome = Driver::new()
             .with_failpoint(failpoint)
-            .run(&spec)
+            .run(axis)
             .expect("a caught panic quarantines instead of failing the sweep");
 
+        let chunk = victim / chunk_points;
+        let grid = chunk * chunk_points..total.min((chunk + 1) * chunk_points);
         prop_assert_eq!(outcome.quarantine.entries.len(), 1);
         let entry = &outcome.quarantine.entries[0];
-        prop_assert_eq!(entry.chunk_index, victim / spec.run.chunk_points);
-        prop_assert!(entry.keys.contains(&poisoned));
-        prop_assert!(entry.message.contains("poisoned point"), "{}", entry.message);
-        let survivors: Vec<_> = clean
+        prop_assert_eq!(entry.chunk_index, chunk);
+        prop_assert_eq!(&entry.grid, &grid);
+        prop_assert_eq!(entry.attempts, 4);
+        prop_assert!(
+            entry.message.contains("poisoned point"),
+            "{}",
+            entry.message
+        );
+        let survivors: Vec<A::Record> = clean
             .records
             .iter()
-            .filter(|r| !entry.keys.contains(&spec.point_key(campaign, &r.point)))
-            .cloned()
+            .enumerate()
+            .filter(|(index, _)| !grid.contains(index))
+            .map(|(_, record)| record.clone())
             .collect();
         prop_assert_eq!(&outcome.records, &survivors);
         prop_assert_eq!(outcome.fresh_evals, survivors.len());
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every axis runs under the one driver's supervision: a point whose
+    /// evaluation panics on every attempt quarantines its chunk, and
+    /// only its chunk. On the recovery axis the panic can strike the
+    /// point that would have computed its node count's shared fleet
+    /// estimate; another point of that count computes it instead.
+    #[test]
+    fn a_panicking_point_quarantines_only_its_chunk_on_every_axis(
+        victim in 0usize..4096,
+        chunk_points in 1usize..9,
+        jobs in 1usize..4,
+    ) {
+        let mut node = NodeAxis {
+            explorer: Explorer::default(),
+            spec: SweepSpec::new(DesignSpace::coarse(), paper_profiles()),
+        };
+        node.spec.run.jobs = jobs;
+        node.spec.run.chunk_points = chunk_points;
+        victim_chunk_is_quarantined(&node, victim)?;
+
+        let mut multinode =
+            MultiNodeSweepSpec::new(MultiNodeSpace::cabinet(), ScaleOutSpec::standard("CoMD"));
+        multinode.run.jobs = jobs;
+        multinode.run.chunk_points = chunk_points;
+        victim_chunk_is_quarantined(&multinode, victim)?;
+
+        let mut recovery = RecoverySweepSpec::new(
+            RecoverySpace::standard(),
+            ScaleOutSpec::standard("CoMD"),
+            RecoveryModel::new(96.0, 3.0),
+        );
+        recovery.run.jobs = jobs;
+        recovery.run.chunk_points = chunk_points;
+        victim_chunk_is_quarantined(&recovery, victim)?;
     }
 }
 

@@ -226,15 +226,6 @@ impl HbmStack {
     pub fn stats(&self) -> HbmStats {
         self.stats
     }
-
-    /// Resets timing state and statistics.
-    pub fn reset(&mut self) {
-        for b in &mut self.banks {
-            *b = Bank::default();
-        }
-        self.channel_busy_until.fill(0);
-        self.stats = HbmStats::default();
-    }
 }
 
 #[cfg(test)]
@@ -300,15 +291,5 @@ mod tests {
             .complete_cycle;
         // Both finish around the same time: no serialization across channels.
         assert!(t2 <= t1 + 1);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let mut stack = HbmStack::with_defaults();
-        stack.service(0, 64, Direction::Read, 0);
-        stack.reset();
-        assert_eq!(stack.stats(), HbmStats::default());
-        // After reset the same access misses the row buffer again.
-        assert!(!stack.service(0, 64, Direction::Read, 0).row_hit);
     }
 }

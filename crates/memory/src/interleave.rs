@@ -23,13 +23,6 @@ pub enum Tier {
     },
 }
 
-impl Tier {
-    /// True for in-package placements.
-    pub fn is_in_package(&self) -> bool {
-        matches!(self, Tier::InPackage { .. })
-    }
-}
-
 /// The node's physical address map.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct AddressMap {
@@ -141,7 +134,7 @@ mod tests {
         let m = map();
         let boundary = m.in_package_bytes();
         assert!(matches!(m.locate(boundary), Tier::External { offset: 0 }));
-        assert!(m.locate(boundary - 1).is_in_package());
+        assert!(matches!(m.locate(boundary - 1), Tier::InPackage { .. }));
     }
 
     #[test]

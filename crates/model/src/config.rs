@@ -78,19 +78,12 @@ pub struct CpuConfig {
     pub cores_per_chiplet: u32,
     /// Core clock frequency.
     pub clock: Megahertz,
-    /// Whether simultaneous multi-threading is enabled (paper: optional).
-    pub smt: bool,
 }
 
 impl CpuConfig {
     /// Total core count.
     pub fn total_cores(&self) -> u32 {
         self.chiplets * self.cores_per_chiplet
-    }
-
-    /// Hardware thread count (2 threads/core with SMT).
-    pub fn total_threads(&self) -> u32 {
-        self.total_cores() * if self.smt { 2 } else { 1 }
     }
 }
 
@@ -100,7 +93,6 @@ impl Default for CpuConfig {
             chiplets: 8,
             cores_per_chiplet: 4,
             clock: Megahertz::new(2500.0),
-            smt: true,
         }
     }
 }
@@ -628,11 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn cpu_thread_counts() {
-        let cpu = CpuConfig::default();
-        assert_eq!(cpu.total_cores(), 32);
-        assert_eq!(cpu.total_threads(), 64);
-        let no_smt = CpuConfig { smt: false, ..cpu };
-        assert_eq!(no_smt.total_threads(), 32);
+    fn cpu_core_count() {
+        assert_eq!(CpuConfig::default().total_cores(), 32);
     }
 }

@@ -1,31 +1,29 @@
 //! Stable, platform-independent structural hashing.
 //!
-//! The sweep engine memoizes node evaluations on disk, keyed by a digest
-//! of everything that determines the result: the hardware configuration,
-//! the workload profiles, the evaluation knobs, and the *model version*.
-//! `std::hash::Hash` is unsuitable for that key — `DefaultHasher` is
+//! `ena serve`'s store files each evaluated node record on disk under a
+//! digest of everything that determines it: the workload profiles and
+//! the evaluation knobs name the campaign's file, and the design point
+//! names the record within it. Route tables, collective schedules and
+//! fault schedules digest the same way, so tests can pin them.
+//! `std::hash::Hash` is unsuitable for such keys — `DefaultHasher` is
 //! explicitly not stable across releases — so this module provides a
 //! fixed FNV-1a 64-bit hasher and a [`StableHash`] trait whose impls
 //! visit every semantically meaningful field (floats by IEEE bit
 //! pattern). The same value hashes to the same digest on every platform,
 //! every run, every toolchain.
 //!
-//! [`MODEL_VERSION`] stamps persisted caches: any change to the analytic
-//! models that moves numbers must bump it, which atomically invalidates
-//! every stale cache entry.
+//! [`MODEL_VERSION`] stamps the serve store's record file: any change to
+//! the analytic models that moves numbers must bump it, which evicts
+//! every stale record at once.
 
-use crate::config::{
-    CpuConfig, EhpConfig, ExternalMemoryConfig, ExternalModuleKind, GpuConfig, HbmConfig,
-    PackageOrganization,
-};
 use crate::kernel::{KernelCategory, KernelProfile};
-use crate::units::{Gigabytes, GigabytesPerSec, Megahertz, Microseconds, Watts};
 
 /// Version stamp of the analytic model stack.
 ///
 /// Bump this whenever a calibration or model change alters any evaluated
-/// number: persisted sweep caches carry the stamp and a mismatch evicts
-/// them wholesale, so stale state can never poison fresh results.
+/// number: the serve store's record file carries the stamp, and a file
+/// with another stamp is evicted wholesale on open, so a stale record is
+/// never served as a fresh one.
 pub const MODEL_VERSION: &str = "ena-model/2";
 
 /// A 64-bit FNV-1a hasher with a fixed, documented algorithm.
@@ -104,13 +102,6 @@ pub trait StableHash {
     fn stable_hash(&self, h: &mut StableHasher);
 }
 
-/// One-shot digest of a value.
-pub fn digest<T: StableHash + ?Sized>(value: &T) -> u64 {
-    let mut h = StableHasher::new();
-    value.stable_hash(&mut h);
-    h.finish()
-}
-
 impl StableHash for u32 {
     fn stable_hash(&self, h: &mut StableHasher) {
         h.write_u32(*self);
@@ -174,81 +165,6 @@ impl<T: StableHash> StableHash for Option<T> {
     }
 }
 
-macro_rules! stable_hash_unit {
-    ($($t:ty),* $(,)?) => {$(
-        impl StableHash for $t {
-            fn stable_hash(&self, h: &mut StableHasher) {
-                h.write_f64(self.value());
-            }
-        }
-    )*};
-}
-
-stable_hash_unit!(Megahertz, GigabytesPerSec, Gigabytes, Watts, Microseconds);
-
-impl StableHash for ExternalModuleKind {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(match self {
-            ExternalModuleKind::Dram => 0,
-            ExternalModuleKind::Nvm => 1,
-        });
-    }
-}
-
-impl StableHash for PackageOrganization {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(match self {
-            PackageOrganization::Chiplets => 0,
-            PackageOrganization::Monolithic => 1,
-        });
-    }
-}
-
-impl StableHash for GpuConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(self.chiplets);
-        h.write_u32(self.cus_per_chiplet);
-        self.clock.stable_hash(h);
-    }
-}
-
-impl StableHash for CpuConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(self.chiplets);
-        h.write_u32(self.cores_per_chiplet);
-        self.clock.stable_hash(h);
-        h.write_bool(self.smt);
-    }
-}
-
-impl StableHash for HbmConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(self.stacks);
-        self.capacity_per_stack.stable_hash(h);
-        self.bandwidth_per_stack.stable_hash(h);
-    }
-}
-
-impl StableHash for ExternalMemoryConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        h.write_u32(self.interfaces);
-        self.chain.stable_hash(h);
-        self.dram_module_capacity.stable_hash(h);
-        self.nvm_module_capacity.stable_hash(h);
-        self.interface_bandwidth.stable_hash(h);
-    }
-}
-
-impl StableHash for EhpConfig {
-    fn stable_hash(&self, h: &mut StableHasher) {
-        self.gpu.stable_hash(h);
-        self.cpu.stable_hash(h);
-        self.hbm.stable_hash(h);
-        self.external.stable_hash(h);
-        self.organization.stable_hash(h);
-    }
-}
-
 impl StableHash for KernelCategory {
     fn stable_hash(&self, h: &mut StableHasher) {
         h.write_u32(match self {
@@ -279,6 +195,12 @@ impl StableHash for KernelProfile {
 mod tests {
     use super::*;
 
+    fn digest<T: StableHash + ?Sized>(value: &T) -> u64 {
+        let mut h = StableHasher::new();
+        value.stable_hash(&mut h);
+        h.finish()
+    }
+
     /// Pin FNV-1a to its reference vectors so the on-disk format cannot
     /// silently change.
     #[test]
@@ -290,15 +212,6 @@ mod tests {
         let mut h = StableHasher::new();
         h.write_bytes(b"foobar");
         assert_eq!(h.finish(), 0x85944171F73967E8);
-    }
-
-    #[test]
-    fn config_digest_is_deterministic_and_field_sensitive() {
-        let a = EhpConfig::paper_baseline();
-        let b = EhpConfig::paper_baseline();
-        assert_eq!(digest(&a), digest(&b));
-        let c = EhpConfig::paper_optimized_baseline();
-        assert_ne!(digest(&a), digest(&c));
     }
 
     #[test]

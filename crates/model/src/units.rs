@@ -209,20 +209,6 @@ unit!(
     "us"
 );
 
-impl Joules {
-    /// Converts to picojoules.
-    pub fn to_picojoules(self) -> Picojoules {
-        Picojoules::new(self.value() * 1e12)
-    }
-}
-
-impl Picojoules {
-    /// Converts to joules.
-    pub fn to_joules(self) -> Joules {
-        Joules::new(self.value() * 1e-12)
-    }
-}
-
 impl Megahertz {
     /// Cycles per second.
     pub fn hertz(self) -> f64 {
@@ -232,11 +218,6 @@ impl Megahertz {
     /// Converts to gigahertz.
     pub fn gigahertz(self) -> f64 {
         self.value() * 1e-3
-    }
-
-    /// The duration of one clock cycle.
-    pub fn cycle_time(self) -> Seconds {
-        Seconds::new(1.0 / self.hertz())
     }
 }
 
@@ -255,18 +236,6 @@ impl GigabytesPerSec {
     pub fn bytes_per_sec(self) -> f64 {
         self.value() * 1e9
     }
-
-    /// The time to transfer `bytes` at this bandwidth.
-    ///
-    /// Returns [`Seconds::ZERO`] when `bytes` is zero, even at zero
-    /// bandwidth (no transfer takes no time).
-    pub fn transfer_time(self, bytes: f64) -> Seconds {
-        if bytes == 0.0 {
-            Seconds::ZERO
-        } else {
-            Seconds::new(bytes / self.bytes_per_sec())
-        }
-    }
 }
 
 impl Gigaflops {
@@ -278,11 +247,6 @@ impl Gigaflops {
     /// Throughput in teraflops.
     pub fn teraflops(self) -> f64 {
         self.value() / 1000.0
-    }
-
-    /// Floating-point operations per second.
-    pub fn flops_per_sec(self) -> f64 {
-        self.value() * 1e9
     }
 }
 
@@ -335,28 +299,17 @@ mod tests {
     }
 
     #[test]
-    fn picojoule_round_trip() {
-        let e = Picojoules::new(3.5);
-        let back = e.to_joules().to_picojoules();
-        assert!((back.value() - 3.5).abs() < 1e-9);
-    }
-
-    #[test]
     fn frequency_conversions() {
         let f = Megahertz::new(1000.0);
         assert_eq!(f.hertz(), 1e9);
         assert_eq!(f.gigahertz(), 1.0);
-        assert!((f.cycle_time().value() - 1e-9).abs() < 1e-21);
     }
 
     #[test]
-    fn bandwidth_conversions_and_transfer() {
+    fn bandwidth_conversions() {
         let bw = GigabytesPerSec::from_terabytes_per_sec(3.0);
         assert_eq!(bw.value(), 3000.0);
         assert_eq!(bw.terabytes_per_sec(), 3.0);
-        let t = bw.transfer_time(3e12);
-        assert!((t.value() - 1.0).abs() < 1e-12);
-        assert_eq!(GigabytesPerSec::ZERO.transfer_time(0.0), Seconds::ZERO);
     }
 
     #[test]
@@ -364,7 +317,6 @@ mod tests {
         let g = Gigaflops::from_teraflops(16.0);
         assert_eq!(g.value(), 16_000.0);
         assert_eq!(g.teraflops(), 16.0);
-        assert_eq!(g.flops_per_sec(), 16e12);
     }
 
     #[test]

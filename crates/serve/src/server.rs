@@ -37,7 +37,7 @@ use ena_model::hash::MODEL_VERSION;
 use ena_model::kernel::KernelProfile;
 use ena_sweep::{
     campaign_digest, evaluate_batch, pareto_frontier, point_key, CacheError, CacheRecord as _,
-    Failpoint, RealFs,
+    RealFs,
 };
 
 use crate::protocol::{write_frame, FrameReader, Request, BUSY};
@@ -158,9 +158,6 @@ pub struct ServeConfig {
     /// Directory for the persistent cache; `None` serves from memory
     /// only.
     pub cache_dir: Option<std::path::PathBuf>,
-    /// Test hook invoked with the memoization key once per fresh engine
-    /// evaluation — the observable the single-flight property counts.
-    pub probe: Option<Failpoint>,
 }
 
 impl ServeConfig {
@@ -174,7 +171,6 @@ impl ServeConfig {
             queue_cap: 16,
             max_batch: 64,
             cache_dir: None,
-            probe: None,
         }
     }
 }
@@ -212,7 +208,6 @@ pub struct Server {
     workers: usize,
     queue_cap: usize,
     max_batch: usize,
-    probe: Option<Failpoint>,
     campaign: u64,
     store: ShardStore,
     counters: Counters,
@@ -259,7 +254,6 @@ impl Server {
                 workers: config.workers.max(1),
                 queue_cap: config.queue_cap.max(1),
                 max_batch: config.max_batch.max(1),
-                probe: config.probe,
                 campaign,
                 store,
                 counters: Counters::default(),
@@ -566,11 +560,6 @@ impl Server {
             .into_iter()
             .map(|(key, point, token)| ((key, point), token))
             .unzip();
-        if let Some(probe) = &self.probe {
-            for (key, _) in &batch {
-                probe(*key);
-            }
-        }
         evaluate_batch(&self.explorer, &batch, &self.profiles)
             .into_iter()
             .zip(tokens)

@@ -4,8 +4,8 @@
 //! rejection — all driven hermetically over in-process pipes.
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Barrier};
+use std::sync::atomic::Ordering;
+use std::sync::Barrier;
 
 use ena_core::dse::Explorer;
 use ena_serve::{Client, ServeConfig, Server};
@@ -20,16 +20,11 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
-/// A one-profile config (fast evaluations) with an engine-evaluation
-/// counter wired to the probe hook.
-fn counted_config(evals: &Arc<AtomicU64>) -> ServeConfig {
+/// A one-profile config (fast evaluations). The server's `evals`
+/// counter counts its engine evaluations.
+fn one_profile_config() -> ServeConfig {
     let profiles = vec![profile_for("CoMD").expect("CoMD is a paper app")];
-    let mut config = ServeConfig::new(Explorer::default(), profiles);
-    let evals = evals.clone();
-    config.probe = Some(Arc::new(move |_| {
-        evals.fetch_add(1, Ordering::SeqCst);
-    }));
-    config
+    ServeConfig::new(Explorer::default(), profiles)
 }
 
 proptest! {
@@ -41,8 +36,7 @@ proptest! {
     #[test]
     fn k_concurrent_identical_requests_cost_one_evaluation(k_pick in 0usize..4) {
         let k = [2usize, 4, 8, 16][k_pick];
-        let evals = Arc::new(AtomicU64::new(0));
-        let (server, _) = Server::new(counted_config(&evals)).expect("memory store");
+        let (server, _) = Server::new(one_profile_config()).expect("memory store");
         let barrier = Barrier::new(k);
 
         let responses: Vec<String> = std::thread::scope(|s| {
@@ -62,22 +56,21 @@ proptest! {
             clients.into_iter().map(|j| j.join().expect("client thread")).collect()
         });
 
-        prop_assert!(evals.load(Ordering::SeqCst) == 1,
-            "expected exactly 1 engine evaluation for {k} concurrent requests, got {}",
-            evals.load(Ordering::SeqCst));
+        let c = server.counters();
+        let evals = c.evals.load(Ordering::Relaxed);
+        prop_assert!(evals == 1,
+            "expected exactly 1 engine evaluation for {k} concurrent requests, got {evals}");
         let first = &responses[0];
         prop_assert!(first.starts_with("OK "), "{first}");
         for r in &responses {
             prop_assert!(r == first, "responses diverged:\n{first}\n{r}");
         }
-        let c = server.counters();
         let lookups = c.lookups.load(Ordering::Relaxed);
         let hits = c.hits.load(Ordering::Relaxed);
-        let evals_ctr = c.evals.load(Ordering::Relaxed);
         let waits = c.waits.load(Ordering::Relaxed);
         prop_assert!(lookups == k as u64);
-        prop_assert!(hits + evals_ctr + waits == lookups,
-            "accounting identity broken: {lookups} != {hits}+{evals_ctr}+{waits}");
+        prop_assert!(hits + evals + waits == lookups,
+            "accounting identity broken: {lookups} != {hits}+{evals}+{waits}");
     }
 
     /// Snapshot + restart round-trips the shard store bit-exactly: a
@@ -95,8 +88,7 @@ proptest! {
             .collect();
         let lines: Vec<&str> = lines.iter().map(String::as_str).collect();
 
-        let evals = Arc::new(AtomicU64::new(0));
-        let mut config = counted_config(&evals);
+        let mut config = one_profile_config();
         config.cache_dir = Some(dir.clone());
         let (cold, restored) = Server::new(config.clone()).expect("cold open");
         prop_assert!(restored == 0);
@@ -112,7 +104,7 @@ proptest! {
             }
             (responses, format!("{:?}", server.store().records()))
         });
-        let cold_evals = evals.load(Ordering::SeqCst);
+        prop_assert!(cold.counters().evals.load(Ordering::Relaxed) == n_points as u64);
         drop(cold); // no clean shutdown: ack => durable must suffice
 
         let (warm, restored) = Server::new(config).expect("warm open");
@@ -128,15 +120,14 @@ proptest! {
         });
         prop_assert!(warm_responses == cold_responses,
             "responses diverged across restart");
-        prop_assert!(evals.load(Ordering::SeqCst) == cold_evals,
+        prop_assert!(warm.counters().evals.load(Ordering::Relaxed) == 0,
             "warm server re-evaluated instead of serving from the restored store");
     }
 }
 
 #[test]
 fn pipelined_evals_fold_into_one_engine_dispatch() {
-    let evals = Arc::new(AtomicU64::new(0));
-    let (server, _) = Server::new(counted_config(&evals)).expect("memory store");
+    let (server, _) = Server::new(one_profile_config()).expect("memory store");
     // Distinct points plus one in-batch duplicate.
     let lines = [
         "EVAL 256 900 2",
@@ -164,14 +155,13 @@ fn pipelined_evals_fold_into_one_engine_dispatch() {
         3,
         "3 unique points"
     );
-    assert_eq!(evals.load(Ordering::SeqCst), 3);
+    assert_eq!(c.evals.load(Ordering::Relaxed), 3);
     assert_eq!(c.hits.load(Ordering::Relaxed), 1, "the in-batch duplicate");
 }
 
 #[test]
 fn overflowing_the_admission_queue_is_answered_busy() {
-    let evals = Arc::new(AtomicU64::new(0));
-    let mut config = counted_config(&evals);
+    let mut config = one_profile_config();
     config.queue_cap = 2;
     let (server, _) = Server::new(config).expect("memory store");
     // No worker pool is draining, so the queue fills and stays full.
@@ -246,8 +236,7 @@ fn sweep_then_frontier_matches_the_batch_engine() {
 
 #[test]
 fn malformed_requests_get_err_and_the_connection_survives() {
-    let evals = Arc::new(AtomicU64::new(0));
-    let (server, _) = Server::new(counted_config(&evals)).expect("memory store");
+    let (server, _) = Server::new(one_profile_config()).expect("memory store");
     let (client_end, server_end) = pair();
     std::thread::scope(|s| {
         let server = &server;

@@ -1,15 +1,16 @@
 //! The sweep driver: parallel, supervised exploration of any [`Axis`]
 //! that is byte-identical to the sequential oracle.
 //!
-//! One driver, [`Memo::run`], serves every axis: the node-configuration
+//! One driver, [`Driver::run`], serves every axis: the node-configuration
 //! sweep ([`SweepEngine`]) and the fabric axes in `ena-fabric`. An axis
-//! says what its grid is and how to address, evaluate and rank a point;
-//! the driver owns everything else — chunking, the supervised pool,
-//! quarantine and the grid-order merge. It evaluates every point of
-//! every run in memory and persists nothing: an analytic sweep costs
-//! less than opening a cache of its records would, and the one store
-//! that must survive a crash is `ena-serve`'s, which acknowledges
-//! records to clients.
+//! says what its grid is and how to evaluate and rank a point; the
+//! driver owns everything else — chunking, the supervised pool,
+//! quarantine and the grid-order merge. A point is named by its grid
+//! index, the position of its record in a clean run. The driver
+//! evaluates every point of every run in memory and persists nothing: an
+//! analytic sweep costs less than opening a cache of its records would,
+//! and the one store that must survive a crash is `ena-serve`'s, which
+//! acknowledges records to clients.
 //!
 //! Determinism argument, in two parts:
 //!
@@ -26,6 +27,7 @@
 //! count.
 
 use std::convert::Infallible;
+use std::ops::Range;
 use std::sync::Arc;
 
 use ena_core::dse::{ConfigPoint, DesignSpace, DseError, DseResult, PointRecord, Scores};
@@ -34,10 +36,9 @@ use ena_model::hash::{StableHash, StableHasher};
 use ena_model::kernel::KernelProfile;
 
 use crate::pareto::{pareto_frontier, FrontierPoint};
-use crate::pool::{map_chunks_supervised, PoolError, RetryPolicy, WorkerStats};
+use crate::pool::{map_chunks_supervised, PoolError, WorkerStats};
 
 /// How a sweep runs, whatever its axis: every axis's spec carries one.
-/// A panicking chunk gets the default [`RetryPolicy`] before quarantine.
 #[derive(Clone, Debug)]
 pub struct RunOptions {
     /// Worker count including the calling thread, which is worker 0
@@ -57,8 +58,8 @@ impl RunOptions {
     }
 }
 
-/// One sweep axis: a grid of points, how each is addressed, evaluated
-/// and ranked. [`Memo::run`] does the rest.
+/// One sweep axis: a grid of points, how each is evaluated and ranked.
+/// [`Driver::run`] does the rest.
 pub trait Axis: Sync {
     /// One grid point.
     type Point: Copy + Send + Sync;
@@ -76,16 +77,10 @@ pub trait Axis: Sync {
     /// How this sweep runs.
     fn options(&self) -> &RunOptions;
 
-    /// Every point, in the order records are merged and reported.
+    /// Every point, in the order records are merged and reported. A
+    /// point's position here is its grid index: its name in quarantine
+    /// reports and the value a [`Failpoint`] sees.
     fn points(&self) -> Vec<Self::Point>;
-
-    /// Digest of everything besides the point coordinates that
-    /// determines an evaluation.
-    fn campaign_digest(&self) -> u64;
-
-    /// Content address of one point within `campaign`: its name in
-    /// quarantine reports and the key a [`Failpoint`] sees.
-    fn point_key(&self, campaign: u64, point: &Self::Point) -> u64;
 
     /// A fresh [`Axis::Shared`] for one run.
     fn shared(&self) -> Self::Shared;
@@ -119,20 +114,19 @@ pub struct Telemetry {
     pub workers: Vec<WorkerStats>,
 }
 
-/// One chunk the supervisor pulled out of the sweep, with the point
-/// keys it was carrying.
+/// One chunk the supervisor pulled out of the sweep, with the grid
+/// indices of the points it was carrying.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuarantineEntry {
     /// Index of the chunk in submission order.
     pub chunk_index: usize,
-    /// Point keys of the points in the chunk.
-    pub keys: Vec<u64>,
+    /// Grid indices of the chunk's points: chunks are contiguous runs
+    /// of the grid.
+    pub grid: Range<usize>,
     /// Attempts made before quarantine (1 + retries).
     pub attempts: u32,
     /// Panic message of the final attempt.
     pub message: String,
-    /// Modeled retry backoff consumed (µs).
-    pub backoff_us: f64,
 }
 
 /// Deterministic account of everything quarantined during a sweep,
@@ -152,32 +146,7 @@ impl QuarantineReport {
 
     /// Total points pulled out of the sweep.
     pub fn points(&self) -> usize {
-        self.entries.iter().map(|e| e.keys.len()).sum()
-    }
-
-    /// Renders the report as stable text (no wall-clock, no addresses).
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = String::new();
-        // fmt::Write to a String is infallible; discard the Ok values.
-        let _ = writeln!(
-            out,
-            "quarantine: {} chunk(s), {} point(s)",
-            self.entries.len(),
-            self.points()
-        );
-        for e in &self.entries {
-            let _ = writeln!(
-                out,
-                "  chunk {} ({} points, {} attempts, backoff {:.1} us): {}",
-                e.chunk_index,
-                e.keys.len(),
-                e.attempts,
-                e.backoff_us,
-                e.message
-            );
-        }
-        out
+        self.entries.iter().map(|e| e.grid.len()).sum()
     }
 }
 
@@ -256,13 +225,13 @@ impl<E> From<DseError> for SweepError<E> {
     }
 }
 
-/// A hook invoked with each point's key just before the point is
+/// A hook invoked with each point's grid index just before the point is
 /// evaluated. May panic — that is its purpose: tests inject
 /// deterministic worker kills through it, and the supervised pool
 /// catches them. Production sweeps leave it unset.
-pub type Failpoint = Arc<dyn Fn(u64) + Send + Sync>;
+pub type Failpoint = Arc<dyn Fn(usize) + Send + Sync>;
 
-/// What [`Memo::run`] returns along axis `A`.
+/// What [`Driver::run`] returns along axis `A`.
 type AxisRun<A> =
     Result<Swept<<A as Axis>::Record, <A as Axis>::Frontier>, SweepError<<A as Axis>::Error>>;
 
@@ -270,19 +239,19 @@ type AxisRun<A> =
 /// nothing between runs, in memory or on disk: every run evaluates every
 /// point.
 #[derive(Default)]
-pub struct Memo {
+pub struct Driver {
     failpoint: Option<Failpoint>,
 }
 
-impl std::fmt::Debug for Memo {
+impl std::fmt::Debug for Driver {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Memo")
+        f.debug_struct("Driver")
             .field("failpoint", &self.failpoint.is_some())
             .finish()
     }
 }
 
-impl Memo {
+impl Driver {
     /// A driver with no failpoint.
     pub fn new() -> Self {
         Self::default()
@@ -311,57 +280,51 @@ impl Memo {
             return Err(SweepError::EmptySpace);
         }
         let opts = axis.options();
-        let campaign = axis.campaign_digest();
-        let keyed: Vec<(u64, A::Point)> = points
-            .iter()
-            .map(|p| (axis.point_key(campaign, p), *p))
-            .collect();
+        let total_points = points.len();
+        let indexed: Vec<(usize, A::Point)> = points.into_iter().enumerate().collect();
         let chunk_points = opts.chunk_points.max(1);
-        let chunks: Vec<Vec<(u64, A::Point)>> =
-            keyed.chunks(chunk_points).map(<[_]>::to_vec).collect();
+        let chunks: Vec<Vec<(usize, A::Point)>> =
+            indexed.chunks(chunk_points).map(<[_]>::to_vec).collect();
         let n_chunks = chunks.len();
 
         let failpoint = &self.failpoint;
         let shared = axis.shared();
-        let (verdicts, workers) = map_chunks_supervised(
-            opts.jobs,
-            chunks,
-            &RetryPolicy::default(),
-            |&(key, point)| {
-                if let Some(fp) = failpoint {
-                    fp(key);
-                }
-                axis.evaluate(&shared, &point)
-            },
-        )?;
+        let (verdicts, workers) = map_chunks_supervised(opts.jobs, chunks, |&(index, point)| {
+            if let Some(fp) = failpoint {
+                fp(index);
+            }
+            axis.evaluate(&shared, &point)
+        })?;
 
         // Verdicts come back in chunk-index order and every chunk is a
         // contiguous run of the grid, so concatenating them yields the
         // records in grid point order — the only order the reduction ever
         // sees — minus the quarantined chunks, which the report lists.
-        let mut records = Vec::with_capacity(points.len());
+        let mut records = Vec::with_capacity(total_points);
         let mut quarantine = QuarantineReport::default();
-        for (verdict, chunk) in verdicts.into_iter().zip(keyed.chunks(chunk_points)) {
+        for verdict in verdicts {
             match verdict {
                 Ok(results) => {
                     for record in results {
                         records.push(record.map_err(SweepError::Evaluate)?);
                     }
                 }
-                Err(q) => quarantine.entries.push(QuarantineEntry {
-                    chunk_index: q.index,
-                    keys: chunk.iter().map(|(key, _)| *key).collect(),
-                    attempts: q.attempts,
-                    message: q.message,
-                    backoff_us: q.backoff_us,
-                }),
+                Err(q) => {
+                    let start = q.index * chunk_points;
+                    quarantine.entries.push(QuarantineEntry {
+                        chunk_index: q.index,
+                        grid: start..total_points.min(start + chunk_points),
+                        attempts: q.attempts,
+                        message: q.message,
+                    });
+                }
             }
         }
 
         let frontier = axis.frontier(&records);
         let telemetry = Telemetry {
-            total_points: points.len(),
-            fresh_evals: points.len() - quarantine.points(),
+            total_points,
+            fresh_evals: total_points - quarantine.points(),
             chunks: n_chunks,
             jobs: opts.jobs.max(1),
             workers,
@@ -434,9 +397,8 @@ pub fn campaign_digest(explorer: &Explorer, profiles: &[KernelProfile]) -> u64 {
     h.finish()
 }
 
-/// Content address of one design point within a campaign — the key the
-/// sweep's quarantine reports and `ena-serve`'s store (in memory and on
-/// disk) both use.
+/// Content address of one design point within a campaign: the key
+/// `ena-serve`'s store files a record under, in memory and on disk.
 pub fn point_key(campaign: u64, point: &ConfigPoint) -> u64 {
     let mut h = StableHasher::new();
     h.write_u64(campaign);
@@ -488,14 +450,6 @@ impl Axis for NodeAxis {
         self.spec.space.points()
     }
 
-    fn campaign_digest(&self) -> u64 {
-        campaign_digest(&self.explorer, &self.spec.profiles)
-    }
-
-    fn point_key(&self, campaign: u64, point: &ConfigPoint) -> u64 {
-        point_key(campaign, point)
-    }
-
     fn shared(&self) {}
 
     fn evaluate(&self, _: &(), point: &ConfigPoint) -> Result<PointRecord, Infallible> {
@@ -513,7 +467,7 @@ impl Axis for NodeAxis {
 #[derive(Debug)]
 pub struct SweepEngine {
     explorer: Explorer,
-    memo: Memo,
+    driver: Driver,
 }
 
 impl SweepEngine {
@@ -521,7 +475,7 @@ impl SweepEngine {
     pub fn new(explorer: Explorer) -> Self {
         Self {
             explorer,
-            memo: Memo::new(),
+            driver: Driver::new(),
         }
     }
 
@@ -530,13 +484,13 @@ impl SweepEngine {
         &self.explorer
     }
 
-    /// Runs one sweep through [`Memo::run`], then reduces the merged
+    /// Runs one sweep through [`Driver::run`], then reduces the merged
     /// records to the oracle's best-mean and per-app answers, reading the
     /// scores the frontier was extracted from.
     ///
     /// # Errors
     ///
-    /// Everything [`Memo::run`] returns, [`SweepError::Dse`] when the
+    /// Everything [`Driver::run`] returns, [`SweepError::Dse`] when the
     /// reduction fails (e.g. no feasible point under the budget), and
     /// [`SweepError::EmptyProfiles`].
     pub fn run(&self, spec: &SweepSpec) -> Result<SweepOutcome, SweepError> {
@@ -549,7 +503,7 @@ impl SweepEngine {
             frontier: (scores, frontier),
             quarantine,
             telemetry,
-        } = self.memo.run(&NodeAxis {
+        } = self.driver.run(&NodeAxis {
             explorer: self.explorer.clone(),
             spec: spec.clone(),
         })?;

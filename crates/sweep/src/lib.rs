@@ -7,20 +7,21 @@
 //!
 //! - [`pool`] — a std-only work-stealing pool whose calling thread is
 //!   worker 0 (`jobs = 1` starts no thread), with an order-independent,
-//!   index-keyed merge and per-chunk supervision (caught panics, bounded
-//!   retries, deterministic quarantine).
+//!   index-keyed merge and per-chunk supervision (caught panics, a fixed
+//!   number of attempts, deterministic quarantine).
 //! - [`pareto`] — one ordered-scan frontier routine over objective
 //!   vectors, which every axis's frontier runs, and the node frontier
 //!   over (mean perf, peak power, peak DRAM temperature).
 //! - [`engine`] — the one sweep driver tying them together: an [`Axis`]
-//!   names its grid, campaign digest, point key, evaluation and
-//!   frontier; [`Memo::run`] owns chunking, the supervised pool,
-//!   quarantine, the merge by grid index and the state one run's
-//!   evaluations share ([`Axis::Shared`]), and reports [`Telemetry`]
-//!   (points evaluated, chunks, per-worker utilization). The node axis
-//!   ([`NodeAxis`]) runs through [`SweepEngine`]; `ena-fabric`'s
-//!   multi-node and recovery axes are two more impls, sharing one
-//!   [`RunOptions`]. Every run evaluates every point in memory.
+//!   names its grid, evaluation and frontier; [`Driver::run`] owns
+//!   chunking, the supervised pool, quarantine, the merge by grid index
+//!   and the state one run's evaluations share ([`Axis::Shared`]), and
+//!   reports [`Telemetry`] (points evaluated, chunks, per-worker
+//!   utilization). Quarantine reports and the test [`Failpoint`] name a
+//!   point by its grid index. The node axis ([`NodeAxis`]) runs through
+//!   [`SweepEngine`]; `ena-fabric`'s multi-node and recovery axes are two
+//!   more impls, sharing one [`RunOptions`]. Every run evaluates every
+//!   point in memory.
 //! - [`cache`] — the content-addressed, crash-consistent disk cache
 //!   (bit-exact round-trip, per-line CRC32, flush+fsync per record,
 //!   atomic temp-and-rename repair, generation header) behind the
@@ -69,11 +70,11 @@ pub use cache::{
     DiskCache, VerifyError, VerifyReport,
 };
 pub use engine::{
-    campaign_digest, evaluate_batch, point_key, Axis, Failpoint, Memo, NodeAxis, QuarantineEntry,
+    campaign_digest, evaluate_batch, point_key, Axis, Driver, Failpoint, NodeAxis, QuarantineEntry,
     QuarantineReport, RunOptions, SweepEngine, SweepError, SweepOutcome, SweepSpec, Swept,
     Telemetry,
 };
 pub use pareto::{dominates, frontier, pareto_frontier, FrontierPoint};
-pub use pool::{map_chunks_supervised, QuarantinedChunk, RetryPolicy, WorkerStats};
+pub use pool::{map_chunks_supervised, QuarantinedChunk, WorkerStats};
 
 pub use ena_testkit::chaos::{RealFs, Vfs};

@@ -13,20 +13,22 @@
 //!
 //! Supervision ([`map_chunks_supervised`]) catches panics *per chunk*
 //! rather than letting them kill the worker: a panicking chunk is
-//! retried under the caller's [`RetryPolicy`] (the evaluation kernel is
+//! retried at once, up to four attempts in all (the evaluation kernel is
 //! deterministic, but the failure may be environmental — an injected
 //! chaos kill, a transient resource fault), and a chunk that fails every
-//! attempt is *quarantined* — reported, with its panic message and the
-//! modeled backoff it consumed, instead of aborting the sweep. A
-//! quarantine-free run evaluates every item exactly once, so its output
-//! is byte-identical to the sequential oracle.
+//! attempt is *quarantined* — reported, with its panic message, instead
+//! of aborting the sweep. A quarantine-free run evaluates every item
+//! exactly once, so its output is byte-identical to the sequential
+//! oracle.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
 use std::sync::Mutex;
 
-pub use ena_hsa::runtime::RetryPolicy;
+/// Attempts a chunk gets before quarantine: the first and three
+/// retries.
+const ATTEMPTS: u32 = 4;
 
 /// Per-worker execution counters, the raw material of the utilization
 /// telemetry.
@@ -42,8 +44,8 @@ pub struct WorkerStats {
     pub retries: u64,
 }
 
-/// A chunk that failed every attempt its [`RetryPolicy`] allowed and was
-/// pulled out of the sweep instead of aborting it.
+/// A chunk that failed all four attempts and was pulled out of the sweep
+/// instead of aborting it.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuarantinedChunk {
     /// Index of the chunk in submission order.
@@ -52,10 +54,6 @@ pub struct QuarantinedChunk {
     pub attempts: u32,
     /// Panic message of the final attempt.
     pub message: String,
-    /// Modeled backoff consumed across retries (µs). Modeled, not
-    /// slept: the pool stays wall-clock-free so supervised runs remain
-    /// deterministic.
-    pub backoff_us: f64,
 }
 
 /// What one chunk came to: its results, or its quarantine.
@@ -112,36 +110,25 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs chunk `index` under supervision: 1 + `retry.max_retries`
-/// attempts, each over the whole chunk (the kernel is deterministic, so
-/// a partial result has no value). Each caught panic but the last counts
-/// in `retries` and charges `retry`'s modeled backoff; the last
-/// quarantines the chunk.
-fn supervise<T, R, F>(
-    index: usize,
-    chunk: &[T],
-    retry: &RetryPolicy,
-    f: &F,
-    retries: &mut u64,
-) -> Verdict<R>
+/// Runs chunk `index` under supervision: [`ATTEMPTS`] attempts, each
+/// over the whole chunk (the kernel is deterministic, so a partial result
+/// has no value). Each caught panic but the last counts in `retries`; the
+/// last quarantines the chunk.
+fn supervise<T, R, F>(index: usize, chunk: &[T], f: &F, retries: &mut u64) -> Verdict<R>
 where
     F: Fn(&T) -> R,
 {
-    let attempts = retry.max_retries.saturating_add(1);
     let attempt = || catch_unwind(AssertUnwindSafe(|| chunk.iter().map(f).collect()));
-    let mut backoff_us = 0.0;
-    for failed in 1..attempts {
+    for _ in 1..ATTEMPTS {
         if let Ok(results) = attempt() {
             return Ok(results);
         }
         *retries += 1;
-        backoff_us += retry.backoff_for(failed);
     }
     attempt().map_err(|payload| QuarantinedChunk {
         index,
-        attempts,
+        attempts: ATTEMPTS,
         message: panic_message(payload.as_ref()),
-        backoff_us,
     })
 }
 
@@ -152,7 +139,6 @@ where
 fn work<T, R, F>(
     w: usize,
     queues: &[Mutex<Queue<T>>],
-    retry: &RetryPolicy,
     f: &F,
     mut deliver: impl FnMut(usize, Verdict<R>),
 ) -> WorkerStats
@@ -174,7 +160,7 @@ where
         };
         stats.chunks += 1;
         stats.points += chunk.len() as u64;
-        let verdict = supervise(index, &chunk, retry, f, &mut stats.retries);
+        let verdict = supervise(index, &chunk, f, &mut stats.retries);
         deliver(index, verdict);
     }
 }
@@ -182,8 +168,8 @@ where
 /// Maps `f` over every item of every chunk on `jobs` workers — the
 /// calling thread plus `jobs - 1` helper threads, so `jobs = 1` starts
 /// none — supervising each chunk: a panic is caught, the chunk is
-/// retried up to `retry.max_retries` times (charging `retry`'s modeled
-/// backoff), and a chunk that fails every attempt comes back as
+/// retried until it has had four attempts, and a chunk that fails every
+/// attempt comes back as
 /// `Err(`[`QuarantinedChunk`]`)` in its result slot while the rest of
 /// the sweep completes normally.
 ///
@@ -199,7 +185,6 @@ where
 pub fn map_chunks_supervised<T, R, F>(
     jobs: usize,
     chunks: Vec<Vec<T>>,
-    retry: &RetryPolicy,
     f: F,
 ) -> Result<(Vec<Result<Vec<R>, QuarantinedChunk>>, Vec<WorkerStats>), PoolError>
 where
@@ -234,7 +219,7 @@ where
             scope.spawn(move || {
                 // `rx` outlives the scope, so a send cannot fail while
                 // a helper runs.
-                let stats = work(w, queues, retry, f, |index, verdict| {
+                let stats = work(w, queues, f, |index, verdict| {
                     let _ = tx.send(Message::Verdict { index, verdict });
                 });
                 let _ = tx.send(Message::Done { worker: w, stats });
@@ -247,7 +232,7 @@ where
         // helpers' last verdicts. The channel disconnects once every
         // helper has gone, with or without its `Done`; chunks a vanished
         // helper never delivered stay `None` and surface below.
-        let stats = work(0, &queues, retry, &f, |index, verdict| {
+        let stats = work(0, &queues, &f, |index, verdict| {
             accept(Message::Verdict { index, verdict });
             while let Ok(message) = rx.try_recv() {
                 accept(message);
@@ -290,8 +275,7 @@ mod tests {
         chunks: Vec<Vec<u64>>,
         f: impl Fn(&u64) -> u64 + Sync,
     ) -> (Vec<Vec<u64>>, Vec<WorkerStats>) {
-        let (verdicts, stats) =
-            map_chunks_supervised(jobs, chunks, &RetryPolicy::default(), f).unwrap();
+        let (verdicts, stats) = map_chunks_supervised(jobs, chunks, f).unwrap();
         (verdicts.into_iter().map(Result::unwrap).collect(), stats)
     }
 
@@ -315,7 +299,7 @@ mod tests {
     #[test]
     fn one_job_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let (verdicts, stats) = map_chunks_supervised(1, chunks(), &RetryPolicy::default(), |x| {
+        let (verdicts, stats) = map_chunks_supervised(1, chunks(), |x| {
             assert_eq!(std::thread::current().id(), caller, "f left the caller");
             *x
         })
@@ -334,7 +318,7 @@ mod tests {
 
     #[test]
     fn a_persistent_panic_is_quarantined_not_fatal() {
-        let (results, stats) = map_chunks_supervised(2, chunks(), &RetryPolicy::default(), |x| {
+        let (results, stats) = map_chunks_supervised(2, chunks(), |x| {
             assert!(*x != 62, "injected failure on item 62");
             *x * 3
         })
@@ -344,9 +328,8 @@ mod tests {
             if i == 6 {
                 let q = slot.as_ref().unwrap_err();
                 assert_eq!(q.index, 6);
-                assert_eq!(q.attempts, 4, "1 + default max_retries");
+                assert_eq!(q.attempts, 4, "the first and three retries");
                 assert!(q.message.contains("62"), "{}", q.message);
-                assert!(q.backoff_us > 0.0);
             } else {
                 let ok = slot.as_ref().unwrap();
                 assert_eq!(ok.len(), 5);

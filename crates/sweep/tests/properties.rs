@@ -7,9 +7,7 @@ use std::path::PathBuf;
 use ena_core::dse::DesignSpace;
 use ena_core::Explorer;
 use ena_model::units::Watts;
-use ena_sweep::{
-    hex_field, map_chunks_supervised, CacheRecord, DiskCache, RetryPolicy, SweepEngine, SweepSpec,
-};
+use ena_sweep::{hex_field, map_chunks_supervised, CacheRecord, DiskCache, SweepEngine, SweepSpec};
 use ena_testkit::prelude::*;
 use ena_workloads::paper_profiles;
 
@@ -178,34 +176,31 @@ proptest! {
 
     /// A panicking closure in one chunk neither deadlocks the pool nor
     /// corrupts any other chunk: at every worker count the poisoned
-    /// chunk is quarantined after its full retry allowance and every
-    /// other chunk's results are byte-identical to the panic-free run.
+    /// chunk is quarantined after all four attempts and every other
+    /// chunk's results are byte-identical to the panic-free run.
     #[test]
     fn a_panicking_chunk_is_contained(
         n_chunks in 2usize..12,
         victim in 0usize..12,
         jobs_pick in 0usize..4,
-        retries in 0u32..3,
     ) {
         let jobs = [1, 2, 4, 8][jobs_pick];
         let victim = victim % n_chunks;
         let chunks: Vec<Vec<u64>> = (0..n_chunks as u64)
             .map(|c| (0..4).map(|i| c * 100 + i).collect())
             .collect();
-        let retry = RetryPolicy { max_retries: retries, backoff_us: 5.0 };
         let victim_marker = victim as u64 * 100;
 
         let (verdicts, _) = map_chunks_supervised(
             jobs,
             chunks.clone(),
-            &retry,
             |x| {
                 assert!(*x != victim_marker, "poisoned item {x}");
                 x * 3
             },
         ).expect("supervised pool never dies from a caught panic");
 
-        let (oracle, _) = map_chunks_supervised(jobs, chunks, &retry, |x| x * 3)
+        let (oracle, _) = map_chunks_supervised(jobs, chunks, |x| x * 3)
             .expect("panic-free run completes");
 
         prop_assert!(verdicts.len() == n_chunks);
@@ -213,7 +208,7 @@ proptest! {
             if i == victim {
                 let q = got.as_ref().expect_err("victim chunk must be quarantined");
                 prop_assert!(q.index == victim);
-                prop_assert!(q.attempts == retries + 1, "attempts={}", q.attempts);
+                prop_assert!(q.attempts == 4, "attempts={}", q.attempts);
                 prop_assert!(q.message.contains("poisoned item"), "{}", q.message);
             } else {
                 prop_assert!(
